@@ -71,8 +71,8 @@ except ImportError:  # pragma: no cover - CLI entry
 
     RESULTS_DIR = Path(__file__).parent / "results"
 
-#: the full sweep mirrors bench_parallel's: complete spaces, big
-#: enough that per-edge work dominates
+#: the full sweep: complete spaces, big enough that per-edge work
+#: dominates
 SWEEP = [
     ("sha", "rol"),
     ("jpeg", "descale"),

@@ -117,9 +117,8 @@ def enumerated_suite():
     """(bench, function) -> FunctionSpaceStats for the study set.
 
     With ``REPRO_BENCH_JOBS>1`` or ``REPRO_BENCH_STORE`` set, the study
-    set is enumerated through the sharded parallel service; the merged
-    spaces are bit-identical to serial, so every downstream table is
-    unchanged.
+    set is enumerated through the parallel pool; its spaces are
+    bit-identical to serial, so every downstream table is unchanged.
     """
     study = study_functions()
     functions, all_facts = {}, {}

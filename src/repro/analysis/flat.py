@@ -583,30 +583,10 @@ class FlatAnalyses:
         self.reg_use_counts: Optional[Dict[int, int]] = None
 
 
-#: (content key, returns_value, tracked slot offsets) -> FlatAnalyses.
-#: Every fact in FlatAnalyses is a pure function of that triple, so
-#: functions with equal content *share* their analysis cache object —
-#: independent phase orders converging on the same code (the very
-#: merges the DAG detects) pay each fixpoint once per process.
-_ANALYSES_BY_CONTENT: Dict[Tuple, FlatAnalyses] = {}
-_ANALYSES_MAX = 1 << 16
-
-
 def _cache_of(flat: FlatFunction) -> FlatAnalyses:
     cache = flat._analyses
     if cache is None:
-        key = (
-            flat.content_key(),
-            flat.returns_value,
-            flat.scalar_slot_offsets(),
-        )
-        cache = _ANALYSES_BY_CONTENT.get(key)
-        if cache is None:
-            cache = FlatAnalyses()
-            if len(_ANALYSES_BY_CONTENT) >= _ANALYSES_MAX:
-                _ANALYSES_BY_CONTENT.clear()
-            _ANALYSES_BY_CONTENT[key] = cache
-        flat._analyses = cache
+        cache = flat._analyses = FlatAnalyses()
     return cache
 
 
@@ -704,4 +684,3 @@ def flat_single_defs_of(flat: FlatFunction) -> Dict[int, int]:
 
 def reset_flat_analysis_caches() -> None:
     _BLOCK_USE_DEF.clear()
-    _ANALYSES_BY_CONTENT.clear()

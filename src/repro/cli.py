@@ -392,19 +392,11 @@ def cmd_enumerate(args) -> int:
                 "--resume to continue)"
             )
     if injector is not None:
-        if use_parallel:
-            # Per-shard injector counters live in the workers; the
-            # quarantine log below is the merged record of what fired.
-            print(
-                f"fault injection: seed={injector.seed}, "
-                f"rate={injector.rate} (per-shard; see quarantine report)"
-            )
-        else:
-            print(
-                f"fault injection: {injector.injected} fault(s) over "
-                f"{injector.applications} guarded applications "
-                f"(seed={injector.seed}, rate={injector.rate})"
-            )
+        print(
+            f"fault injection: {injector.injected} fault(s) over "
+            f"{injector.applications} guarded applications "
+            f"(seed={injector.seed}, rate={injector.rate})"
+        )
     if config.guards_enabled() or (use_parallel and args.difftest):
         print(result.quarantine.format_report())
     if args.sanitize and result.sanitize_stats is not None:

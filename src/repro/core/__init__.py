@@ -9,7 +9,10 @@
   probabilities (section 5, Tables 4-6);
 - :mod:`repro.core.batch` / :mod:`repro.core.probabilistic` — the
   conventional and probabilistic batch compilers (section 6, Figure 8);
-- :mod:`repro.core.stats` — per-function search statistics (Table 3).
+- :mod:`repro.core.stats` — per-function search statistics (Table 3);
+- :mod:`repro.core.driver` / :mod:`repro.core.store` — the one
+  execution driver (store, memo and checkpoint rules) and the
+  completed-space store it consults.
 """
 
 from repro.core.crc import crc32

@@ -258,7 +258,7 @@ def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
     The DAG records *which* instances exist and which phase transforms
     one into the next, but a space enumerated without
     ``keep_functions=True`` (or loaded back from a checkpoint or a
-    :class:`~repro.parallel.store.SpaceStore` entry) carries no
+    :class:`~repro.core.store.SpaceStore` entry) carries no
     function objects.  This walk rebuilds them by replaying every
     active edge exactly once in topological order — the same
     one-phase-per-edge discipline as prefix-sharing enumeration — so

@@ -151,7 +151,7 @@ class EnumerationConfig:
         self.resume = resume
         #: the input function is already the canonical root instance
         #: (implicit cleanup applied — e.g. round-tripped from a
-        #: checkpoint or a shard spec); skips the redundant cleanup
+        #: checkpoint or a worker task); skips the redundant cleanup
         #: pass on the root and on the resume probe, which matters when
         #: many small enumerations are spawned from serialized inputs
         self.canonical_input = canonical_input
@@ -349,9 +349,8 @@ class SpaceEnumerator:
             )
         )
         # Semantic collapse (docs/COLLAPSE.md): merge decisions live in
-        # a SemanticCollapser so the serial expander and the parallel
-        # coordinator's replay merge share one decision procedure.  A
-        # program context (config.program) enables the VM co-execution
+        # a SemanticCollapser, whose state rides checkpoints.  A program
+        # context (config.program) enables the VM co-execution
         # fallback; without it unproven collisions simply stay split.
         self.collapser = None
         if self.config.collapse == "semantic":
@@ -547,18 +546,12 @@ class SpaceEnumerator:
 
     def _initialize(self) -> None:
         config = self.config
-        root_func = self.input_func.clone()
-        if not config.canonical_input:
-            implicit_cleanup(root_func)  # canonical root instance
+        root_func, root_fp, root_key = canonical_root(self.input_func, config)
         self.root_func = root_func
         self.dag = SpaceDAG(self.input_func.name)
         self.texts: Dict[object, str] = {}
         self.attempted = 0
         self.applied = 0
-        root_fp = fingerprint_function(
-            root_func, keep_text=config.exact, remap=config.remap
-        )
-        root_key = _node_key(root_fp, root_func)
         root = self.dag.add_node(root_key, 0, root_fp.num_insts, root_fp.cf_crc)
         root.function = to_flat(root_func) if self.flat_engine else root_func
         if config.exact:
@@ -614,11 +607,7 @@ class SpaceEnumerator:
         # The input function must be the one the checkpoint was made
         # from: its canonical root instance must fingerprint to the
         # checkpointed root key.
-        probe = self.input_func.clone()
-        if not config.canonical_input:
-            implicit_cleanup(probe)
-        probe_fp = fingerprint_function(probe, remap=config.remap)
-        if _node_key(probe_fp, probe) != self.dag.root.key:
+        if canonical_root(self.input_func, config)[2] != self.dag.root.key:
             raise ckpt.CheckpointError(
                 f"checkpoint {path} was written for a different version of "
                 f"{self.input_func.name!r} (root fingerprint mismatch)"
@@ -1094,6 +1083,21 @@ def enumerate_space(
     The input function is not modified.
     """
     return SpaceEnumerator(func, config).run()
+
+
+def canonical_root(
+    func: Function, config: EnumerationConfig
+) -> Tuple[Function, Fingerprint, object]:
+    """The root instance of *func*'s space (implicit cleanup applied
+    unless the input already is canonical), its fingerprint and its
+    node key — the key checkpoints and the space store are matched on."""
+    root = func.clone()
+    if not config.canonical_input:
+        implicit_cleanup(root)
+    fingerprint = fingerprint_function(
+        root, keep_text=config.exact, remap=config.remap
+    )
+    return root, fingerprint, _node_key(fingerprint, root)
 
 
 def _node_key(fingerprint: Fingerprint, func: Function):

@@ -31,21 +31,18 @@ import time
 from typing import Dict, FrozenSet, List, Optional, TextIO, Tuple
 
 #: bump when an event is removed, renamed, or a required field changes
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: event name -> required fields (extra fields are always allowed)
 EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
     # run-level markers
     "run_start": frozenset({"tool"}),
     "run_end": frozenset({"wall"}),
-    # parallel service lifecycle
+    # parallel service lifecycle (a "shard" is one function's lease)
     "job_start": frozenset({"functions", "jobs"}),
     "job_done": frozenset({"functions"}),
-    "job_restored": frozenset({"function"}),
     "cache_hit": frozenset({"function"}),
-    "level_start": frozenset({"function", "level"}),
     "shard_dispatch": frozenset({"shard"}),
-    "shard_resumed": frozenset({"shard"}),
     "shard_done": frozenset({"shard"}),
     "shard_error": frozenset({"shard"}),
     "lease_reclaim": frozenset({"shard"}),
@@ -61,8 +58,6 @@ EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
     # attempted / active / dormant accounting
     "phase_stats": frozenset({"phases"}),
     # caches
-    "memo_loaded": frozenset({"entries"}),
-    "memo_saved": frozenset({"entries"}),
     "memo_stats": frozenset({"hits", "misses"}),
     "analysis_cache_stats": frozenset({"hits", "misses"}),
     # robustness

@@ -154,7 +154,7 @@ def summarize_run(run_dir: str) -> Dict[str, object]:
             row["cached"] = True
             row["completed"] = True
             totals["store_cache_hits"] += 1
-        elif name in ("job_restored", "checkpoint_resume"):
+        elif name == "checkpoint_resume":
             if label is not None:
                 _function_row(functions, label)["resumed"] = True
             totals["resumes"] += 1
@@ -173,14 +173,11 @@ def summarize_run(run_dir: str) -> Dict[str, object]:
             totals["quarantine_total"] += 1
         elif name == "fault_injected":
             totals["faults_injected"] += 1
-        elif name in ("memo_stats", "memo_saved"):
+        elif name == "memo_stats":
             memo["hits"] += record.get("hits", 0)
             memo["misses"] += record.get("misses", 0)
             if record.get("entries") is not None:
                 memo["entries"] = record["entries"]
-            memo["seen"] = True
-        elif name == "memo_loaded":
-            memo["entries"] = record.get("entries")
             memo["seen"] = True
         elif name == "sanitize_stats":
             for key in (

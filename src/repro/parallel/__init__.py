@@ -1,27 +1,28 @@
-"""Sharded multi-process exhaustive enumeration (``repro.parallel``).
+"""Multi-process exhaustive enumeration (``repro.parallel``).
 
-The serial enumerator (:mod:`repro.core.enumeration`) is the reference
-implementation; this package scales it across worker processes while
-keeping the merged space DAG **bit-identical** to a serial run — same
-node ids, edges, dormant sets and counters, so every Table 3–7 number
-is reproducible at any ``--jobs`` level.  See ``docs/PARALLEL.md``.
+The serial enumerator (:mod:`repro.core.enumeration`) is the only
+enumerator; this package runs it for many functions at once, one
+function per worker process, so every space DAG is **bit-identical**
+to a serial run by construction — every Table 3–7 number is
+reproducible at any ``--jobs`` level.  See ``docs/PARALLEL.md``.
 
-- :mod:`~repro.parallel.coordinator` — job decomposition, worker
-  leases, deterministic in-order merging, budgets, level checkpoints;
-- :mod:`~repro.parallel.worker` — the stateless shard-expansion
-  process;
-- :mod:`~repro.parallel.merge` — serial-order replay of shard results;
-- :mod:`~repro.parallel.store` — persistent completed-space cache;
+- :mod:`~repro.parallel.coordinator` — the worker pool: leases,
+  heartbeats, respawns, signal forwarding, the run journal;
+- :mod:`~repro.parallel.worker` — the worker process, which runs
+  :func:`repro.core.driver.run_function` (the one driver owning the
+  store, memo and checkpoint rules; the service executor calls it too);
 - :mod:`~repro.parallel.telemetry` — JSONL event log + live status.
+
+The completed-space store lives in :mod:`repro.core.store`.
 """
 
+from repro.core.store import SpaceStore
 from repro.parallel.coordinator import (
     EnumerationRequest,
     ParallelConfig,
     ParallelEnumerator,
     enumerate_space_parallel,
 )
-from repro.parallel.store import SpaceStore
 from repro.parallel.telemetry import ProgressReporter
 
 __all__ = [

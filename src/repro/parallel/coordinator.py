@@ -1,57 +1,39 @@
-"""The sharded enumeration coordinator.
+"""The parallel enumeration coordinator: a pool of serial enumerators.
 
-:class:`ParallelEnumerator` decomposes a compilation job top-down —
-program → functions → frontier-level sub-shards — into a work queue
-consumed by a ``multiprocessing`` worker pool, merges the shard
-results deterministically (see :mod:`repro.parallel.merge`), and
-produces per-function :class:`EnumerationResult` objects whose DAGs
-are bit-identical to serial runs.
+:class:`ParallelEnumerator` runs each requested function in a worker
+process (:mod:`repro.parallel.worker`) through
+:func:`repro.core.driver.run_function` — the ordinary serial enumerator
+with its store, memo and checkpoint rules, the same driver the service
+executor calls.  Results are bit-identical to serial runs because they
+come from the same code.  The unit of parallelism is the function; one
+function's space is never split across workers (``docs/PARALLEL.md``
+says why).
 
-Scheduling model
-----------------
-Each function job advances level by level (the enumeration is
-level-synchronous, like the serial algorithm), but different functions
-overlap freely: while one function waits for the last shard of its
-level, the pool stays busy on other functions' shards.  Within one
-function, a wide frontier is split into sub-shards so several workers
-expand it concurrently.
-
-Fault model
------------
-Every dispatched shard is a **lease**: the coordinator tracks the
-worker's process liveness and heartbeats, and when a worker dies or
-goes silent past ``lease_timeout`` the shard is re-leased (to a
-respawned worker slot), resuming from the shard's last checkpoint if
-one was written.  Shard expansion is deterministic — including
-per-shard seeded fault injection — so a re-leased shard produces the
-same result no matter which worker runs it or how often it was
-interrupted.
-
-Persistence
------------
-With a ``run_dir``, the coordinator journals progress at three
-granularities, all through the PR-1 checkpoint format:
-
-- per-shard partial results (written by workers);
-- per-function level checkpoints, written at level barriers in the
-  exact :mod:`repro.core.checkpoint` layout — a parallel run aborted
-  by budget or ^C can be **resumed serially** with ``--checkpoint
-  ... --resume``, and vice versa;
-- the completed-space store (:mod:`repro.parallel.store`), which later
-  runs hit instead of re-enumerating.
+- **Scheduling.** Functions go to free worker slots in request order;
+  the pool never has more workers than functions.  Budgets
+  (``time_limit``, ``max_nodes``, ...) are enforced by each function's
+  own serial enumerator, so they mean what they mean serially.
+- **Leases.** Workers heartbeat their enumerator's attempt count.  A
+  worker that dies, or whose count stalls past ``lease_timeout``, is
+  terminated and respawned, and its function re-leased — resuming from
+  the serial checkpoint when a ``run_dir`` is set.  SIGTERM and ^C are
+  forwarded to busy workers as one SIGTERM each; their enumerators
+  checkpoint before :class:`KeyboardInterrupt` is re-raised here.
+- **Persistence.** With a ``run_dir``, function *label* checkpoints to
+  ``<run_dir>/<label>.ckpt.json`` in the serial format, so a parallel
+  run resumes serially (``--checkpoint ... --resume``) and vice versa.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import re
 import signal
 import threading
 import time
-from multiprocessing.connection import wait as connection_wait
 from collections import deque
+from multiprocessing.connection import wait as connection_wait
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core import checkpoint as ckpt
@@ -59,21 +41,15 @@ from repro.core.dag import SpaceDAG
 from repro.core.enumeration import (
     EnumerationConfig,
     EnumerationResult,
-    _arrival_phases,
-    _node_key,
+    canonical_root,
 )
-from repro.core.fingerprint import fingerprint_function
+from repro.core.store import SpaceStore, store_signature
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET
 from repro.observability import manifest as manifest_mod
 from repro.observability.tracer import Tracer
-from repro.opt import implicit_cleanup
-from repro.parallel import shards as shards_mod
-from repro.parallel.merge import merge_shard
-from repro.parallel.store import SpaceStore, cacheable, store_signature
 from repro.parallel.telemetry import ProgressReporter
-from repro.parallel.worker import worker_main
-from repro.robustness.quarantine import QuarantineLog
+from repro.parallel.worker import config_spec, worker_main
 from repro.robustness.retry import RetryBudget
 
 
@@ -93,10 +69,8 @@ class ParallelConfig:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        shard_size: Optional[int] = None,
         lease_timeout: float = 30.0,
         heartbeat_interval: float = 0.5,
-        shard_checkpoint_interval: float = 5.0,
         checkpoint_interval: float = 30.0,
         run_dir: Optional[str] = None,
         resume: bool = False,
@@ -110,27 +84,23 @@ class ParallelConfig:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        #: frontier nodes per shard (None = auto from frontier width)
-        self.shard_size = shard_size
-        #: seconds of heartbeat silence before a lease is reclaimed;
-        #: must exceed the worst-case single-node expansion time
+        #: seconds without enumeration progress before a lease is
+        #: reclaimed; must exceed the worst-case single phase attempt
         self.lease_timeout = lease_timeout
         self.heartbeat_interval = heartbeat_interval
-        #: how often workers persist partial shards (0 = every node)
-        self.shard_checkpoint_interval = shard_checkpoint_interval
-        #: how often level checkpoints are written at barriers
+        #: seconds between a worker's periodic function checkpoints
         self.checkpoint_interval = checkpoint_interval
-        #: directory for the persistent work journal (shard + level
-        #: checkpoints, telemetry JSONL); None disables persistence
+        #: directory for the journal, manifest and per-function
+        #: checkpoints; None disables persistence
         self.run_dir = run_dir
-        #: continue from level checkpoints found in run_dir
+        #: continue from checkpoints found in run_dir
         self.resume = resume
         #: completed-space cache consulted before enumerating
         self.store = store
         #: telemetry sink (events + status line); caller-owned
         self.progress = progress
         #: test hook: {"worker": id, "after_nodes": n, "kind":
-        #: "exit"|"hang"} — makes one worker fail mid-shard, once
+        #: "exit"|"hang"} — makes one worker fail mid-function, once
         self.chaos = chaos
         self.start_method = start_method
         #: observability tracer (journal + manifest); caller-owned.
@@ -148,280 +118,22 @@ class ParallelConfig:
         return "fork" if "fork" in methods else "spawn"
 
 
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", label)
-
-
-def _recipe(dag: SpaceDAG, node_id: int) -> str:
-    """The serial enumerator's recipe for a node: the phase path along
-    each node's first (creation) in-edge back to the root."""
-    parts: List[str] = []
-    while node_id != dag.root_id:
-        parent_id, phase_id = dag.nodes[node_id].parents[0]
-        parts.append(phase_id)
-        node_id = parent_id
-    return "".join(reversed(parts))
-
-
 class _FunctionJob:
-    """Coordinator-side state of one function's enumeration."""
+    """Coordinator-side state of one requested function."""
 
     def __init__(
-        self,
-        job_id: int,
-        request: EnumerationRequest,
-        config: EnumerationConfig,
-        run_dir: Optional[str],
+        self, job_id: int, request: EnumerationRequest, parallel: ParallelConfig
     ):
         self.job_id = job_id
         self.label = request.label
-        self.source = request.source
-        self.config = config
-        self.function_name = request.function.name
-        root = request.function.clone()
-        if not config.canonical_input:
-            implicit_cleanup(root)
-        fingerprint = fingerprint_function(
-            root, keep_text=config.exact, remap=config.remap
-        )
-        self.root_key = _node_key(fingerprint, root)
-        self.dag = SpaceDAG(self.function_name)
-        root_node = self.dag.add_node(
-            self.root_key, 0, fingerprint.num_insts, fingerprint.cf_crc
-        )
-        #: node id -> serialized Function, for every pending instance
-        self.functions: Dict[int, dict] = {
-            root_node.node_id: ckpt.function_to_dict(root)
-        }
-        self.root_function_dict = self.functions[root_node.node_id]
-        self.texts: Dict[object, str] = (
-            {self.root_key: fingerprint.text} if config.exact else {}
-        )
-        self.frontier: List[int] = [root_node.node_id]
-        self.frontier_index = 0
-        self.next_frontier: List[int] = []
-        self.level = 0
-        self.attempted = 0
-        self.applied = 0
-        #: phase id -> {"active", "dormant", "quarantined"} counts,
-        #: folded at merge time (see repro.parallel.merge)
-        self.phase_counts: Dict[str, Dict[str, int]] = {}
-        #: sanitizer counters (edges, findings, verdicts), folded from
-        #: worker outcomes at merge time; empty without --sanitize
-        self.sanitize_counts: Dict[str, int] = {}
-        #: semantic-collapse decision state (collapse=semantic only);
-        #: lives on the coordinator so workers never race on merges and
-        #: the replay merge decides in exact serial order
-        self.collapser = None
-        if getattr(config, "collapse", "syntactic") == "semantic":
-            from repro.staticanalysis.canon import SemanticCollapser
-
-            program = None
-            if request.source is not None:
-                from repro.frontend import compile_source
-
-                program = compile_source(request.source)
-            self.collapser = SemanticCollapser(
-                program=program, entry=self.function_name
-            )
-            self.collapser.register(
-                self.collapser.digest_of(root), root_node.node_id, root
-            )
-        self.quarantine = QuarantineLog()
-        #: seconds consumed by prior runs (level-checkpoint resume)
-        self.consumed = 0.0
-        #: started lazily at first planning, so time_limit measures the
-        #: function's own enumeration (serial semantics), not how long
-        #: the job sat queued behind other functions
-        self.start: Optional[float] = None
-        self.end: Optional[float] = None
-        self.state = "ready"  # ready | waiting | done
-        self.completed = False
-        self.abort_reason: Optional[str] = None
-        self.resumed_from: Optional[str] = None
-        self._cached: Optional[EnumerationResult] = None
-        # current level's shard bookkeeping
-        self.expected: List[int] = []
-        self.results: Dict[int, Dict] = {}
-        self.merged = 0
-        self.done_shards = set()
-        self.checkpoint_path = (
-            os.path.join(run_dir, f"{_safe_name(self.label)}.ckpt.json")
-            if run_dir
-            else None
-        )
-        self._last_checkpoint = time.monotonic()
-
-    # ------------------------------------------------------------------
-
-    def start_clock(self) -> None:
-        if self.start is None:
-            self.start = time.monotonic()
-
-    def elapsed(self) -> float:
-        if self.start is None:
-            return self.consumed
-        end = self.end if self.end is not None else time.monotonic()
-        return self.consumed + end - self.start
-
-    def adopt_cached(self, result: EnumerationResult) -> None:
-        self._cached = result
-        self.state = "done"
-        self.completed = True
-        self.end = time.monotonic()
-
-    def result(self) -> EnumerationResult:
-        if self._cached is not None:
-            return self._cached
-        return EnumerationResult(
-            self.dag,
-            self.completed,
-            self.attempted,
-            self.applied,
-            self.elapsed(),
-            self.abort_reason,
-            quarantine=self.quarantine,
-            levels_completed=self.level,
-            resumed_from=self.resumed_from,
-            sanitize_stats=self.sanitize_counts or None,
-            collapse_stats=(
-                self.collapser.stats_fields()
-                if self.collapser is not None
-                else None
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Level checkpoints (PR-1 format; serially resumable)
-    # ------------------------------------------------------------------
-
-    def checkpoint_state(self, outstanding_specs: Dict[int, Dict]) -> Dict:
-        pending = self.frontier[self.frontier_index :] + self.next_frontier
-        functions = {
-            str(node_id): self.functions[node_id]
-            for node_id in pending
-            if node_id in self.functions
-        }
-        # Frontier instances currently embedded in unmerged shard specs.
-        for shard_id in self.expected[self.merged :]:
-            spec = outstanding_specs.get(shard_id)
-            if spec is not None:
-                for entry in spec["nodes"]:
-                    functions[str(entry["node_id"])] = entry["function"]
-        state: Dict[str, object] = {
-            "function_name": self.function_name,
-            "config": self.config.signature(),
-            "completed": False,
-            "level": self.level,
-            "frontier": list(self.frontier),
-            "frontier_index": self.frontier_index,
-            "next_frontier": list(self.next_frontier),
-            "attempted": self.attempted,
-            "applied": self.applied,
-            "elapsed": self.elapsed(),
-            "dag": ckpt.dag_to_dict(self.dag),
-            "root_function": self.root_function_dict,
-            "functions": functions,
-            "recipes": {
-                str(node_id): _recipe(self.dag, node_id) for node_id in pending
-            },
-            "texts": [
-                [ckpt.key_to_json(key), text] for key, text in self.texts.items()
-            ],
-            "quarantine": self.quarantine.to_dicts(),
-        }
-        if self.collapser is not None:
-            state["collapse"] = self.collapser.state_dict()
-        return state
-
-    def write_checkpoint(
-        self, outstanding_specs: Dict[int, Dict], interval: float, force: bool = False
-    ) -> bool:
-        """Persist a level checkpoint; True when one was written."""
-        if self.checkpoint_path is None or self.state == "done":
-            return False
-        now = time.monotonic()
-        if not force and now - self._last_checkpoint < interval:
-            return False
-        self._last_checkpoint = now
-        ckpt.save_checkpoint(self.checkpoint_path, self.checkpoint_state(outstanding_specs))
-        return True
-
-    def try_restore(self) -> bool:
-        """Continue from a level checkpoint in run_dir, if present.
-
-        A checkpoint that is unreadable, fails its integrity check, or
-        will not rebuild raises CheckpointError (CKP001) — resuming is
-        an explicit request, so silently starting over would be wrong.
-        """
-        path = self.checkpoint_path
-        if path is None or not os.path.exists(path):
-            return False
-        state = ckpt.load_checkpoint(path, require=ckpt.ENUMERATION_KEYS)
-        try:
-            return self._restore_state(path, state)
-        except ckpt.CheckpointError:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as error:
-            raise ckpt.CheckpointError(
-                f"checkpoint {path} is structurally invalid: "
-                f"{type(error).__name__}: {error}"
-            ) from error
-
-    def _restore_state(self, path: str, state: Dict) -> bool:
-        if state["function_name"] != self.function_name:
-            raise ckpt.CheckpointError(
-                f"checkpoint {path} is for function "
-                f"{state['function_name']!r}, not {self.function_name!r}"
-            )
-        if state["config"] != self.config.signature():
-            raise ckpt.CheckpointError(
-                f"checkpoint {path} was written with different enumeration "
-                f"settings ({state['config']} != {self.config.signature()})"
-            )
-        dag = ckpt.dag_from_dict(self.function_name, state["dag"])
-        if dag.root.key != self.root_key:
-            raise ckpt.CheckpointError(
-                f"checkpoint {path} was written for a different version of "
-                f"{self.function_name!r} (root fingerprint mismatch)"
-            )
-        self.dag = dag
-        self.frontier = list(state["frontier"])
-        self.frontier_index = state["frontier_index"]
-        self.next_frontier = list(state["next_frontier"])
-        self.functions = {
-            int(node_id): data for node_id, data in state["functions"].items()
-        }
-        self.texts = {
-            ckpt.key_from_json(key): text for key, text in state["texts"]
-        }
-        self.attempted = state["attempted"]
-        self.applied = state["applied"]
-        self.consumed = state["elapsed"]
-        self.level = state["level"]
-        if self.collapser is not None:
-            # The signature check above guarantees a semantic-mode
-            # checkpoint, so the collapse state exists (serial and
-            # parallel runs write the same key, interchangeably).
-            self.collapser.restore(state["collapse"])
-        self.quarantine = QuarantineLog.from_dicts(state["quarantine"])
-        # A checkpoint written exactly at a level boundary has its whole
-        # frontier expanded; roll to the next level like the serial
-        # loop's top would.
-        if self.frontier and self.frontier_index >= len(self.frontier):
-            self.frontier = self.next_frontier
-            self.next_frontier = []
-            self.frontier_index = 0
-            self.level += 1
-        self.resumed_from = path
-        return True
-
-    def discard_checkpoint(self) -> None:
-        if self.checkpoint_path is not None:
-            try:
-                os.unlink(self.checkpoint_path)
-            except OSError:
-                pass
+        self.request = request
+        self.checkpoint_path = None
+        if parallel.run_dir:
+            name = re.sub(r"[^A-Za-z0-9_.-]", "_", request.label)
+            self.checkpoint_path = os.path.join(parallel.run_dir, f"{name}.ckpt.json")
+        #: continue from checkpoint_path (the request's, or a re-lease)
+        self.resume = parallel.resume
+        self.result: Optional[EnumerationResult] = None
 
 
 class _WorkerSlot:
@@ -431,22 +143,23 @@ class _WorkerSlot:
         self.worker_id = worker_id
         self.process = None
         self.task_queue = None
-        #: per-worker event channel.  Deliberately *not* shared: a
-        #: worker killed mid-write can leave a multiprocessing.Queue's
-        #: cross-process lock held forever, deadlocking every other
-        #: worker's put().  A SimpleQueue with a single writer confines
-        #: any damage to the dead worker's own channel.
+        #: per-worker event channel, fresh per incarnation.  Never
+        #: shared: a worker killed mid-write can leave a queue's
+        #: cross-process lock held forever; a private channel confines
+        #: the damage (and any late message) to the dead worker.
         self.event_queue = None
-        self.busy: Optional[int] = None  # leased shard id
-        self.last_heartbeat = 0.0
+        self.busy: Optional[_FunctionJob] = None
+        #: last heartbeat-reported attempt count, and when it moved
+        self.attempts: Optional[int] = None
+        self.last_progress = 0.0
 
 
 class ParallelEnumerator:
-    """Sharded multi-process exhaustive enumeration service."""
+    """Multi-process exhaustive enumeration, one function per worker."""
 
     #: a worker slot dying this often aborts the run (systemic failure)
     MAX_SLOT_DEATHS = 3
-    #: a shard failing this often aborts its function job
+    #: a function's lease failing this often aborts that function
     MAX_SHARD_RETRIES = 2
 
     def __init__(
@@ -458,21 +171,12 @@ class ParallelEnumerator:
         self.parallel = parallel if parallel is not None else ParallelConfig()
         self._check_supported(self.config)
         self._slots: List[_WorkerSlot] = []
-        self._specs: Dict[int, Dict] = {}
-        self._spec_job: Dict[int, _FunctionJob] = {}
+        self._jobs: List[_FunctionJob] = []
         self._pending = deque()
-        #: shard re-lease budget: a shard failing more than
-        #: MAX_SHARD_RETRIES times aborts its function job
-        self._shard_retries = RetryBudget(self.MAX_SHARD_RETRIES)
-        #: worker respawn budget: one slot dying more than
-        #: MAX_SLOT_DEATHS times is systemic, not transient
+        self._lease_retries = RetryBudget(self.MAX_SHARD_RETRIES)
         self._respawns = RetryBudget(self.MAX_SLOT_DEATHS)
-        self._next_shard_id = 0
         self._instances = 0
         self._ctx = None
-        #: cross-run phase-transition memo (loaded from the store);
-        #: None when the run is ineligible (exact, guarded, sabotaged)
-        self._memo = None
         if self.parallel.run_dir:
             os.makedirs(self.parallel.run_dir, exist_ok=True)
         self._tracer = self.parallel.tracer
@@ -520,11 +224,6 @@ class ParallelEnumerator:
                 "use ParallelConfig(run_dir=..., resume=...) instead of "
                 "EnumerationConfig checkpointing for parallel runs"
             )
-        if config.input_vectors is not None:
-            raise ValueError(
-                "custom difftest input vectors are not supported in "
-                "parallel runs (workers derive the default vectors)"
-            )
         if config.target is not DEFAULT_TARGET:
             raise ValueError("parallel workers only support the default target")
 
@@ -562,131 +261,64 @@ class ParallelEnumerator:
                 raise ValueError(f"duplicate request label {request.label!r}")
             labels.add(request.label)
         self._emit("job_start", functions=len(requests), jobs=parallel.jobs)
-        # Warm transition memo: hot-path shortcut for re-reached
-        # instances.  Exact mode verifies rather than trusts (and only
-        # the serial engine implements the verification), and guarded
-        # runs must actually execute phases, so both stay cold here.
-        if (
-            parallel.store is not None
-            and not config.exact
-            and not config.guards_enabled()
-            and cacheable(config)
-        ):
-            self._memo = parallel.store.load_memo(config)
-            if len(self._memo):
-                self._emit("memo_loaded", entries=len(self._memo))
-        jobs = [
-            _FunctionJob(job_id, request, config, parallel.run_dir)
+        self._jobs = [
+            _FunctionJob(job_id, request, parallel)
             for job_id, request in enumerate(requests)
         ]
-        for job in jobs:
-            cached = (
-                parallel.store.get(job.function_name, job.root_key, config)
-                if parallel.store is not None
-                else None
-            )
-            if cached is not None:
-                job.adopt_cached(cached)
-                self._emit("cache_hit", function=job.label)
-            elif parallel.resume and job.try_restore():
-                self._emit(
-                    "job_restored",
-                    function=job.label,
-                    level=job.level,
-                    instances=len(job.dag),
-                )
-        if any(job.state != "done" for job in jobs):
-            self._run_pool(jobs)
-        if self._memo is not None:
-            # Memo entries are per-transition facts, valid even from an
-            # aborted run — persist whatever was learned.
-            parallel.store.save_memo(config, self._memo)
-            self._emit(
-                "memo_saved",
-                entries=len(self._memo),
-                hits=self._memo.hits,
-                misses=self._memo.misses,
-            )
+        for job in self._jobs:
+            if not job.resume and job.checkpoint_path is not None:
+                # A fresh run starts over; a stale checkpoint must not
+                # be picked up by a re-lease later in this run.
+                try:
+                    os.unlink(job.checkpoint_path)
+                except OSError:
+                    pass
+        self._pending = deque(self._jobs)
+        if self._jobs:
+            self._run_pool()
         if parallel.progress is not None:
             parallel.progress.tick(force=True)
         self._emit(
             "job_done",
             instances=self._instances,
-            functions=len(jobs),
-            completed=sum(1 for job in jobs if job.completed),
+            functions=len(self._jobs),
+            completed=sum(1 for job in self._jobs if job.result.completed),
         )
-        return [job.result() for job in jobs]
+        return [job.result for job in self._jobs]
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
 
-    def _job_spec(self, with_chaos: bool) -> Dict:
-        config, parallel = self.config, self.parallel
-        fault = None
-        if config.fault_injector is not None:
-            injector = config.fault_injector
-            fault = {
-                "seed": injector.seed,
-                "rate": injector.rate,
-                "modes": list(injector.modes),
-            }
-        spec = {
-            "config": {
-                "phases": "".join(phase.id for phase in config.phases),
-                "remap": config.remap,
-                "exact": config.exact,
-                "validate": config.validate,
-                "difftest": bool(config.difftest),
-                "phase_timeout": config.phase_timeout,
-                "sanitize": config.sanitize,
-                "fault": fault,
-            },
-            "run_dir": parallel.run_dir,
-            "heartbeat_interval": parallel.heartbeat_interval,
-            "shard_checkpoint_interval": parallel.shard_checkpoint_interval,
-        }
-        if with_chaos and parallel.chaos is not None:
-            spec["chaos"] = dict(parallel.chaos)
-        return spec
-
     def _spawn(self, slot: _WorkerSlot, with_chaos: bool) -> None:
-        # fresh queues per (re)spawn: nothing is inherited from a
-        # previous incarnation that died holding a lock or a half
-        # written pipe message
+        parallel = self.parallel
+        spec = {
+            "config": config_spec(self.config, parallel.checkpoint_interval),
+            "store": parallel.store.root if parallel.store is not None else None,
+            "heartbeat_interval": parallel.heartbeat_interval,
+            "forward_events": self._tracer is not None or parallel.progress is not None,
+            "chaos": parallel.chaos if with_chaos else None,
+        }
         slot.task_queue = self._ctx.Queue()
         slot.event_queue = self._ctx.SimpleQueue()
         slot.process = self._ctx.Process(
             target=worker_main,
-            args=(
-                slot.worker_id,
-                self._job_spec(with_chaos),
-                slot.task_queue,
-                slot.event_queue,
-            ),
+            args=(slot.worker_id, spec, slot.task_queue, slot.event_queue),
             daemon=True,
         )
         slot.process.start()
 
-    def _run_pool(self, jobs: List[_FunctionJob]) -> None:
+    def _run_pool(self) -> None:
         self._ctx = multiprocessing.get_context(self.parallel.resolve_start_method())
-        self._slots = [_WorkerSlot(i) for i in range(self.parallel.jobs)]
+        workers = min(self.parallel.jobs, len(self._pending))
+        self._slots = [_WorkerSlot(i) for i in range(workers)]
         for slot in self._slots:
             self._spawn(slot, with_chaos=True)
         previous_sigterm = self._install_sigterm()
         try:
-            self._drive(jobs)
+            self._drive()
         except KeyboardInterrupt:
-            for job in jobs:
-                if job.state != "done" and job.write_checkpoint(
-                    self._specs, 0.0, force=True
-                ):
-                    self._emit(
-                        "checkpoint_write",
-                        path=job.checkpoint_path,
-                        function=job.label,
-                        level=job.level,
-                    )
+            self._drain()
             raise
         finally:
             if previous_sigterm is not None:
@@ -694,10 +326,9 @@ class ParallelEnumerator:
             self._shutdown()
 
     def _install_sigterm(self):
-        """SIGTERM parity with ^C: an orchestrator shutdown must take
-        the same graceful path (checkpoint every job, drain the pool)
-        as KeyboardInterrupt, not kill the coordinator mid-merge.
-        Handlers can only be installed on the main thread."""
+        """SIGTERM parity with ^C: an orchestrator shutdown takes the
+        same graceful path (checkpoint every running function, drain the
+        pool) as KeyboardInterrupt.  Main thread only."""
         if threading.current_thread() is not threading.main_thread():
             return None
 
@@ -706,52 +337,58 @@ class ParallelEnumerator:
 
         return signal.signal(signal.SIGTERM, _handler)
 
+    def _drain(self) -> None:
+        """Forward one SIGTERM to every busy worker, then wait (at most
+        a lease timeout) for their checkpointed, interrupted results."""
+        for slot in self._slots:
+            if slot.busy is not None and slot.process.is_alive():
+                slot.process.terminate()
+        deadline = time.monotonic() + self.parallel.lease_timeout
+        while time.monotonic() < deadline and any(
+            slot.busy is not None and slot.process.is_alive()
+            for slot in self._slots
+        ):
+            self._pump_events(timeout=0.05)
+        self._drain_events()
+
     def _shutdown(self) -> None:
         for slot in self._slots:
-            if slot.process is not None and slot.process.is_alive():
+            if slot.process.is_alive():
                 try:
                     slot.task_queue.put(None)
                 except (OSError, ValueError):
                     pass
         deadline = time.monotonic() + 2.0
-        while time.monotonic() < deadline:
-            self._drain_events()  # unblock workers mid-put
-            if all(
-                slot.process is None or not slot.process.is_alive()
-                for slot in self._slots
-            ):
+        while True:
+            alive = [slot for slot in self._slots if slot.process.is_alive()]
+            remaining = deadline - time.monotonic()
+            if not alive or remaining <= 0:
                 break
-            time.sleep(0.02)
+            connection_wait(
+                [slot.process.sentinel for slot in alive]
+                + [slot.event_queue._reader for slot in alive],
+                remaining,
+            )
+            # read (and drop) anything still being written, so no worker
+            # stays blocked mid-put on a full pipe
+            for slot in alive:
+                while not slot.event_queue.empty():
+                    slot.event_queue.get()
         for slot in self._slots:
-            if slot.process is not None and slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(1.0)
-                if slot.process.is_alive():
-                    slot.process.kill()
-        self._drain_events()
+            if slot.process.is_alive():
+                slot.process.kill()
+            slot.process.join(1.0)
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
 
-    def _drive(self, jobs: List[_FunctionJob]) -> None:
-        while True:
-            free = sum(1 for slot in self._slots if slot.busy is None)
-            for job in jobs:
-                if job.state != "ready":
-                    continue
-                # In-flight jobs always replan (level roll); a *new*
-                # function only starts once the shard queue is starved,
-                # so its time_limit clock is not charged for work that
-                # belongs to the functions ahead of it.
-                if job.start is None and len(self._pending) >= max(1, free):
-                    continue
-                self._plan(job)
-            if all(job.state == "done" for job in jobs):
-                return
-            self._dispatch()
+    def _drive(self) -> None:
+        while any(job.result is None for job in self._jobs):
+            for slot in self._slots:
+                if slot.busy is None and self._pending:
+                    self._dispatch(slot, self._pending.popleft())
             self._pump_events(timeout=0.05)
-            self._check_budgets(jobs)
             self._health()
             reporter = self.parallel.progress
             if reporter is not None:
@@ -763,316 +400,125 @@ class ParallelEnumerator:
                 )
                 reporter.tick()
 
-    # ------------------------------------------------------------------
-    # Planning (program -> function -> frontier sub-shards)
-    # ------------------------------------------------------------------
-
-    def _plan(self, job: _FunctionJob) -> None:
-        job.start_clock()
-        config = job.config
-        pending = job.frontier[job.frontier_index :]
-        if not pending:
-            self._finish(job, completed=True)
-            return
-        at_level_start = job.frontier_index == 0 and not job.next_frontier
-        if at_level_start:
-            if (
-                config.max_levels is not None
-                and job.level >= config.max_levels
-            ):
-                self._abort(job, "max_levels")
-                return
-            sequences_this_level = sum(
-                len(config.phases)
-                - len(_arrival_phases(job.dag.nodes[node_id]))
-                for node_id in pending
-            )
-            if sequences_this_level > config.max_level_sequences:
-                self._abort(job, "max_level_sequences")
-                return
-        if (
-            config.time_limit is not None
-            and job.elapsed() > config.time_limit
-        ):
-            self._abort(job, "time_limit")
-            return
-        size = self.parallel.shard_size or shards_mod.auto_shard_size(
-            len(pending), self.parallel.jobs
-        )
-        job.expected = []
-        job.results = {}
-        job.merged = 0
-        synthesized: List[Dict] = []
-        for chunk in shards_mod.partition(pending, size):
-            shard_id = self._next_shard_id
-            self._next_shard_id += 1
-            spec = {
-                "shard_id": shard_id,
+    def _dispatch(self, slot: _WorkerSlot, job: _FunctionJob) -> None:
+        slot.task_queue.put(
+            {
                 "job_id": job.job_id,
-                "function_name": job.function_name,
-                "level": job.level,
-                "nodes": [
-                    {
-                        "node_id": node_id,
-                        "function": job.functions.pop(node_id),
-                        "skip": sorted(
-                            _arrival_phases(job.dag.nodes[node_id])
-                        ),
-                    }
-                    for node_id in chunk
-                ],
+                "function": ckpt.function_to_dict(job.request.function),
+                "source": job.request.source,
+                "checkpoint_path": job.checkpoint_path,
+                "resume": job.resume,
             }
-            if (
-                self.config.difftest or self.config.sanitize == "full"
-            ) and job.source is not None:
-                spec["source"] = job.source
-            self._specs[shard_id] = spec
-            self._spec_job[shard_id] = job
-            job.expected.append(shard_id)
-            memo_result = self._memo_expand(job, spec)
-            if memo_result is not None:
-                synthesized.append(memo_result)
-            else:
-                self._pending.append(shard_id)
-        job.state = "waiting"
-        self._emit(
-            "level_start",
-            function=job.label,
-            level=job.level,
-            frontier=len(pending),
-            shards=len(job.expected),
-            memo_shards=len(synthesized),
         )
-        # Fully-memoized shards never reach a worker: their synthesized
-        # results merge through the exact same replay path, so the DAG
-        # stays bit-identical to a cold run.
-        for result in synthesized:
-            self._on_result(-1, result)
-
-    def _memo_expand(self, job: _FunctionJob, spec: Dict) -> Optional[Dict]:
-        """A synthesized worker result for a fully-memoized shard.
-
-        Succeeds only when *every* non-arrival transition of every node
-        in the shard is in the memo; a single cold transition sends the
-        whole shard to a worker (workers re-derive everything anyway,
-        and a per-phase split would complicate the replay for little
-        gain — shards are cut along node boundaries).
-        """
-        memo = self._memo
-        if memo is None or not memo.entries:
-            return None
-        config = job.config
-        expansions = []
-        functions: Dict[str, dict] = {}
-        attempts = 0
-        for entry_spec in spec["nodes"]:
-            node = job.dag.nodes[entry_spec["node_id"]]
-            skip = set(entry_spec["skip"])
-            outcomes = []
-            for phase in config.phases:
-                if phase.id in skip:
-                    continue
-                entry = memo.entries.get((node.key, phase.id))
-                if entry is None:
-                    memo.misses += 1
-                    return None
-                attempts += 1
-                if entry.dormant:
-                    outcomes.append({"phase": phase.id, "active": False})
-                    continue
-                key_json = ckpt.key_to_json(entry.key)
-                keystr = json.dumps(key_json)
-                if keystr not in functions:
-                    function = entry.function
-                    if isinstance(function, Function):
-                        function = ckpt.function_to_dict(function)
-                    functions[keystr] = function
-                outcomes.append(
-                    {
-                        "phase": phase.id,
-                        "active": True,
-                        "key": key_json,
-                        "num_insts": entry.num_insts,
-                        "cf_crc": entry.cf_crc,
-                    }
-                )
-            expansions.append([entry_spec["node_id"], outcomes])
-        memo.hits += attempts
-        return {
-            "shard_id": spec["shard_id"],
-            "job_id": spec["job_id"],
-            "level": spec["level"],
-            "expansions": expansions,
-            "functions": functions,
-            "texts": {},
-            "attempts": attempts,
-            "wall": 0.0,
-            "memo_shard": True,
-        }
-
-    def _record_memo(self, job: _FunctionJob, result: Dict) -> None:
-        """Fold a worker shard's outcomes into the transition memo.
-
-        Every recorded outcome is a valid deterministic fact keyed by
-        instance content — including outcomes the replay later discards
-        as stale arrivals (the worker really did apply the phase)."""
-        memo = self._memo
-        functions = result["functions"]
-        for node_id, outcomes in result["expansions"]:
-            parent_key = job.dag.nodes[node_id].key
-            for outcome in outcomes:
-                if outcome.get("quarantine"):
-                    continue  # defensive: memo runs are unguarded
-                if not outcome["active"]:
-                    memo.record_dormant(parent_key, outcome["phase"])
-                    continue
-                memo.record_active(
-                    parent_key,
-                    outcome["phase"],
-                    ckpt.key_from_json(outcome["key"]),
-                    outcome["num_insts"],
-                    outcome["cf_crc"],
-                    functions[json.dumps(outcome["key"])],
-                )
-
-    def _dispatch(self) -> None:
-        for slot in self._slots:
-            if slot.busy is not None or not self._pending:
-                continue
-            while self._pending:
-                shard_id = self._pending.popleft()
-                job = self._spec_job.get(shard_id)
-                if job is None or job.state == "done" or shard_id in job.done_shards:
-                    continue  # stale work from an aborted/merged level
-                slot.task_queue.put(self._specs[shard_id])
-                slot.busy = shard_id
-                slot.last_heartbeat = time.monotonic()
-                self._emit(
-                    "shard_dispatch", shard=shard_id, worker=slot.worker_id
-                )
-                break
-
-    # ------------------------------------------------------------------
-    # Events, merging, budgets, health
-    # ------------------------------------------------------------------
+        slot.busy = job
+        slot.attempts = None
+        slot.last_progress = time.monotonic()
+        self._emit(
+            "shard_dispatch",
+            shard=job.job_id,
+            worker=slot.worker_id,
+            function=job.label,
+        )
 
     def _pump_events(self, timeout: float) -> None:
         if self._drain_events():
             return
-        readers = [
-            slot.event_queue._reader
-            for slot in self._slots
-            if slot.event_queue is not None
-        ]
-        if readers:
-            # select()-based wakeup: react to the next event
-            # immediately instead of polling on a sleep cadence
-            connection_wait(readers, timeout)
-            self._drain_events()
-        else:
-            time.sleep(timeout)
+        # select()-based wakeup: react to the next event immediately
+        # instead of polling on a sleep cadence
+        connection_wait([slot.event_queue._reader for slot in self._slots], timeout)
+        self._drain_events()
 
     def _drain_events(self) -> bool:
         handled = False
         for slot in self._slots:
-            channel = slot.event_queue
-            if channel is None:
-                continue
-            # single reader: empty() == False guarantees get() returns
-            while not channel.empty():
-                self._handle_event(channel.get())
-                handled = True
+            handled = self._drain_slot(slot) or handled
         return handled
 
-    def _handle_event(self, event) -> None:
-        kind, worker_id, payload = event
-        slot = self._slots[worker_id]
+    def _drain_slot(self, slot: _WorkerSlot) -> bool:
+        handled = False
+        # single reader: empty() == False guarantees get() returns
+        while not slot.event_queue.empty():
+            self._handle_event(slot, *slot.event_queue.get())
+            handled = True
+        return handled
+
+    def _handle_event(
+        self, slot: _WorkerSlot, kind: str, _worker_id: int, payload
+    ) -> None:
         if kind == "heartbeat":
-            slot.last_heartbeat = time.monotonic()
-        elif kind == "shard_resumed":
-            slot.last_heartbeat = time.monotonic()
-            self._emit(
-                "shard_resumed",
-                shard=payload["shard_id"],
-                worker=worker_id,
-                nodes_done=payload["nodes_done"],
-            )
+            if payload["attempts"] != slot.attempts:
+                slot.attempts = payload["attempts"]
+                slot.last_progress = time.monotonic()
+        elif kind == "event":
+            name, fields = payload
+            if "function" in fields and slot.busy is not None:
+                fields["function"] = slot.busy.label
+            self._emit(name, **fields)
         elif kind == "result":
-            if slot.busy == payload["shard_id"]:
-                slot.busy = None
-            slot.last_heartbeat = time.monotonic()
-            self._on_result(worker_id, payload)
+            slot.busy = None
+            self._on_result(self._jobs[payload["job_id"]], slot.worker_id, payload)
         elif kind == "shard_error":
-            if slot.busy == payload["shard_id"]:
-                slot.busy = None
+            slot.busy = None
             self._emit(
                 "shard_error",
-                shard=payload["shard_id"],
-                worker=worker_id,
+                shard=payload["job_id"],
+                worker=slot.worker_id,
                 error=payload["error"],
             )
-            self._requeue(payload["shard_id"], payload["error"])
+            if payload["checkpoint_error"]:
+                # Resuming is an explicit request: a checkpoint that
+                # will not load is the caller's error, not a retry.
+                raise ckpt.CheckpointError(payload["checkpoint_error"])
+            self._requeue(self._jobs[payload["job_id"]], payload["error"])
 
-    def _on_result(self, worker_id: int, result: Dict) -> None:
-        shard_id = result["shard_id"]
-        job = self._spec_job.get(shard_id)
-        if job is None or job.state != "waiting" or shard_id in job.done_shards:
-            return  # duplicate or aborted-job result
-        job.results[shard_id] = result
-        while job.merged < len(job.expected):
-            next_id = job.expected[job.merged]
-            if next_id not in job.results:
-                break
-            merged_result = job.results.pop(next_id)
-            if self._memo is not None and not merged_result.get("memo_shard"):
-                self._record_memo(job, merged_result)
-            added = merge_shard(job, merged_result)
-            job.frontier_index += len(merged_result["expansions"])
-            job.merged += 1
-            job.done_shards.add(next_id)
-            self._shard_retries.reset(next_id)
-            self._specs.pop(next_id, None)
-            self._spec_job.pop(next_id, None)
-            self._instances += added
-            self._emit(
-                "shard_done",
-                shard=next_id,
-                worker=worker_id,
-                function=job.label,
-                nodes=added,
-                attempts=merged_result["attempts"],
-                wall=round(merged_result["wall"], 4),
-            )
-            if (
-                job.config.max_nodes is not None
-                and len(job.dag) > job.config.max_nodes
-            ):
-                self._abort(job, "max_nodes")
-                return
-        if job.merged == len(job.expected):
-            job.frontier = job.next_frontier
-            job.next_frontier = []
-            job.frontier_index = 0
-            job.level += 1
-            if job.write_checkpoint(self._specs, self.parallel.checkpoint_interval):
-                self._emit(
-                    "checkpoint_write",
-                    path=job.checkpoint_path,
-                    function=job.label,
-                    level=job.level,
+    def _on_result(self, job: _FunctionJob, worker_id: int, payload: Dict) -> None:
+        result = job.result = payload["result"]
+        self._lease_retries.reset(job.job_id)
+        injector = self.config.fault_injector
+        if injector is not None:
+            # the caller's injector reports what the workers drew, as
+            # it would after a serial run
+            faults = payload["faults"]
+            injector.applications += faults["applications"]
+            injector.injected += faults["injected"]
+            for mode, count in faults["by_mode"].items():
+                injector.injected_by_mode[mode] = (
+                    injector.injected_by_mode.get(mode, 0) + count
                 )
-            job.state = "ready"
+        store = self.parallel.store
+        if store is not None:
+            store.hits += payload["store"]["hits"]
+            store.misses += payload["store"]["misses"]
+            store.corrupt += payload["store"]["corrupt"]
+        if payload["analysis"] is not None and self._tracer is not None:
+            self._tracer.analysis_hits += payload["analysis"][0]
+            self._tracer.analysis_misses += payload["analysis"][1]
+        self._instances += len(result.dag)
+        if (result.resumed_from or "").startswith("store:"):
+            self._emit("cache_hit", function=job.label)
+            return
+        self._emit(
+            "shard_done",
+            shard=job.job_id,
+            worker=worker_id,
+            function=job.label,
+            nodes=len(result.dag),
+            attempts=result.attempted_phases,
+            wall=round(result.elapsed, 4),
+        )
+        self._function_done(job)
 
-    def _check_budgets(self, jobs: List[_FunctionJob]) -> None:
-        for job in jobs:
-            if job.state == "done":
-                continue
-            config = job.config
-            if (
-                config.time_limit is not None
-                and job.elapsed() > config.time_limit
-            ):
-                self._abort(job, "time_limit")
+    def _function_done(self, job: _FunctionJob) -> None:
+        result = job.result
+        self._emit(
+            "function_done",
+            function=job.label,
+            instances=len(result.dag),
+            levels=result.levels_completed,
+            completed=result.completed,
+            reason=result.abort_reason,
+            wall=round(result.elapsed, 3),
+        )
 
     def _health(self) -> None:
         now = time.monotonic()
@@ -1080,15 +526,18 @@ class ParallelEnumerator:
             if slot.busy is None:
                 continue
             dead = not slot.process.is_alive()
-            hung = now - slot.last_heartbeat > self.parallel.lease_timeout
-            if not dead and not hung:
+            if dead:
+                # a worker posts its result before any graceful exit
+                self._drain_slot(slot)
+                if slot.busy is None:
+                    continue
+            elif now - slot.last_progress <= self.parallel.lease_timeout:
                 continue
-            shard_id = slot.busy
-            slot.busy = None
+            job, slot.busy = slot.busy, None
             self._emit(
                 "worker_dead" if dead else "lease_timeout",
                 worker=slot.worker_id,
-                shard=shard_id,
+                shard=job.job_id,
             )
             if not dead:
                 slot.process.terminate()
@@ -1103,76 +552,31 @@ class ParallelEnumerator:
                     "aborting the run (systemic failure)"
                 )
             # The replacement never inherits the chaos hook: the fault
-            # being simulated happened, and the recovery path is what
-            # is being exercised.
+            # being simulated happened; the recovery is under test.
             self._spawn(slot, with_chaos=False)
-            self._requeue(shard_id, "worker lost")
+            self._requeue(job, "worker lost")
 
-    def _requeue(self, shard_id: int, why: str) -> None:
-        job = self._spec_job.get(shard_id)
-        if job is None or job.state == "done" or shard_id in job.done_shards:
+    def _requeue(self, job: _FunctionJob, why: str) -> None:
+        if not self._lease_retries.record_failure(job.job_id):
+            # No lease finished the function: report it aborted, with
+            # a root-only space.
+            root, fingerprint, key = canonical_root(job.request.function, self.config)
+            dag = SpaceDAG(root.name)
+            dag.add_node(key, 0, fingerprint.num_insts, fingerprint.cf_crc)
+            job.result = EnumerationResult(
+                dag, False, 0, 0, 0.0, f"shard_failed: {why}"
+            )
+            self._function_done(job)
             return
-        if not self._shard_retries.record_failure(shard_id):
-            self._abort(job, f"shard_failed: {why}")
-            return
-        self._pending.appendleft(shard_id)
+        # the lost lease's serial checkpoint (if it wrote one) carries
+        # the function's progress over to the next lease
+        job.resume = job.checkpoint_path is not None
+        self._pending.appendleft(job)
         self._emit(
             "lease_reclaim",
-            shard=shard_id,
-            retries=self._shard_retries.failures(shard_id),
+            shard=job.job_id,
+            retries=self._lease_retries.failures(job.job_id),
             why=why,
-        )
-
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
-
-    def _abort(self, job: _FunctionJob, reason: str) -> None:
-        job.abort_reason = reason
-        if job.write_checkpoint(self._specs, 0.0, force=True):
-            self._emit(
-                "checkpoint_write",
-                path=job.checkpoint_path,
-                function=job.label,
-                level=job.level,
-            )
-        self._finish(job, completed=False)
-
-    def _finish(self, job: _FunctionJob, completed: bool) -> None:
-        job.completed = completed
-        job.state = "done"
-        job.end = time.monotonic()
-        if completed:
-            job.discard_checkpoint()
-            if self.parallel.store is not None:
-                self.parallel.store.put(
-                    job.function_name, job.root_key, job.config, job.result()
-                )
-        if job.phase_counts:
-            self._emit(
-                "phase_stats", phases=job.phase_counts, function=job.label
-            )
-        if job.sanitize_counts:
-            self._emit(
-                "sanitize_stats",
-                function=job.label,
-                mode=self.config.sanitize,
-                **job.sanitize_counts,
-            )
-        if job.collapser is not None:
-            self._emit(
-                "collapse_stats",
-                function=job.label,
-                **job.collapser.stats_fields(),
-            )
-        self._emit(
-            "function_done",
-            function=job.label,
-            instances=len(job.dag),
-            levels=job.level,
-            completed=completed,
-            reason=job.abort_reason,
-            wall=round(job.elapsed(), 3),
         )
 
     def _emit(self, name: str, **fields) -> None:

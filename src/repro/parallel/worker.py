@@ -1,313 +1,211 @@
 """Worker-process side of the parallel enumeration service.
 
 Each worker is one OS process running :func:`worker_main`: it takes
-shard specs off its task queue, expands every frontier node in the
-shard (clone → guarded phase application → fingerprint, exactly the
-serial enumerator's per-attempt pipeline), and posts the recorded
-outcomes back on the shared event queue.  Workers never touch the
-space DAG — merging is the coordinator's job — so they stay stateless
-between shards and a dead worker loses at most one shard lease.
+one function at a time off its task queue, enumerates it with
+:func:`~repro.core.driver.run_function` — the serial enumerator with
+the serial store, memo and checkpoint rules — and posts the
+:class:`EnumerationResult` back on its own event channel.
 
-Liveness and crash safety:
-
-- a **heartbeat** event is posted between node expansions; the
-  coordinator re-leases the shard of any worker whose heartbeats stop
-  (hung) or whose process died;
-- with a ``run_dir``, large shards are **checkpointed** at instance
-  boundaries through the PR-1 checkpoint writer, so the next lease
-  resumes instead of restarting;
-- the per-phase watchdog inside :class:`GuardedPhaseRunner` works here
-  unchanged: a worker process's main thread can install ``SIGALRM``,
-  and off the main thread the guard degrades to the cooperative
-  deadline check.
+- A daemon **heartbeat** thread posts the enumerator's attempt count;
+  a hang keeps the thread alive but the count still, and the
+  coordinator reclaims the lease either way.
+- Workers leave the coordinator's process group, so a terminal ^C
+  reaches the coordinator only; it forwards one SIGTERM, which the
+  enumerator turns into a final checkpoint.  An orphaned worker exits.
+- The journal has a single writer: when the coordinator traces, a
+  worker runs a journal-less :class:`~repro.observability.tracer.Tracer`
+  and forwards its events.
 
 The ``chaos`` entry of the job spec is a test hook: it makes one
-worker die (or hang) after a set number of node expansions so the
-lease-recovery path can be exercised deterministically.
+worker die (or hang) after a set number of node expansions.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
+import threading
 import time
 import traceback
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core import checkpoint as ckpt
-from repro.core.enumeration import _node_key
-from repro.core.fingerprint import fingerprint_function
+from repro.core.driver import run_function
+from repro.core.enumeration import EnumerationConfig, SpaceEnumerator
+from repro.core.store import SpaceStore
 from repro.frontend import compile_source
-from repro.machine.target import DEFAULT_TARGET
-from repro.opt import attempt_phase_on_clone, phase_by_id
-from repro.parallel import shards
-from repro.robustness.guard import (
-    DifferentialTester,
-    GuardedPhaseRunner,
-    default_vectors,
+from repro.observability import tracer as obs_tracer
+from repro.opt import phase_by_id
+from repro.robustness.faults import FaultInjector
+
+
+#: EnumerationConfig fields shipped to workers verbatim
+_CONFIG_FIELDS = (
+    "max_level_sequences", "max_nodes", "max_levels", "time_limit",
+    "exact", "remap", "validate", "difftest", "input_vectors",
+    "phase_timeout", "canonical_input", "sanitize", "engine", "collapse",
 )
 
 
-def _build_guard(
-    cfg: Dict, spec: Dict, program_cache: Dict
-) -> Optional[Tuple[GuardedPhaseRunner, object]]:
-    """The ``(guard, fault injector)`` stack for one shard, mirroring
-    :meth:`EnumerationConfig.guards_enabled`; None when no guard is
-    needed."""
-    injector = shards.shard_fault_injector(cfg.get("fault"), spec["shard_id"])
+def config_spec(config: EnumerationConfig, checkpoint_interval: float) -> Dict:
+    """The picklable fields a worker rebuilds *config* from.
 
-    def _program():
-        job_id = spec["job_id"]
-        if job_id not in program_cache:
-            program_cache[job_id] = compile_source(spec["source"])
-        return program_cache[job_id]
-
-    difftester = None
-    if cfg.get("difftest") and spec.get("source"):
-        program = _program()
-        pristine = program.functions[spec["function_name"]]
-        difftester = DifferentialTester(
-            program, spec["function_name"], default_vectors(pristine)
-        )
-    checker = None
-    if cfg.get("sanitize"):
-        from repro.staticanalysis.checker import EdgeChecker
-
-        # full mode co-executes through the program; fast mode only
-        # needs the function (program context stays None off-source)
-        program = _program() if spec.get("source") else None
-        checker = EdgeChecker(
-            mode=cfg["sanitize"],
-            target=DEFAULT_TARGET,
-            program=program,
-            entry=spec["function_name"],
-        )
-    if not (
-        cfg.get("validate")
-        or cfg.get("phase_timeout") is not None
-        or injector is not None
-        or difftester is not None
-        or checker is not None
-    ):
-        return None
-    return GuardedPhaseRunner(
-        target=DEFAULT_TARGET,
-        validate=bool(cfg.get("validate")),
-        difftest=difftester,
-        phase_timeout=cfg.get("phase_timeout"),
-        fault_injector=injector,
-        sanitizer=checker,
-    ), injector
+    Phases travel by id, so workers run the canonical phase objects the
+    flat kernels are verified against.  The fault injector travels as
+    its settings and is rebuilt for each function, which then draws the
+    stream a serial run with a fresh injector would.
+    """
+    spec = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    injector = config.fault_injector
+    spec.update(
+        phases="".join(phase.id for phase in config.phases),
+        checkpoint_interval=checkpoint_interval,
+        fault=None if injector is None else dict(
+            seed=injector.seed,
+            rate=injector.rate,
+            modes=injector.modes,
+            attempts=injector.attempts,
+            hang_seconds=injector.hang_seconds,
+        ),
+    )
+    return spec
 
 
-class _ShardRunner:
-    """Expands one shard; owns its checkpoint/heartbeat cadence."""
+def _build_config(spec: Dict, source: Optional[str]) -> EnumerationConfig:
+    spec = dict(spec)
+    fault = spec.pop("fault")
+    spec["phases"] = [phase_by_id(phase_id) for phase_id in spec["phases"]]
+    needs_program = (
+        spec["difftest"] or spec["sanitize"] or spec["collapse"] == "semantic"
+    )
+    return EnumerationConfig(
+        program=compile_source(source) if needs_program and source else None,
+        fault_injector=None if fault is None else FaultInjector(**fault),
+        **spec,
+    )
 
-    def __init__(self, worker_id: int, job_spec: Dict, spec: Dict, event_queue):
+
+class _Heartbeat:
+    """Daemon thread: progress heartbeats, plus exit on orphaning."""
+
+    def __init__(self, worker_id: int, event_queue, interval: float):
         self.worker_id = worker_id
-        self.job_spec = job_spec
-        self.spec = spec
         self.event_queue = event_queue
-        self.cfg = job_spec["config"]
-        self.phases = [phase_by_id(p) for p in self.cfg["phases"]]
-        self.run_dir = job_spec.get("run_dir")
-        self.expansions = []
-        self.functions: Dict[str, dict] = {}
-        self.texts: Dict[str, str] = {}
-        self.attempts = 0
-        self._last_heartbeat = time.monotonic()
-        self._last_checkpoint = time.monotonic()
+        self.interval = interval
+        self.parent = os.getppid()
+        #: the running function's enumerator (None between tasks)
+        self.enumerator: Optional[SpaceEnumerator] = None
+        #: whether a task is running (heartbeats are sent only then)
+        self.busy = False
+        threading.Thread(target=self._run, daemon=True).start()
 
-    def run(self, program_cache: Dict, chaos_state: Dict) -> Dict:
-        spec, cfg = self.spec, self.cfg
-        guard = None
-        injector = None
-        built = _build_guard(cfg, spec, program_cache)
-        if built is not None:
-            guard, injector = built
-        start_index = self._restore(injector)
-        started = time.monotonic()
-        for index in range(start_index, len(spec["nodes"])):
-            self._expand_node(spec["nodes"][index], guard)
-            chaos_state["nodes"] = chaos_state.get("nodes", 0) + 1
-            self._chaos(chaos_state, injector)
-            self._heartbeat(index + 1)
-            self._maybe_checkpoint(injector)
-        if self.run_dir:
-            shards.discard_shard_checkpoint(self.run_dir, spec["shard_id"])
-        return {
-            "shard_id": spec["shard_id"],
-            "job_id": spec["job_id"],
-            "level": spec["level"],
-            "expansions": self.expansions,
-            "functions": self.functions,
-            "texts": self.texts,
-            "attempts": self.attempts,
-            "wall": time.monotonic() - started,
-        }
+    def _run(self) -> None:
+        while True:
+            time.sleep(self.interval)
+            if os.getppid() != self.parent:
+                os._exit(1)  # the coordinator is gone
+            enumerator = self.enumerator
+            if self.busy:
+                attempts = -1 if enumerator is None else enumerator.attempted
+                self.event_queue.put(
+                    ("heartbeat", self.worker_id, {"attempts": attempts})
+                )
 
-    # ------------------------------------------------------------------
 
-    def _restore(self, injector) -> int:
-        """Resume a reclaimed shard from its last instance boundary."""
-        if not self.run_dir:
-            return 0
-        state = shards.load_shard_checkpoint(self.run_dir, self.spec["shard_id"])
-        if state is None:
-            return 0
-        self.expansions = state["expansions"]
-        self.functions = state["functions"]
-        self.texts = state["texts"]
-        self.attempts = sum(
-            len(outcomes) for _node_id, outcomes in self.expansions
-        )
-        if injector is not None:
-            shards.fast_forward_injector(
-                injector,
-                state["injector_applications"],
-                self.cfg.get("phase_timeout"),
-            )
-        self.event_queue.put(
-            (
-                "shard_resumed",
-                self.worker_id,
-                {
-                    "shard_id": self.spec["shard_id"],
-                    "nodes_done": len(self.expansions),
-                },
+def _arm_chaos(enumerator: SpaceEnumerator, chaos: Dict, state: Dict) -> None:
+    """Test hook: die or hang after ``after_nodes`` node expansions
+    (counted across this worker's functions), once."""
+    original = enumerator._maybe_checkpoint
+
+    def hooked() -> None:
+        original()
+        state["nodes"] = state.get("nodes", 0) + 1
+        if state["nodes"] != chaos.get("after_nodes", 1):
+            return
+        # Persist first so the recovery being exercised includes the
+        # checkpoint resume.
+        if enumerator.config.checkpoint_path is not None:
+            enumerator._write_checkpoint()
+        if chaos.get("kind", "exit") != "hang":
+            os._exit(137)
+        # Stall (the attempt count stops moving) until a graceful stop
+        # is requested; with no checkpoint path SIGTERM just kills.
+        while not enumerator._interrupted:
+            time.sleep(0.05)
+
+    enumerator._maybe_checkpoint = hooked
+
+
+def _run_task(
+    worker_id: int, job_spec: Dict, task: Dict, beat: _Heartbeat, chaos_state: Dict
+) -> Dict:
+    config = _build_config(job_spec["config"], task.get("source"))
+    store = SpaceStore(job_spec["store"]) if job_spec.get("store") else None
+    chaos = job_spec.get("chaos")
+
+    def on_start(enumerator: SpaceEnumerator) -> None:
+        beat.enumerator = enumerator
+        if chaos and chaos["worker"] == worker_id:
+            _arm_chaos(enumerator, chaos, chaos_state)
+
+    tracer = None
+    if job_spec.get("forward_events"):
+        tracer = obs_tracer.Tracer()
+        tracer.subscribe(
+            lambda name, **fields: beat.event_queue.put(
+                ("event", worker_id, (name, fields))
             )
         )
-        return len(self.expansions)
-
-    def _expand_node(self, entry: Dict, guard: Optional[GuardedPhaseRunner]) -> None:
-        """One frontier node: attempt every non-arrival phase in order."""
-        cfg = self.cfg
-        func = ckpt.function_from_dict(entry["function"])
-        skip = set(entry["skip"])
-        outcomes = []
-        for phase in self.phases:
-            if phase.id in skip:
-                continue
-            self.attempts += 1
-            if guard is not None:
-                candidate = func.clone()
-                quarantined_before = len(guard.quarantine.records)
-                active = guard.apply(
-                    candidate,
-                    phase,
-                    node_key=f"node#{entry['node_id']}",
-                    level=self.spec["level"],
-                )
-                quarantine = [
-                    record.to_dict()
-                    for record in guard.quarantine.records[quarantined_before:]
-                ]
-            else:
-                # Single-clone fast path, same as the serial engine.
-                candidate = attempt_phase_on_clone(func, phase, DEFAULT_TARGET)
-                active = candidate is not None
-                quarantine = []
-            outcome = {"phase": phase.id, "active": bool(active)}
-            if quarantine:
-                outcome["quarantine"] = quarantine
-            if (
-                active
-                and guard is not None
-                and guard.sanitizer is not None
-                and guard.sanitizer.last_verdict is not None
-            ):
-                # the coordinator folds these into per-function
-                # sanitize_stats at merge time
-                outcome["verdict"] = guard.sanitizer.last_verdict
-            
-            if active:
-                fingerprint = fingerprint_function(
-                    candidate, keep_text=cfg["exact"], remap=cfg["remap"]
-                )
-                key = ckpt.key_to_json(_node_key(fingerprint, candidate))
-                keystr = json.dumps(key)
-                outcome.update(
-                    key=key,
-                    num_insts=fingerprint.num_insts,
-                    cf_crc=fingerprint.cf_crc,
-                )
-                if keystr not in self.functions:
-                    self.functions[keystr] = ckpt.function_to_dict(candidate)
-                if cfg["exact"]:
-                    self.texts[keystr] = fingerprint.text
-            outcomes.append(outcome)
-        self.expansions.append([entry["node_id"], outcomes])
-
-    def _heartbeat(self, nodes_done: int) -> None:
-        interval = self.job_spec.get("heartbeat_interval", 0.5)
-        now = time.monotonic()
-        if now - self._last_heartbeat >= interval:
-            self._last_heartbeat = now
-            self.event_queue.put(
-                (
-                    "heartbeat",
-                    self.worker_id,
-                    {"shard_id": self.spec["shard_id"], "nodes_done": nodes_done},
-                )
-            )
-
-    def _maybe_checkpoint(self, injector, force: bool = False) -> None:
-        if not self.run_dir:
-            return
-        interval = self.job_spec.get("shard_checkpoint_interval", 5.0)
-        now = time.monotonic()
-        if force or now - self._last_checkpoint >= interval:
-            self._last_checkpoint = now
-            shards.save_shard_checkpoint(
-                self.run_dir,
-                self.spec["shard_id"],
-                self.expansions,
-                self.functions,
-                self.texts,
-                injector,
-            )
-
-    def _chaos(self, chaos_state: Dict, injector) -> None:
-        """Test hook: die or hang after N node expansions (once)."""
-        chaos = self.job_spec.get("chaos")
-        if not chaos or chaos["worker"] != self.worker_id:
-            return
-        if chaos_state["nodes"] < chaos.get("after_nodes", 1):
-            return
-        # Persist the partial shard first so the recovery path that the
-        # chaos run exercises includes the checkpoint resume.
-        self._maybe_checkpoint(injector, force=True)
-        if chaos.get("kind", "exit") == "hang":
-            time.sleep(3600.0)
-        os._exit(137)
+        obs_tracer.install(tracer)
+    try:
+        run = run_function(
+            ckpt.function_from_dict(task["function"]),
+            config,
+            store=store,
+            checkpoint_path=task["checkpoint_path"],
+            resume=task["resume"],
+            on_start=on_start,
+        )
+    finally:
+        beat.enumerator = None
+        obs_tracer.uninstall()
+    injector = config.fault_injector
+    return {
+        "job_id": task["job_id"],
+        "result": run.result,
+        "faults": None if injector is None else {
+            "applications": injector.applications,
+            "injected": injector.injected,
+            "by_mode": injector.injected_by_mode,
+        },
+        "store": None if store is None else {
+            "hits": store.hits, "misses": store.misses, "corrupt": store.corrupt,
+        },
+        "analysis": None if tracer is None else (
+            tracer.analysis_hits, tracer.analysis_misses,
+        ),
+    }
 
 
 def worker_main(worker_id: int, job_spec: Dict, task_queue, event_queue) -> None:
-    """Worker process entry point: lease shards until told to stop."""
-    # The coordinator owns lifecycle; a ^C in the parent must not kill
-    # workers mid-shard (the graceful path drains and joins them).
+    """Worker process entry point: enumerate functions until told to stop."""
     try:
+        os.setpgrp()
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread (tests)
+    except (AttributeError, ValueError, OSError):  # non-POSIX / non-main thread
         pass
     # A fork-started worker inherits the coordinator's installed tracer
-    # — and with it an open journal file descriptor.  Telemetry has a
-    # single writer (the coordinator, which folds worker outcomes at
-    # merge time), so tracing is always off in workers.
-    from repro.observability import tracer as obs_tracer
-
+    # — and with it an open journal file descriptor.
     obs_tracer.ACTIVE = None
-    program_cache: Dict = {}
+    beat = _Heartbeat(worker_id, event_queue, job_spec["heartbeat_interval"])
     chaos_state: Dict = {}
     while True:
-        spec = task_queue.get()
-        if spec is None:
+        task = task_queue.get()
+        if task is None:
             break
+        beat.busy = True
         try:
-            result = _ShardRunner(worker_id, job_spec, spec, event_queue).run(
-                program_cache, chaos_state
-            )
+            payload = _run_task(worker_id, job_spec, task, beat, chaos_state)
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as error:
@@ -316,12 +214,20 @@ def worker_main(worker_id: int, job_spec: Dict, task_queue, event_queue) -> None
                     "shard_error",
                     worker_id,
                     {
-                        "shard_id": spec["shard_id"],
-                        "job_id": spec["job_id"],
+                        "job_id": task["job_id"],
                         "error": f"{type(error).__name__}: {error}",
+                        "checkpoint_error": (
+                            str(error)
+                            if isinstance(error, ckpt.CheckpointError)
+                            else None
+                        ),
                         "traceback": traceback.format_exc(limit=8),
                     },
                 )
             )
             continue
-        event_queue.put(("result", worker_id, result))
+        finally:
+            beat.busy = False
+        event_queue.put(("result", worker_id, payload))
+        if payload["result"].abort_reason == "interrupted":
+            break  # a graceful stop was requested: checkpointed, done

@@ -1,7 +1,7 @@
 """Bounded retries with exponential backoff, full jitter, deadlines.
 
 Every retry loop in the system used to be hand-rolled (the parallel
-coordinator's shard re-lease counters, the worker respawn cap); the
+coordinator's lease retry counters, the worker respawn cap); the
 service client needs a third.  This module is the one implementation
 they all share, split into the two shapes retrying actually takes:
 
@@ -16,7 +16,7 @@ they all share, split into the two shapes retrying actually takes:
 
 :class:`RetryBudget`
     Event-driven accounting for callers that cannot block — the
-    coordinator observes failures (a dead worker, a shard error) as
+    coordinator observes failures (a dead worker, a worker error) as
     events in its drive loop and only needs the *bounded* part:
     per-key failure counts with a verdict ("retry" or "give up").
 

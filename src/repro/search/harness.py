@@ -11,7 +11,7 @@ optimum (probability-of-optimal), and what does it spend to get there
 column)?
 
 The harness enumerates each seed function's full space (or loads it
-from a :class:`~repro.parallel.store.SpaceStore`, rebuilding the
+from a :class:`~repro.core.store.SpaceStore`, rebuilding the
 instances with :func:`~repro.core.dag.materialize_instances`), prices
 every instance with the multi-objective
 :class:`~repro.search.cost.CostModel` (one VM execution per distinct
@@ -186,7 +186,7 @@ def _prepare_space(seed_func: SeedFunction, config: HarnessConfig):
 
     Returns ``(program, root_func, dag, space_info)``.
     """
-    from repro.parallel.store import SpaceStore
+    from repro.core.store import SpaceStore
 
     program = compile_benchmark(seed_func.benchmark)
     func = program.functions.get(seed_func.function)

@@ -3,8 +3,9 @@
 A long-lived asyncio JSON-over-HTTP server that accepts ``compile`` /
 ``enumerate`` / ``interactions`` requests from many concurrent clients
 and multiplexes them onto the existing enumeration machinery — the
-serial :mod:`~repro.core.enumeration` engine, the parallel
-coordinator, and a :class:`~repro.parallel.store.SpaceStore` shared
+serial :mod:`~repro.core.enumeration` engine through
+:func:`~repro.core.driver.run_function`, the parallel pool, and a
+:class:`~repro.core.store.SpaceStore` shared
 across requests as the cross-request cache.
 
 The package is structured as independently testable layers:

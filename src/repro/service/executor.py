@@ -39,18 +39,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import checkpoint as ckpt
 from repro.core.batch import BatchCompiler
-from repro.core.enumeration import (
-    EnumerationConfig,
-    EnumerationResult,
-    _node_key,
-    enumerate_space,
-)
-from repro.core.fingerprint import fingerprint_function
+from repro.core.driver import FunctionRun, run_function
+from repro.core.enumeration import EnumerationConfig, EnumerationResult
 from repro.core.interactions import analyze_interactions
+from repro.core.store import SpaceStore
 from repro.frontend import CompileError, compile_source
 from repro.ir.printer import format_function
 from repro.opt import apply_phase, implicit_cleanup, phase_by_id
-from repro.parallel.store import SpaceStore, cacheable
 from repro.robustness import FaultInjector
 
 EXIT_OK = 0
@@ -58,14 +53,7 @@ EXIT_SPEC = 2
 EXIT_INTERRUPTED = 3
 
 
-def _build_config(
-    spec: Dict,
-    *,
-    program=None,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    memo=None,
-) -> EnumerationConfig:
+def _build_config(spec: Dict, program=None) -> EnumerationConfig:
     raw = spec.get("config", {})
     injector = None
     if raw.get("fault_rate"):
@@ -92,10 +80,7 @@ def _build_config(
         # a service-grade cadence: an executor crash loses at most a
         # couple of seconds of expansion, not the CLI default's 30
         checkpoint_interval=raw.get("checkpoint_interval", 2.0),
-        checkpoint_path=checkpoint_path,
-        resume=resume,
         sanitize=raw.get("sanitize"),
-        memo=memo,
         engine=raw.get("engine", "flat"),
         collapse=raw.get("collapse", "syntactic"),
     )
@@ -138,66 +123,23 @@ def _result_payload(
 
 def _enumerate_one(
     spec: Dict,
-    name: str,
     func,
     program,
     store: Optional[SpaceStore],
     checkpoint_path: str,
-) -> Tuple[EnumerationResult, Optional[str]]:
-    """Enumerate one function; returns ``(result, degraded_reason)``.
-
-    Mirrors the coordinator's store discipline exactly — same root-key
-    derivation, same cacheability and memo gates — so the service, the
-    CLI, and parallel runs all share one cache.
-    """
-    probe_config = _build_config(spec)
-    root = func.clone()
-    implicit_cleanup(root)
-    fingerprint = fingerprint_function(
-        root, keep_text=probe_config.exact, remap=probe_config.remap
-    )
-    root_key = _node_key(fingerprint, root)
-    if store is not None:
-        cached = store.get(name, root_key, probe_config)
-        if cached is not None:
-            return cached, None
-    memo = None
-    if (
-        store is not None
-        and not probe_config.exact
-        and not probe_config.guards_enabled()
-        and cacheable(probe_config)
-    ):
-        memo = store.load_memo(probe_config)
-
-    config = _build_config(
-        spec,
-        program=program,
+) -> FunctionRun:
+    """Enumerate one function through the shared driver, resuming the
+    request's stable checkpoint.  A corrupt checkpoint (CKP001) is
+    discarded and recomputed rather than failing the request; the
+    detail survives as ``degraded``."""
+    return run_function(
+        func,
+        _build_config(spec, program=program),
+        store=store,
         checkpoint_path=checkpoint_path,
-        resume=os.path.exists(checkpoint_path),
-        memo=memo,
+        resume=True,
+        discard_corrupt=True,
     )
-    degraded = None
-    try:
-        result = enumerate_space(func.clone(), config)
-    except ckpt.CheckpointError as error:
-        # The stable checkpoint for this work key is corrupt: discard
-        # it and recompute from scratch rather than failing the
-        # request.  The CKP001 detail survives in the result.
-        degraded = str(error)
-        try:
-            os.unlink(checkpoint_path)
-        except OSError:
-            pass
-        config = _build_config(
-            spec, program=program, checkpoint_path=checkpoint_path, memo=memo
-        )
-        result = enumerate_space(func.clone(), config)
-    if memo is not None:
-        store.save_memo(probe_config, memo)
-    if store is not None and result.completed:
-        store.put(name, root_key, probe_config, result)
-    return result, degraded
 
 
 def _run_enumerate(spec: Dict, program) -> Tuple[Dict[str, object], int]:
@@ -216,7 +158,7 @@ def _run_enumerate(spec: Dict, program) -> Tuple[Dict[str, object], int]:
         return _run_enumerate_parallel(spec, name, func, state_dir, store)
     checkpoint_path = os.path.join(state_dir, "ckpt.json")
     result, degraded = _enumerate_one(
-        spec, name, func, program, store, checkpoint_path
+        spec, func, program, store, checkpoint_path
     )
     payload = _result_payload(name, result, degraded=degraded)
     if spec.get("include_dag"):
@@ -231,11 +173,12 @@ def _run_enumerate(spec: Dict, program) -> Tuple[Dict[str, object], int]:
 def _run_enumerate_parallel(
     spec: Dict, name: str, func, state_dir: str, store: Optional[SpaceStore]
 ) -> Tuple[Dict[str, object], int]:
-    """jobs > 1: multiplex the request onto the parallel coordinator.
+    """jobs > 1: run the request through the parallel pool.
 
-    The coordinator owns store consultation, level checkpoints under
-    the request's stable state dir, and SIGTERM checkpointing; the
-    executor just runs it and shapes the result.
+    The pool worker calls the same :func:`run_function` as the serial
+    path, checkpointing under the request's stable state dir; the
+    coordinator forwards SIGTERM to it.  The executor just shapes the
+    result.
     """
     from repro.parallel import (
         EnumerationRequest,
@@ -283,7 +226,7 @@ def _run_interactions(spec: Dict, program) -> Tuple[Dict[str, object], int]:
             )
         checkpoint_path = os.path.join(state_dir, f"{name}.ckpt.json")
         result, degraded = _enumerate_one(
-            spec, name, func, program, store, checkpoint_path
+            spec, func, program, store, checkpoint_path
         )
         rows[name] = _result_payload(name, result, degraded=degraded)
         if result.abort_reason == "interrupted":
@@ -377,7 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload, code = run_spec(spec)
     except KeyboardInterrupt:
         # SIGTERM during a parallel (jobs > 1) enumeration surfaces
-        # here after the coordinator checkpointed every job.
+        # here after the pool workers checkpointed their functions.
         payload, code = (
             {"interrupted": True, "checkpointed": True},
             EXIT_INTERRUPTED,

@@ -358,10 +358,10 @@ def _reaches(dag, ancestor_id: int, node_id: int) -> bool:
 class SemanticCollapser:
     """Shared semantic-merge state of one function's enumeration.
 
-    Both the serial enumerator and the parallel coordinator's replay
-    merge drive the same instance through the same decision procedure,
-    in the same serial order, so semantic DAGs stay bit-identical at
-    any worker count.  Representatives are kept per semantic class —
+    The enumerator drives every fresh instance through one decision
+    procedure in serial order (``--jobs N`` workers run that same
+    enumerator), so semantic DAGs stay bit-identical at any worker
+    count.  Representatives are kept per semantic class —
     lazily materialized from their serialized form when a collision
     must be proved — and the whole state round-trips through
     checkpoints (:meth:`state_dict` / :meth:`restore`).

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import checkpoint as ckpt
 from repro.core.enumeration import EnumerationConfig, enumerate_space
-from repro.parallel.store import SpaceStore, StoreError
+from repro.core.store import SpaceStore, StoreError
 from tests.conftest import GCD_SRC, compile_fn
 from tests.parallel.conftest import bench_function
 

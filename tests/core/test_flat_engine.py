@@ -8,6 +8,7 @@ with every result statistic an engine could plausibly skew.  The
 companion round-trip tests live in ``tests/ir/test_flat.py``.
 """
 
+import gc
 import hashlib
 import json
 
@@ -116,3 +117,23 @@ class TestEngineGate:
         assert calls, "the wrapped phase never executed"
         reference = enumerate_space(func.clone(), EnumerationConfig())
         assert dag_digest(result.dag) == dag_digest(reference.dag)
+
+
+def test_flat_analyses_die_with_their_functions():
+    """Analyses live on their FlatFunction only: once an enumeration's
+    result is dropped, none of the FlatAnalyses it built stays alive (a
+    process-global content-keyed table used to pin them all)."""
+    from repro.analysis.flat import FlatAnalyses
+
+    def alive():
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, FlatAnalyses)}
+
+    gc.collect()
+    before = alive()
+    func = compile_benchmark("sha").functions["rol"]
+    implicit_cleanup(func)
+    result = enumerate_space(func, EnumerationConfig(engine="flat"))
+    assert result.completed
+    del result, func
+    gc.collect()
+    assert alive() - before == set()

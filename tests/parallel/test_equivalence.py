@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
+from repro.robustness.faults import FaultInjector
 from repro.parallel import (
     EnumerationRequest,
     ParallelConfig,
@@ -76,16 +77,16 @@ def test_exact_mode_equivalence(case_functions):
 
 
 def test_killed_worker_lease_recovery(tmp_path, case_functions, serial_results):
-    """A worker dying mid-shard loses its lease, the shard is re-leased
-    to a respawned worker (resuming the shard checkpoint), and the
-    merged space is still bit-identical."""
+    """A worker dying mid-function loses its lease, the function is
+    re-leased to a respawned worker that resumes the serial checkpoint
+    the lost lease wrote, and the space is still bit-identical."""
     events_path = tmp_path / "events.jsonl"
     reporter = ProgressReporter(jsonl_path=str(events_path))
+    run_dir = tmp_path / "run"
     parallel = ParallelConfig(
         jobs=2,
-        run_dir=str(tmp_path / "run"),
+        run_dir=str(run_dir),
         lease_timeout=10.0,
-        shard_checkpoint_interval=0.0,  # checkpoint at every node
         chaos={"worker": 0, "after_nodes": 2, "kind": "exit"},
         progress=reporter,
     )
@@ -95,6 +96,7 @@ def test_killed_worker_lease_recovery(tmp_path, case_functions, serial_results):
     reporter.close()
     serial = serial_results[("sha", "rol")]
     assert result.completed
+    assert result.resumed_from == str(run_dir / "rol.ckpt.json")
     assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)
     assert result.attempted_phases == serial.attempted_phases
     events = [
@@ -106,8 +108,9 @@ def test_killed_worker_lease_recovery(tmp_path, case_functions, serial_results):
 
 
 def test_hung_worker_lease_timeout(tmp_path, case_functions, serial_results):
-    """A worker that stops heartbeating (hang, not crash) is terminated
-    once its lease expires and the shard completes elsewhere."""
+    """A worker whose attempt count stalls (hang, not crash) is
+    terminated once its lease expires and the function completes on a
+    respawned worker."""
     events_path = tmp_path / "events.jsonl"
     reporter = ProgressReporter(jsonl_path=str(events_path))
     parallel = ParallelConfig(
@@ -131,7 +134,7 @@ def test_hung_worker_lease_timeout(tmp_path, case_functions, serial_results):
 
 
 def test_serial_resume_of_parallel_checkpoint(tmp_path, case_functions, serial_results):
-    """A parallel run aborted by budget leaves a PR-1-format level
+    """A parallel run aborted by budget leaves a serial-format
     checkpoint that the *serial* enumerator can resume to the full,
     bit-identical space."""
     func = case_functions[("sha", "rol")]
@@ -185,7 +188,7 @@ def test_parallel_resume_of_serial_checkpoint(tmp_path, case_functions, serial_r
 
 def test_completed_run_discards_run_dir_checkpoints(tmp_path, case_functions):
     parallel = ParallelConfig(
-        jobs=2, run_dir=str(tmp_path), shard_checkpoint_interval=0.0
+        jobs=2, run_dir=str(tmp_path), checkpoint_interval=0.0
     )
     result = enumerate_space_parallel(
         case_functions[("jpeg", "descale")], EnumerationConfig(), parallel
@@ -224,3 +227,30 @@ def test_difftest_guard_runs_in_workers(case_functions):
     assert result.completed
     assert len(result.quarantine.records) == 0
     assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)
+
+
+def test_fault_injection_and_sanitize_match_serial(case_functions):
+    """Workers rebuild the fault injector from its seed for each
+    function and report the sanitizer's own counters, so a sabotaged,
+    sanitized run at --jobs 2 is the serial run: same DAG, quarantine
+    log, sanitize_stats and injector counts."""
+    func = case_functions[("sha", "rol")]
+
+    def config():
+        return EnumerationConfig(
+            fault_injector=FaultInjector(seed=7, rate=0.2), sanitize="fast"
+        )
+
+    serial_config, parallel_config = config(), config()
+    serial = enumerate_space(func, serial_config)
+    parallel = enumerate_space_parallel(
+        func, parallel_config, ParallelConfig(jobs=2)
+    )
+    assert serial.quarantine.records  # the sabotage really fired
+    assert dag_snapshot(parallel.dag) == dag_snapshot(serial.dag)
+    assert parallel.quarantine.to_dicts() == serial.quarantine.to_dicts()
+    assert parallel.sanitize_stats == serial.sanitize_stats
+    serial_injector = serial_config.fault_injector
+    parallel_injector = parallel_config.fault_injector
+    assert parallel_injector.injected == serial_injector.injected
+    assert parallel_injector.applications == serial_injector.applications

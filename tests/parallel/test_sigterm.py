@@ -2,11 +2,13 @@
 
 The coordinator installs a SIGTERM handler for the duration of the
 pool drive: an orchestrator shutdown takes the exact KeyboardInterrupt
-path — every in-flight function job writes a level checkpoint in the
-PR-1 serial format, the pool is torn down (hung workers included), and
-a later *serial* resume completes to a bit-identical DAG.
+path — the coordinator forwards one SIGTERM to every busy worker, each
+worker's serial enumerator stops gracefully and writes its checkpoint,
+the pool is torn down, and a later *serial* resume completes to a
+bit-identical DAG.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -43,8 +45,9 @@ enumerator = ParallelEnumerator(
         jobs=1,
         run_dir=run_dir,
         lease_timeout=300.0,
-        # The lone worker wedges after 10 node expansions, so the run
-        # is reliably in flight (never finished) when SIGTERM lands.
+        # The lone worker stalls after 10 node expansions (levels 0-2
+        # of rol hold 9 nodes), so the run is reliably in flight when
+        # SIGTERM lands.
         chaos={"worker": 0, "after_nodes": 10, "kind": "hang"},
     ),
 )
@@ -78,11 +81,11 @@ def test_sigterm_checkpoints_and_serial_resume_is_bit_identical(tmp_path):
         stderr=subprocess.PIPE,
     )
     try:
-        # Progress has merged through level 1 once level 2 is planned,
-        # so the forced checkpoint will carry real partial state.
+        # The worker-forwarded level_done of level 2 means three whole
+        # levels are expanded, so the checkpoint carries real state.
         _wait_for_journal(
             os.path.join(run_dir, "events.jsonl"),
-            ['"event": "level_start"', '"level": 2'],
+            ['"event": "level_done"', '"level": 2'],
         )
         proc.send_signal(signal.SIGTERM)
         stdout, stderr = proc.communicate(timeout=30)
@@ -97,7 +100,12 @@ def test_sigterm_checkpoints_and_serial_resume_is_bit_identical(tmp_path):
     )
 
     checkpoint = os.path.join(run_dir, "rol.ckpt.json")
-    assert os.path.exists(checkpoint), "drain did not write a level checkpoint"
+    assert os.path.exists(checkpoint), "drain did not write a checkpoint"
+    with open(os.path.join(run_dir, "events.jsonl"), encoding="utf-8") as stream:
+        events = [json.loads(line) for line in stream]
+    done = [event for event in events if event["event"] == "function_done"]
+    # the worker's own enumerator took the forwarded SIGTERM gracefully
+    assert [event["reason"] for event in done] == ["interrupted"]
 
     func = bench_function("sha", "rol")
     reference = enumerate_space(func, EnumerationConfig())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.parallel import ParallelConfig, SpaceStore, enumerate_space_parallel
-from repro.parallel.store import cacheable, store_signature
+from repro.core.store import cacheable, store_signature
 from repro.robustness.faults import FaultInjector
 from tests.parallel.conftest import dag_snapshot
 

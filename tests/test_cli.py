@@ -336,6 +336,16 @@ class TestParallelFlags:
         )
         assert capsys.readouterr().out == serial_out
 
+    def test_fault_injection_output_matches_serial(self, capsys):
+        """Table row, fault-injection line and quarantine report alike."""
+        base = ["enumerate", "bench:sha", "--function", "rol", "--validate",
+                "--inject-faults", "0.2", "--fault-seed", "7"]
+        assert main(base) == 0
+        serial_out = capsys.readouterr().out
+        assert "fault injection: " in serial_out
+        assert main(base + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial_out
+
     def test_store_caches_between_runs(self, tmp_path, capsys):
         store = str(tmp_path / "spaces")
         argv = [
