@@ -1,45 +1,31 @@
-"""Hot-path expansion engine benchmark: edge throughput, then vs now.
+"""Hot-path benchmark: enumeration edge throughput, cold and memo-warm.
 
 Measures enumeration **edge throughput** (attempted phase transitions
-per second) in four engine configurations:
+per second) in three configurations of the one phase engine:
 
-``legacy``
-    The seed-era slow path, reconstructed via the compatibility
-    toggles: table-driven CRC-32, render-then-hash fingerprints, no
-    analysis cache, and the double-clone ``apply_phase`` flow.  Pinned
-    to ``engine="object"`` — the toggles predate the flat engine and
-    only reconstruct the object-IR path.
-``object``
-    Today's object-IR engine — zlib CRC, streaming fingerprints,
-    cached dataflow analyses, single-clone phase attempts — with no
-    memo, so every phase executes for real.
-``flat``
-    The default engine: phases attempted as kernels over the packed
-    array-of-tables IR (``repro.ir.flat``), object IR materialized
-    only for the few unported phases.  Also memo-free; this is the
-    cold-engine tentpole configuration.
+``flat_cold``
+    Phases attempted over the packed array-of-tables IR
+    (``repro.ir.flat``) with no memo, so every phase executes for real.
+    The enumeration process's kernel caches warm across repeats;
+    best-of-N measures that steady state.
 ``memo_warm``
-    The default engine re-run against a warm transition memo: every
+    The same sweep re-run against a warm transition memo: every
     transition is served from the table, the ceiling of memoization.
-
-Two headline ratios: ``speedup`` (legacy → memo-warm, the memoization
-ceiling) and ``flat_speedup`` (legacy → cold flat engine: real phase
-executions, just a faster IR under them).  ``cold_speedup`` (legacy →
-cold object engine) isolates the infrastructure share.
+``sanitize_fast``
+    Cold, with ``--sanitize=fast`` vetting every edge through the
+    guard (docs/STATIC_ANALYSIS.md); ``sanitize_fast_overhead`` is its
+    wall time over the cold run's — the guard's own cost, since both
+    run the same phases.
 
 Each run updates ``benchmarks/results/hotpath.json`` — a *trajectory*,
 not a snapshot, so regressions are visible in history (see
 docs/PERFORMANCE.md).  Entries are keyed by (sweep, git revision): a
 re-run at the same revision replaces its predecessor, and each sweep
-keeps its committed first entry (the baseline) plus the most recent
-``TRAJECTORY_CAP - 1`` measurements.  ``--check`` fails when
-
-* ``speedup`` or ``flat_speedup`` drops more than 25 % below the
-  baseline entry of the same sweep,
-* the cold flat engine falls below the absolute edges/s floor
-  (full sweep only; the floor is far under typical hardware), or
-* the flat and object engines disagree on any function's DAG
-  fingerprint (bit-identity is the flat engine's contract).
+keeps its first entry (the baseline) plus the most recent
+``TRAJECTORY_CAP - 1`` measurements.  Entries of the retired
+``quick``/``full`` sweeps (which compared against deleted legacy
+paths) stay as history.  ``--check`` fails when the cold engine falls
+below the absolute edges/s floor (far under typical hardware).
 
 CLI::
 
@@ -55,14 +41,10 @@ import subprocess
 import sys
 import time
 
-from repro.core import crc as crc_mod
-from repro.core import fingerprint as fp_mod
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.memo import TransitionMemo
-from repro.analysis import set_cache_enabled
-from repro.opt import implicit_cleanup, set_legacy_clone_mode
+from repro.opt import implicit_cleanup
 from repro.programs import compile_benchmark
-from repro.service.executor import _dag_fingerprint
 
 try:  # pytest collection vs `python benchmarks/bench_hotpath.py`
     from .conftest import RESULTS_DIR
@@ -81,21 +63,14 @@ SWEEP = [
 ]
 #: one small function for the CI perf-smoke job
 QUICK_SWEEP = [("jpeg", "descale")]
+#: trajectory keys of the two sweeps
+SWEEP_KEYS = {False: "flat-full", True: "flat-quick"}
 
 RESULTS_PATH = RESULTS_DIR / "hotpath.json"
 
-#: ``--check`` tolerance: fail when a speedup falls more than this
-#: fraction below the committed baseline entry
-REGRESSION_TOLERANCE = 0.25
-#: the original tentpole acceptance floor (legacy -> memo-warm, full sweep)
-SPEEDUP_FLOOR = 3.0
-#: the flat-engine tentpole floor (legacy -> cold flat, full sweep):
-#: clean trials measure ~10x; the enforced floor leaves headroom for
-#: noisy shared single-core CI runners (observed spread 6.5-10x)
-FLAT_SPEEDUP_FLOOR = 5.0
-#: absolute cold-throughput sanity floor for ``--check`` on the full
-#: sweep — an order of magnitude under the ~100k edges/s the flat
-#: engine measures, so it only trips on a real collapse, not slow CI
+#: absolute cold-throughput sanity floor for ``--check`` — far under
+#: the ~100k edges/s the cold engine measures, so it only trips on a
+#: real collapse, not slow CI
 FLAT_COLD_EDGES_FLOOR = 15_000.0
 #: per-sweep history bound: the baseline entry plus this many recent
 TRAJECTORY_CAP = 12
@@ -111,33 +86,8 @@ def _functions(sweep):
     return functions
 
 
-def _legacy_toggles(enabled: bool):
-    """Flip every compatibility toggle at once; returns the previous
-    settings so the caller can restore them."""
-    return (
-        crc_mod.set_reference_mode(enabled),
-        fp_mod.set_legacy_mode(enabled),
-        set_cache_enabled(not enabled),
-        set_legacy_clone_mode(enabled),
-    )
-
-
-def _restore_toggles(previous) -> None:
-    crc_mod.set_reference_mode(previous[0])
-    fp_mod.set_legacy_mode(previous[1])
-    set_cache_enabled(previous[2])
-    set_legacy_clone_mode(previous[3])
-
-
-def _measure(functions, memo=None, sanitize=None, engine="flat", repeats=3):
-    """Best-of-N wall and total edges for one engine configuration.
-
-    Content-keyed process caches (the object engine's analysis cache,
-    the flat engine's block-level kernel caches) warm across repeats;
-    best-of-N measures the steady state either engine reaches after
-    its first pass, which is also what repeated enumerations in one
-    process actually pay.
-    """
+def _measure(functions, memo=None, sanitize=None, repeats=3):
+    """Best-of-N wall and total edges for one configuration."""
     best_wall = None
     edges = 0
     for _ in range(repeats):
@@ -145,8 +95,7 @@ def _measure(functions, memo=None, sanitize=None, engine="flat", repeats=3):
         edges = 0
         for _label, func in functions:
             result = enumerate_space(
-                func,
-                EnumerationConfig(memo=memo, sanitize=sanitize, engine=engine),
+                func, EnumerationConfig(memo=memo, sanitize=sanitize)
             )
             assert result.completed
             edges += result.attempted_phases
@@ -154,16 +103,6 @@ def _measure(functions, memo=None, sanitize=None, engine="flat", repeats=3):
         if best_wall is None or wall < best_wall:
             best_wall = wall
     return best_wall, edges
-
-
-def _engines_agree(functions) -> bool:
-    """Bit-identity witness: both engines produce the same DAG."""
-    for _label, func in functions:
-        flat = enumerate_space(func, EnumerationConfig(engine="flat"))
-        obj = enumerate_space(func, EnumerationConfig(engine="object"))
-        if _dag_fingerprint(flat.dag) != _dag_fingerprint(obj.dag):
-            return False
-    return True
 
 
 def _git_describe():
@@ -183,69 +122,35 @@ def _git_describe():
 
 
 def run_benchmark(quick: bool = False) -> dict:
-    sweep = QUICK_SWEEP if quick else SWEEP
-    functions = _functions(sweep)
+    functions = _functions(QUICK_SWEEP if quick else SWEEP)
 
-    previous = _legacy_toggles(True)
-    try:
-        legacy_wall, edges = _measure(functions, engine="object")
-    finally:
-        _restore_toggles(previous)
-
-    # cold engines: no memo at all, so repeats measure the same cold
-    # work rather than warming themselves up
-    object_wall, object_edges = _measure(functions, engine="object")
-    assert object_edges == edges, "legacy and object edge counts diverged"
-    flat_wall, flat_edges = _measure(functions, engine="flat")
-    assert flat_edges == edges, "flat and object edge counts diverged"
-    agree = _engines_agree(functions)
+    # no memo at all, so repeats measure the same cold work rather
+    # than warming themselves up
+    flat_wall, edges = _measure(functions)
 
     memo = TransitionMemo()
     for _label, func in functions:  # fill the memo (untimed)
         enumerate_space(func, EnumerationConfig(memo=memo))
     warm_wall, _ = _measure(functions, memo=memo)
 
-    # the sanitizer's fast mode: every edge gets the structural/machine/
-    # frame/liveness battery (docs/STATIC_ANALYSIS.md).  Guarded runs
-    # always take the object path, whatever the configured engine.
     san_wall, san_edges = _measure(functions, sanitize="fast")
     assert san_edges == edges, "sanitized edge count diverged"
 
-    entry = {
-        "sweep": "quick" if quick else "full",
+    return {
+        "sweep": SWEEP_KEYS[quick],
         "functions": [label for label, _func in functions],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git": _git_describe(),
         "cpu_count": os.cpu_count(),
         "edges": edges,
-        "legacy_wall_seconds": round(legacy_wall, 4),
-        "hotpath_cold_wall_seconds": round(object_wall, 4),
         "flat_cold_wall_seconds": round(flat_wall, 4),
         "memo_warm_wall_seconds": round(warm_wall, 4),
-        "legacy_edges_per_second": round(edges / legacy_wall, 1),
-        "hotpath_cold_edges_per_second": round(edges / object_wall, 1),
         "flat_cold_edges_per_second": round(edges / flat_wall, 1),
         "memo_warm_edges_per_second": round(edges / warm_wall, 1),
-        #: infrastructure-only gain on the object engine (streaming
-        #: fingerprints, zlib CRC, analysis cache, single clone) with
-        #: every transition still executed for real — modest
-        "cold_speedup": round(legacy_wall / object_wall, 2),
-        #: the flat-engine tentpole: real phase executions over the
-        #: packed IR, vs the pre-PR slow path
-        "flat_speedup": round(legacy_wall / flat_wall, 2),
-        #: the memoization ceiling: re-reached transitions served from
-        #: the table, vs the pre-PR slow path
-        "speedup": round(legacy_wall / warm_wall, 2),
-        #: the flat engine's contract, measured: same DAG, both engines
-        "engines_agree": agree,
         "sanitize_fast_wall_seconds": round(san_wall, 4),
         "sanitize_fast_edges_per_second": round(edges / san_wall, 1),
-        #: cost of ``--sanitize=fast`` relative to the cold object
-        #: engine (guards always run there); full-mode cost is in
-        #: docs/STATIC_ANALYSIS.md
-        "sanitize_fast_overhead": round(san_wall / object_wall, 2),
+        "sanitize_fast_overhead": round(san_wall / flat_wall, 2),
     }
-    return entry
 
 
 def load_trajectory() -> list:
@@ -285,65 +190,29 @@ def append_entry(entry: dict) -> None:
     )
 
 
-def check_against_baseline(entry: dict) -> None:
-    """The regression gate behind ``--check`` (SystemExit on failure).
-
-    Ratio checks compare against the first committed entry of the same
-    sweep (ratios are machine-invariant: numerator and denominator come
-    from the same run).  The absolute cold-throughput floor and the
-    engine-equivalence witness need no baseline.
-    """
-    failures = []
-    if not entry["engines_agree"]:
-        failures.append(
-            "flat and object engines produced different DAG fingerprints"
-        )
-    if (
-        entry["sweep"] == "full"
-        and entry["flat_cold_edges_per_second"] < FLAT_COLD_EDGES_FLOOR
-    ):
-        failures.append(
-            f"cold flat engine at {entry['flat_cold_edges_per_second']} "
-            f"edges/s, below the {FLAT_COLD_EDGES_FLOOR:.0f} floor"
-        )
-    baseline = next(
-        (e for e in load_trajectory() if e["sweep"] == entry["sweep"]), None
+def check_floor(entry: dict) -> None:
+    """The regression gate behind ``--check`` (SystemExit on failure)."""
+    rate = entry["flat_cold_edges_per_second"]
+    status = "ok" if rate >= FLAT_COLD_EDGES_FLOOR else "REGRESSION"
+    print(
+        f"cold engine {rate:,.0f} edges/s "
+        f"(floor {FLAT_COLD_EDGES_FLOOR:,.0f}): {status}"
     )
-    if baseline is None:
-        print("no committed baseline for this sweep; recording only")
-    else:
-        for key in ("speedup", "flat_speedup"):
-            reference = baseline.get(key)
-            if reference is None:
-                continue  # baseline predates the flat engine
-            floor = reference * (1.0 - REGRESSION_TOLERANCE)
-            status = "ok" if entry[key] >= floor else "REGRESSION"
-            print(
-                f"{key} {entry[key]}x vs baseline {reference}x "
-                f"(floor {floor:.2f}x): {status}"
-            )
-            if entry[key] < floor:
-                failures.append(
-                    f"{key} {entry[key]}x is more than "
-                    f"{REGRESSION_TOLERANCE:.0%} below the baseline "
-                    f"{reference}x"
-                )
-    if failures:
-        raise SystemExit("hot-path regression: " + "; ".join(failures))
+    if rate < FLAT_COLD_EDGES_FLOOR:
+        raise SystemExit(
+            f"hot-path regression: cold engine at {rate} edges/s, "
+            f"below the {FLAT_COLD_EDGES_FLOOR:.0f} floor"
+        )
 
 
-def test_hotpath_speedup():
-    """The tentpole acceptance gates: memo-warm >=3x and cold flat
-    >=8x edge throughput on the full sweep, with both engines in
-    bit-identical agreement."""
+def test_hotpath_throughput():
+    """Full sweep: cold throughput above the floor, and the memo is a
+    gain over real phase executions."""
     entry = run_benchmark(quick=False)
     append_entry(entry)
     print(f"\n{json.dumps(entry, indent=2)}\n[recorded in {RESULTS_PATH}]")
-    assert entry["engines_agree"]
-    assert entry["speedup"] >= SPEEDUP_FLOOR
-    assert entry["flat_speedup"] >= FLAT_SPEEDUP_FLOOR
-    # the infrastructure alone must never be a slowdown
-    assert entry["cold_speedup"] >= 1.0
+    assert entry["flat_cold_edges_per_second"] >= FLAT_COLD_EDGES_FLOOR
+    assert entry["memo_warm_edges_per_second"] > entry["flat_cold_edges_per_second"]
 
 
 def main(argv=None) -> int:
@@ -356,14 +225,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail on a speedup regression vs the committed baseline, "
-        "a cold-throughput collapse, or a flat/object DAG mismatch",
+        help="fail when cold throughput falls below the absolute floor",
     )
     args = parser.parse_args(argv)
     entry = run_benchmark(quick=args.quick)
     print(json.dumps(entry, indent=2))
     if args.check:
-        check_against_baseline(entry)
+        check_floor(entry)
     append_entry(entry)
     print(f"[recorded in {RESULTS_PATH}]")
     return 0

@@ -21,7 +21,6 @@ from repro.analysis.cache import (
     dominators_of,
     liveness_of,
     loops_of,
-    set_cache_enabled,
     set_paranoid,
     slot_liveness_of,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "dominators_of",
     "liveness_of",
     "loops_of",
-    "set_cache_enabled",
     "set_paranoid",
     "slot_liveness_of",
     "DominatorTree",

@@ -21,14 +21,10 @@ The contract (documented on :meth:`Function.invalidate_analyses`):
   *different* (cloned) function object, the getter rebinds a view onto
   the current function — same dataflow dicts, correct back-reference.
 
-Two switches support differential testing and the hot-path bench:
-
-- ``REPRO_NO_ANALYSIS_CACHE=1`` (or :func:`set_cache_enabled(False)`)
-  disables the cache entirely — every getter recomputes.
-- ``REPRO_PARANOID_ANALYSIS=1`` (or :func:`set_paranoid(True)`)
-  recomputes on every hit and raises if a cached analysis disagrees
-  with a fresh one, catching any phase that mutates without
-  invalidating.
+``REPRO_PARANOID_ANALYSIS=1`` (or :func:`set_paranoid(True)`)
+recomputes on every hit and raises if a cached analysis disagrees with
+a fresh one, catching any code that mutates without invalidating.  The
+switch covers the flat analyses (:mod:`repro.analysis.flat`) too.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from repro.ir.cfg import CFG, build_cfg
 from repro.ir.function import Function
 from repro.observability import tracer as _obs
 
-_ENABLED = not os.environ.get("REPRO_NO_ANALYSIS_CACHE")
 _PARANOID = bool(os.environ.get("REPRO_PARANOID_ANALYSIS"))
 
 
@@ -58,14 +53,6 @@ def _note(hit: bool) -> None:
     tr = _obs.ACTIVE
     if tr is not None:
         tr.analysis_event(hit)
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable the analysis cache; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = enabled
-    return previous
 
 
 def set_paranoid(enabled: bool) -> bool:
@@ -100,9 +87,6 @@ def _cache_of(func: Function) -> AnalysisCache:
 
 def cfg_of(func: Function) -> CFG:
     """The function's CFG, cached until the next invalidation."""
-    if not _ENABLED:
-        _note(False)
-        return build_cfg(func)
     cache = _cache_of(func)
     _note(cache.cfg is not None)
     if cache.cfg is None:
@@ -114,9 +98,6 @@ def cfg_of(func: Function) -> CFG:
 
 def liveness_of(func: Function) -> Liveness:
     """Register liveness, cached; rebound to *func* on clone sharing."""
-    if not _ENABLED:
-        _note(False)
-        return compute_liveness(func)
     cache = _cache_of(func)
     _note(cache.liveness is not None)
     if cache.liveness is None:
@@ -134,9 +115,6 @@ def liveness_of(func: Function) -> Liveness:
 
 def slot_liveness_of(func: Function) -> SlotLiveness:
     """Frame-slot liveness, cached; rebound to *func* on clone sharing."""
-    if not _ENABLED:
-        _note(False)
-        return compute_slot_liveness(func)
     cache = _cache_of(func)
     _note(cache.slot_liveness is not None)
     if cache.slot_liveness is None:
@@ -158,9 +136,6 @@ def slot_liveness_of(func: Function) -> SlotLiveness:
 
 def dominators_of(func: Function) -> DominatorTree:
     """The dominator tree, cached until the next invalidation."""
-    if not _ENABLED:
-        _note(False)
-        return compute_dominators(func)
     cache = _cache_of(func)
     _note(cache.dominators is not None)
     if cache.dominators is None:
@@ -177,9 +152,6 @@ def dominators_of(func: Function) -> DominatorTree:
 
 def loops_of(func: Function):
     """The natural-loop nest (innermost first), cached."""
-    if not _ENABLED:
-        _note(False)
-        return find_natural_loops(func)
     cache = _cache_of(func)
     _note(cache.loops is not None)
     if cache.loops is None:

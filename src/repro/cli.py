@@ -321,7 +321,6 @@ def cmd_enumerate(args) -> int:
         checkpoint_path=None if use_parallel else checkpoint_path,
         resume=False if use_parallel else args.resume,
         sanitize=args.sanitize,
-        engine=args.engine,
         collapse=args.collapse,
     )
     tracer = _build_tracer(args, "repro.enumerate") if args.run_dir else None
@@ -415,7 +414,7 @@ def cmd_profile(args) -> int:
     """One enumeration under cProfile, with an edge-throughput summary.
 
     The profiling companion to ``benchmarks/bench_hotpath.py``: the
-    benchmark tells you *whether* the engine regressed, this command
+    benchmark tells you *whether* the phases regressed, this command
     tells you *where* the time went.  ``--cold`` resets the flat-kernel
     caches first so the run measures what a fresh process would pay.
     """
@@ -426,11 +425,7 @@ def cmd_profile(args) -> int:
     program = _compile_spec(args.file, source)
     func = _select_function(program, args.function)
     implicit_cleanup(func)
-    config = EnumerationConfig(
-        max_nodes=args.max_nodes,
-        time_limit=args.time_limit,
-        engine=args.engine,
-    )
+    config = EnumerationConfig(max_nodes=args.max_nodes, time_limit=args.time_limit)
     if args.cold:
         from repro.opt.flat import reset_flat_kernel_caches
 
@@ -449,7 +444,6 @@ def cmd_profile(args) -> int:
             tracer.emit(
                 "profile_run",
                 function=args.function,
-                engine=args.engine,
                 wall=round(wall, 4),
                 edges=edges,
             )
@@ -461,7 +455,7 @@ def cmd_profile(args) -> int:
     status = "complete" if result.completed else f"aborted: {result.abort_reason}"
     print(
         f"{args.function}: {edges} edges in {wall:.3f}s "
-        f"({edges / wall:,.0f} edges/s, engine={args.engine}, {status})"
+        f"({edges / wall:,.0f} edges/s, {status})"
     )
     import pstats
 
@@ -824,11 +818,7 @@ def _lint_run_dir(run_dir: str, mode: str):
 def cmd_interactions(args) -> int:
     program = _load_program(args.file)
     names = args.functions.split(",") if args.functions else list(program.functions)
-    config = EnumerationConfig(
-        max_nodes=args.max_nodes,
-        time_limit=args.time_limit,
-        engine=args.engine,
-    )
+    config = EnumerationConfig(max_nodes=args.max_nodes, time_limit=args.time_limit)
     funcs = []
     for name in names:
         func = program.functions.get(name)
@@ -1090,14 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=20_000)
     p.add_argument("--time-limit", type=float, default=300.0)
     p.add_argument(
-        "--engine",
-        choices=["flat", "object"],
-        default="flat",
-        help="expansion engine: 'flat' attempts phases on the packed "
-        "array-of-tables IR (the default; ~10x faster cold), 'object' "
-        "forces the original object-IR path (see docs/DESIGN.md)",
-    )
-    p.add_argument(
         "--collapse",
         choices=["syntactic", "semantic"],
         default="syntactic",
@@ -1189,12 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--max-nodes", type=int, default=20_000)
     p.add_argument("--time-limit", type=float, default=300.0)
-    p.add_argument(
-        "--engine",
-        choices=["flat", "object"],
-        default="flat",
-        help="expansion engine to profile (default: flat)",
-    )
     p.add_argument(
         "--cold",
         action="store_true",
@@ -1303,13 +1279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functions", help="comma-separated subset")
     p.add_argument("--max-nodes", type=int, default=4000)
     p.add_argument("--time-limit", type=float, default=60.0)
-    p.add_argument(
-        "--engine",
-        choices=["flat", "object"],
-        default="flat",
-        help="expansion engine (flat: packed-IR kernels; object: the "
-        "original path)",
-    )
     _add_parallel_arguments(p)
     p.add_argument(
         "--run-dir",

@@ -12,10 +12,11 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
-from repro.opt import PHASES, Phase, apply_phase, phase_by_id
+from repro.opt import attempt_phase_on_flat, phase_by_id
 from repro.robustness.guard import GuardedPhaseRunner
 
 #: phases applied once before the fixpoint loop: control-flow cleanup,
@@ -89,6 +90,19 @@ class CompilationReport:
         )
 
 
+def attempt_phase(
+    flat: FlatFunction,
+    phase_id: str,
+    target: Target,
+    guard: Optional[GuardedPhaseRunner] = None,
+) -> Optional[FlatFunction]:
+    """One compiler step: the active candidate, or None when dormant
+    (or quarantined, when a guard is given)."""
+    if guard is not None:
+        return guard.apply(flat, phase_by_id(phase_id), target)
+    return attempt_phase_on_flat(flat, phase_by_id(phase_id), target)
+
+
 class BatchCompiler:
     """Apply phases in VPO's fixed default order to a fixpoint."""
 
@@ -110,11 +124,6 @@ class BatchCompiler:
         #: compilation
         self.guard = guard
 
-    def _apply(self, func: Function, phase_id: str) -> bool:
-        if self.guard is not None:
-            return self.guard.apply(func, phase_by_id(phase_id), self.target)
-        return apply_phase(func, phase_by_id(phase_id), self.target)
-
     def compile(self, func: Function) -> CompilationReport:
         """Optimize *func* in place with the default phase order."""
         start = time.perf_counter()
@@ -123,15 +132,20 @@ class BatchCompiler:
             len(self.guard.quarantine) if self.guard is not None else 0
         )
         active_sequence: List[str] = []
+        flat = to_flat(func)
         for phase_id in self.prologue:
             attempted += 1
-            if self._apply(func, phase_id):
+            candidate = attempt_phase(flat, phase_id, self.target, self.guard)
+            if candidate is not None:
+                flat = candidate
                 active_sequence.append(phase_id)
         for _ in range(self.max_loop_iterations):
             any_active = False
             for phase_id in self.loop:
                 attempted += 1
-                if self._apply(func, phase_id):
+                candidate = attempt_phase(flat, phase_id, self.target, self.guard)
+                if candidate is not None:
+                    flat = candidate
                     active_sequence.append(phase_id)
                     any_active = True
             if not any_active:
@@ -140,6 +154,7 @@ class BatchCompiler:
             raise RuntimeError(
                 f"{func.name}: batch compilation did not reach a fixpoint"
             )
+        from_flat(flat, into=func)
         elapsed = time.perf_counter() - start
         quarantined = (
             len(self.guard.quarantine) - quarantined_before

@@ -8,11 +8,8 @@ instructions in a different order hash differently.
 ``crc32`` delegates to :func:`zlib.crc32` (a C loop) because hashing is
 on the enumeration hot path: every attempted edge fingerprints its
 candidate instance.  The original byte-at-a-time table-driven
-implementation is kept as :func:`crc32_reference`; the test suite
-asserts both agree on arbitrary data and arbitrary seeds, and
-``set_reference_mode(True)`` (or ``REPRO_REFERENCE_CRC=1`` in the
-environment) routes ``crc32`` through it — used by the hot-path bench
-to measure the legacy cost and by the property tests as an oracle.
+implementation is kept as :func:`crc32_reference`, the property tests'
+oracle: they assert both agree on arbitrary data and arbitrary seeds.
 
 Both implementations chain identically: ``crc32(b, crc32(a)) ==
 crc32(a + b)``, which is what lets the streaming fingerprint hash a
@@ -21,7 +18,6 @@ function line-by-line without materializing the joined text.
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import List
 
@@ -52,22 +48,6 @@ def crc32_reference(data: bytes, seed: int = 0) -> int:
     return value ^ 0xFFFFFFFF
 
 
-_REFERENCE = bool(os.environ.get("REPRO_REFERENCE_CRC"))
-
-
-def set_reference_mode(enabled: bool) -> bool:
-    """Route :func:`crc32` through the table-driven reference.
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _REFERENCE
-    previous = _REFERENCE
-    _REFERENCE = enabled
-    return previous
-
-
 def crc32(data: bytes, seed: int = 0) -> int:
     """CRC-32 of *data* (bit-identical to zlib.crc32 for every seed)."""
-    if _REFERENCE:
-        return crc32_reference(data, seed)
     return zlib.crc32(data, seed)

@@ -275,24 +275,26 @@ def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
     as-is and their outgoing edges are still used for children.
     """
     from repro.core.enumeration import _node_key
-    from repro.core.fingerprint import fingerprint_function
+    from repro.ir.flat import flat_fingerprint, from_flat, to_flat
     from repro.machine.target import DEFAULT_TARGET
-    from repro.opt import attempt_phase_on_clone, phase_by_id
+    from repro.opt import attempt_phase_on_flat, phase_by_id
 
     target = target or DEFAULT_TARGET
     if dag.root_id is None:
         return 0
     root = dag.root
     if root.function is None:
-        candidate = root_func.clone()
-        key = _node_key(fingerprint_function(candidate), candidate)
+        candidate = to_flat(root_func)
+        key = _node_key(flat_fingerprint(candidate), candidate)
         if key != root.key:
             raise ValueError(
                 f"{dag.function_name}: root_func does not fingerprint to the "
                 "DAG's root key — wrong function or non-canonical instance "
                 "(run implicit_cleanup first)"
             )
-        root.function = candidate
+        root.function = root_func.clone()
+    # node id -> flat form of its function, converted once per node
+    flats: Dict[int, object] = {}
     applied = 0
     for node_id in dag._topological_order():
         node = dag.nodes[node_id]
@@ -300,13 +302,12 @@ def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
             # Unreachable from the root through materialized parents;
             # can only happen on a DAG truncated mid-construction.
             continue
+        parent = flats.pop(node_id, None) or to_flat(node.function)
         for phase_id in sorted(node.active):
             child = dag.nodes[node.active[phase_id]]
             if child.function is not None:
                 continue
-            candidate = attempt_phase_on_clone(
-                node.function, phase_by_id(phase_id), target
-            )
+            candidate = attempt_phase_on_flat(parent, phase_by_id(phase_id), target)
             applied += 1
             if candidate is None:
                 raise ValueError(
@@ -314,7 +315,7 @@ def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
                     f"active on node #{node.node_id} was dormant on replay "
                     "— the DAG does not belong to root_func"
                 )
-            key = _node_key(fingerprint_function(candidate), candidate)
+            key = _node_key(flat_fingerprint(candidate), candidate)
             if key != child.key:
                 if dag.aliases.get(key) == child.node_id:
                     # Semantically merged edge: the replayed candidate
@@ -328,5 +329,6 @@ def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
                     f"node #{node.node_id} produced a different instance "
                     f"than recorded child #{child.node_id}"
                 )
-            child.function = candidate
+            child.function = from_flat(candidate)
+            flats[child.node_id] = candidate
     return applied

@@ -53,22 +53,11 @@ from repro.core import checkpoint as ckpt
 from repro.core.dag import SpaceDAG, SpaceNode
 from repro.core.fingerprint import Fingerprint, fingerprint_function
 from repro.core.memo import TransitionMemo
-from repro.ir.flat import flat_fingerprint, from_flat, to_flat
+from repro.ir.flat import FlatFunction, flat_fingerprint, from_flat, to_flat
 from repro.ir.function import Function, Program
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
-from repro.opt import (
-    PHASES,
-    Phase,
-    apply_phase,
-    attempt_phase_on_clone,
-    implicit_cleanup,
-)
-from repro.opt.flat import attempt_phase_on_flat
-
-#: the stock phase instances, by id — the flat kernels are verified
-#: against exactly these objects (see SpaceEnumerator.flat_engine)
-_CANONICAL_PHASES = {phase.id: phase for phase in PHASES}
+from repro.opt import PHASES, Phase, attempt_phase_on_flat, implicit_cleanup
 from repro.robustness.faults import FaultInjector
 from repro.robustness.guard import (
     DifferentialTester,
@@ -105,7 +94,6 @@ class EnumerationConfig:
         canonical_input: bool = False,
         memo: Optional[TransitionMemo] = None,
         sanitize: Optional[str] = None,
-        engine: str = "flat",
         collapse: str = "syntactic",
     ):
         self.max_level_sequences = max_level_sequences
@@ -174,25 +162,13 @@ class EnumerationConfig:
                 f"bad sanitize mode {sanitize!r}; expected 'fast' or 'full'"
             )
         self.sanitize = sanitize
-        #: expansion engine: "flat" runs the unguarded prefix-sharing
-        #: hot path on the flat IR (repro.ir.flat + repro.opt.flat);
-        #: "object" is the legacy engine, retained for differential
-        #: testing.  The two produce bit-identical DAGs, so — like the
-        #: memo — the engine stays out of ``signature()``.  Guards,
-        #: exact mode, the remapping ablation, and replay mode need
-        #: instruction objects and silently use the object engine.
-        if engine not in ("flat", "object"):
-            raise ValueError(
-                f"bad engine {engine!r}; expected 'flat' or 'object'"
-            )
-        self.engine = engine
         #: instance-merging mode: "syntactic" is the paper's remap+CRC
         #: dedup; "semantic" additionally collapses instances whose
         #: canonical symbolic summaries collide *and* are proved (or
         #: co-execution-tested) equivalent — never on the hash alone
         #: (see staticanalysis/canon.py and docs/COLLAPSE.md).  Unlike
-        #: the engine, collapse changes which space is enumerated, so
-        #: it participates in ``signature()``.
+        #: the guards and the memo, collapse changes which space is
+        #: enumerated, so it participates in ``signature()``.
         if collapse not in ("syntactic", "semantic"):
             raise ValueError(
                 f"bad collapse mode {collapse!r}; "
@@ -329,25 +305,6 @@ class SpaceEnumerator:
             )
             else None
         )
-        # The flat engine replaces only the same unguarded
-        # prefix-sharing transition the memo does, and additionally
-        # needs the streaming remapped fingerprint (no exact texts, no
-        # remapping ablation).  Kernels dispatch on ``phase.id``, so a
-        # custom phase object carrying a stock id (a test wrapper, an
-        # instrumented phase) must also force the object engine — only
-        # the canonical phase instances are known to match their
-        # kernels.  Anything else falls back to objects.
-        self.flat_engine = (
-            self.config.engine == "flat"
-            and self.config.share_prefixes
-            and self.guard is None
-            and self.config.remap
-            and not self.config.exact
-            and all(
-                _CANONICAL_PHASES.get(phase.id) is phase
-                for phase in self.config.phases
-            )
-        )
         # Semantic collapse (docs/COLLAPSE.md): merge decisions live in
         # a SemanticCollapser, whose state rides checkpoints.  A program
         # context (config.program) enables the VM co-execution
@@ -440,13 +397,11 @@ class SpaceEnumerator:
                 node.function = None
             for node in self.next_frontier:
                 node.function = None
-        if self.flat_engine and config.keep_functions:
+        if config.keep_functions:
             # Callers asking for retained functions expect instruction
-            # objects, whatever engine expanded the space.
+            # objects; the frontier holds flat instances.
             for node in self.dag.nodes.values():
-                if node.function is not None and not isinstance(
-                    node.function, Function
-                ):
+                if isinstance(node.function, FlatFunction):
                     node.function = from_flat(node.function)
         if tracer is not None:
             delta = tracer.phases_since(phase_snapshot)
@@ -548,12 +503,13 @@ class SpaceEnumerator:
         config = self.config
         root_func, root_fp, root_key = canonical_root(self.input_func, config)
         self.root_func = root_func
+        self.root_flat = to_flat(root_func)
         self.dag = SpaceDAG(self.input_func.name)
         self.texts: Dict[object, str] = {}
         self.attempted = 0
         self.applied = 0
         root = self.dag.add_node(root_key, 0, root_fp.num_insts, root_fp.cf_crc)
-        root.function = to_flat(root_func) if self.flat_engine else root_func
+        root.function = self.root_flat
         if config.exact:
             self.texts[root_key] = root_fp.text
         if self.collapser is not None:
@@ -604,6 +560,7 @@ class SpaceEnumerator:
             )
         self.dag = ckpt.dag_from_dict(state["function_name"], state["dag"])
         self.root_func = ckpt.function_from_dict(state["root_function"])
+        self.root_flat = to_flat(self.root_func)
         # The input function must be the one the checkpoint was made
         # from: its canonical root instance must fingerprint to the
         # checkpointed root key.
@@ -616,10 +573,9 @@ class SpaceEnumerator:
         self.frontier_index = state["frontier_index"]
         self.next_frontier = [self.dag.nodes[i] for i in state["next_frontier"]]
         for node_id, data in state["functions"].items():
-            restored = ckpt.function_from_dict(data)
-            if self.flat_engine:
-                restored = to_flat(restored)
-            self.dag.nodes[int(node_id)].function = restored
+            self.dag.nodes[int(node_id)].function = to_flat(
+                ckpt.function_from_dict(data)
+            )
         self.recipes = {
             int(node_id): tuple(recipe)
             for node_id, recipe in state["recipes"].items()
@@ -726,9 +682,6 @@ class SpaceEnumerator:
         collapse_stats_before = (
             dict(self.collapser.stats) if self.collapser is not None else None
         )
-        # Per-node scratch for the flat engine's fallback phases: the
-        # object view of this node is materialized at most once.
-        view_cache: Dict[str, Function] = {}
 
         def rollback() -> None:
             for parent, phase_id, child in reversed(added_edges):
@@ -839,9 +792,7 @@ class SpaceEnumerator:
                 child = self.dag.add_node(
                     key, self.level + 1, entry.num_insts, entry.cf_crc
                 )
-                child.function = (
-                    to_flat(materialized) if self.flat_engine else materialized
-                )
+                child.function = to_flat(materialized)
                 if self.collapser is not None and self.collapser.register(
                     digest, child.node_id, materialized
                 ):
@@ -855,42 +806,25 @@ class SpaceEnumerator:
                 self.next_frontier.append(child)
                 continue
             if config.share_prefixes:
-                self.applied += 1
-                if self.guard is None:
-                    # Single-clone fast path (see opt/base.py and
-                    # opt/flat): at most one clone per attempted edge,
-                    # none when the phase is illegal in the current
-                    # state.
-                    if self.flat_engine:
-                        candidate = attempt_phase_on_flat(
-                            node.function, phase, self.target, view_cache
-                        )
-                    else:
-                        candidate = attempt_phase_on_clone(
-                            node.function, phase, self.target
-                        )
-                    active = candidate is not None
-                else:
-                    candidate = node.function.clone()
-                    active = self._apply(candidate, phase, node)
-                    if tracer is not None:
-                        tracer.phase_outcome(
-                            phase.id, "active" if active else "dormant"
-                        )
+                parent = node.function
             else:
-                candidate = self.root_func.clone()
+                # Replay the node's whole recipe from the root.
+                parent = self.root_flat
                 for prior_id in self.recipes[node.node_id]:
                     self.applied += 1
-                    apply_phase(
-                        candidate, config.phase_index[prior_id], self.target
+                    parent = (
+                        attempt_phase_on_flat(
+                            parent, config.phase_index[prior_id], self.target
+                        )
+                        or parent
                     )
-                self.applied += 1
-                active = self._apply(candidate, phase, node)
-                if tracer is not None:
-                    tracer.phase_outcome(
-                        phase.id, "active" if active else "dormant"
-                    )
-            if not active:
+            self.applied += 1
+            candidate = self._attempt(parent, phase, node)
+            if tracer is not None:
+                tracer.phase_outcome(
+                    phase.id, "dormant" if candidate is None else "active"
+                )
+            if candidate is None:
                 if entry is not None and not entry.dormant:
                     raise RuntimeError(
                         f"{self.input_func.name}: memo claims phase "
@@ -902,11 +836,11 @@ class SpaceEnumerator:
                     self.memo.record_dormant(node.key, phase.id)
                 node.dormant.add(phase.id)
                 continue
-            if self.flat_engine:
-                fingerprint = flat_fingerprint(candidate)
+            if config.remap:
+                fingerprint = flat_fingerprint(candidate, keep_text=config.exact)
             else:
                 fingerprint = fingerprint_function(
-                    candidate, keep_text=config.exact, remap=config.remap
+                    from_flat(candidate), keep_text=config.exact, remap=False
                 )
             key = _node_key(fingerprint, candidate)
             if entry is not None and (entry.dormant or entry.key != key):
@@ -922,7 +856,7 @@ class SpaceEnumerator:
                     key,
                     fingerprint.num_insts,
                     fingerprint.cf_crc,
-                    from_flat(candidate) if self.flat_engine else candidate,
+                    from_flat(candidate),
                 )
             existing = self.dag.lookup(key)
             if existing is not None:
@@ -939,9 +873,7 @@ class SpaceEnumerator:
             digest = None
             candidate_obj = None
             if self.collapser is not None:
-                candidate_obj = (
-                    from_flat(candidate) if self.flat_engine else candidate
-                )
+                candidate_obj = from_flat(candidate)
                 digest, rep = collapse_target(candidate_obj)
                 if rep is not None:
                     merge(key, phase.id, rep, fingerprint.text)
@@ -966,16 +898,20 @@ class SpaceEnumerator:
             node.function = None
         return True
 
-    def _apply(self, candidate: Function, phase: Phase, node: SpaceNode) -> bool:
-        if self.guard is not None:
-            return self.guard.apply(
-                candidate,
-                phase,
-                self.target,
-                node_key=f"node#{node.node_id}",
-                level=node.level,
-            )
-        return apply_phase(candidate, phase, self.target)
+    def _attempt(
+        self, parent: FlatFunction, phase: Phase, node: SpaceNode
+    ) -> Optional[FlatFunction]:
+        """One attempt of *phase* on *parent* (never mutated): the
+        active candidate, or None when dormant or quarantined."""
+        if self.guard is None:
+            return attempt_phase_on_flat(parent, phase, self.target)
+        return self.guard.apply(
+            parent,
+            phase,
+            self.target,
+            node_key=f"node#{node.node_id}",
+            level=node.level,
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1008,10 +944,9 @@ class SpaceEnumerator:
         if config.share_prefixes:
             for node in pending:
                 if node.function is not None:
-                    func = node.function
-                    if not isinstance(func, Function):
-                        func = from_flat(func)  # flat engine frontier
-                    functions[str(node.node_id)] = ckpt.function_to_dict(func)
+                    functions[str(node.node_id)] = ckpt.function_to_dict(
+                        from_flat(node.function)
+                    )
         recipes = {
             str(node.node_id): "".join(self.recipes.get(node.node_id, ()))
             for node in pending
@@ -1116,6 +1051,3 @@ def _arrival_phases(node: SpaceNode) -> set:
     """Phases that produced this node (labels of its in-edges)."""
     return {phase_id for (_parent, phase_id) in node.parents}
 
-
-def _phase_by_id(config: EnumerationConfig, phase_id: str) -> Phase:
-    return config.phase_index[phase_id]

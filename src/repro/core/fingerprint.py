@@ -21,14 +21,13 @@ a *streaming* single pass: each rendered line is hashed into the
 running CRCs and byte-sum as it is produced, never materializing the
 joined text.  The stream is chunked with the same ``"\\n"`` separators
 ``"\\n".join(lines)`` would insert, so the result is bit-identical to
-the legacy render-then-hash pipeline (kept below as the oracle for the
-property tests, for exact mode — which needs the text anyway — and for
-the hot-path bench's legacy measurements via ``set_legacy_mode``).
+the render-then-hash text path (kept below for exact mode and the
+remapping ablation, which need the text anyway, and as the oracle the
+tests compare the streaming path against).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, NamedTuple, Optional
 
 from repro.core.crc import crc32
@@ -205,21 +204,7 @@ def _streaming_fingerprint(func: Function) -> Fingerprint:
     )
 
 
-_LEGACY = bool(os.environ.get("REPRO_LEGACY_FINGERPRINT"))
-
-
-def set_legacy_mode(enabled: bool) -> bool:
-    """Force the render-then-hash pipeline (bench/test toggle).
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _LEGACY
-    previous = _LEGACY
-    _LEGACY = enabled
-    return previous
-
-
-def _legacy_fingerprint(
+def _text_fingerprint(
     func: Function, keep_text: bool, remap: bool
 ) -> Fingerprint:
     text = remap_function_text(func) if remap else raw_function_text(func)
@@ -243,8 +228,8 @@ def fingerprint_function(
     section 4.2.1 argues (and the remapping ablation bench shows) that
     this misses merges and inflates the space.  Exact mode
     (``keep_text=True``) needs the materialized text for collision
-    checks, so it takes the legacy path; everything else streams.
+    checks, so it takes the text path; everything else streams.
     """
-    if keep_text or not remap or _LEGACY:
-        return _legacy_fingerprint(func, keep_text, remap)
+    if keep_text or not remap:
+        return _text_fingerprint(func, keep_text, remap)
     return _streaming_fingerprint(func)

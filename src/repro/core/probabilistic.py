@@ -18,12 +18,13 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.batch import CompilationReport
+from repro.core.batch import CompilationReport, attempt_phase
 from repro.core.interactions import InteractionAnalysis
+from repro.ir.flat import from_flat, to_flat
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
-from repro.opt import PHASE_IDS, apply_phase, phase_by_id
+from repro.opt import PHASE_IDS
 from repro.robustness.guard import GuardedPhaseRunner
 
 
@@ -77,6 +78,7 @@ class ProbabilisticCompiler:
             len(self.guard.quarantine) if self.guard is not None else 0
         )
         active_sequence: List[str] = []
+        flat = to_flat(func)
         for _ in range(self.max_steps):
             best = max(
                 phase_ids,
@@ -85,13 +87,9 @@ class ProbabilisticCompiler:
             if probability[best] <= self.threshold:
                 break
             attempted += 1
-            if self.guard is not None:
-                was_active = self.guard.apply(
-                    func, phase_by_id(best), self.target
-                )
-            else:
-                was_active = apply_phase(func, phase_by_id(best), self.target)
-            if was_active:
+            candidate = attempt_phase(flat, best, self.target, self.guard)
+            if candidate is not None:
+                flat = candidate
                 active_sequence.append(best)
                 for pid in phase_ids:
                     if pid == best:
@@ -101,6 +99,7 @@ class ProbabilisticCompiler:
                     p = probability[pid]
                     probability[pid] = p + (1.0 - p) * enable - p * disable
             probability[best] = 0.0
+        from_flat(flat, into=func)
         elapsed = time.perf_counter() - start
         quarantined = (
             len(self.guard.quarantine) - quarantined_before

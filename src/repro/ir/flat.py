@@ -22,19 +22,19 @@ and adds a flat, integer-keyed view for *speed*:
   clone-as-array-slice, no per-instruction object churn.
 - Per-id side tables precomputed at intern time (def/use bitmasks
   over register ids, kind and effect flags, branch targets, memory
-  reference lists, render templates) are what the flat phase kernels
-  and analyses consume instead of re-deriving facts from the object
-  tree on every attempt.
+  reference lists, render templates) are what the phases and flat
+  analyses consume instead of re-deriving facts from the object tree
+  on every attempt.
 - Fingerprinting renders each instruction from its precomputed
   template (literal text chunks interleaved with register/label
   slots), reproducing ``fingerprint_function``'s remapped byte stream
-  exactly — flat and object engines hash identical bytes, which is
-  what keeps their DAGs bit-identical.
+  exactly, so a flat instance and its object view hash identical
+  bytes.
 
 Converters are lossless both ways.  ``from_flat`` is intentionally
 trivial (the intern pool holds the real instruction objects), which
-is what makes the dispatch fallback viable: a phase without a flat
-kernel round-trips through the object IR at the cost of two list
+is what makes object views cheap: the verifiers, the VM and the two
+loop phases' transforms see a flat instance at the cost of two list
 comprehensions, not a parse.
 
 The pools are process-global and append-only.  They never shrink
@@ -427,8 +427,9 @@ class FlatFunction:
         return f"<FlatFunction {self.name}: {len(self.blocks)} blocks>"
 
 
-def to_flat(func: Function) -> FlatFunction:
-    flat = FlatFunction(func.name, func.returns_value)
+def to_flat(func: Function, into: Optional[FlatFunction] = None) -> FlatFunction:
+    """The flat form of *func*; written over *into* when given."""
+    flat = FlatFunction(func.name, func.returns_value) if into is None else into
     flat.params = list(func.params)
     flat.labels = [label_id(block.label) for block in func.blocks]
     flat.blocks = [
@@ -443,11 +444,14 @@ def to_flat(func: Function) -> FlatFunction:
     flat.alloc_applied = func.alloc_applied
     flat.unrolled = set(func.unrolled)
     flat.mem_facts = func.mem_facts
+    flat.invalidate_analyses()
+    flat._scalar_slots = None
     return flat
 
 
-def from_flat(flat: FlatFunction) -> Function:
-    func = Function(flat.name, flat.returns_value)
+def from_flat(flat: FlatFunction, into: Optional[Function] = None) -> Function:
+    """The object form of *flat*; written over *into* when given."""
+    func = Function(flat.name, flat.returns_value) if into is None else into
     func.params = list(flat.params)
     insts = INST_OBJS
     labels = LABEL_STRS
@@ -464,6 +468,7 @@ def from_flat(flat: FlatFunction) -> Function:
     func.alloc_applied = flat.alloc_applied
     func.unrolled = set(flat.unrolled)
     func.mem_facts = flat.mem_facts
+    func.invalidate_analyses()
     return func
 
 

@@ -54,7 +54,7 @@ EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
     "level_done": frozenset({"function", "level"}),
     "enum_done": frozenset({"function", "instances", "completed"}),
     # `repro profile`: one profiled enumeration's throughput summary
-    "profile_run": frozenset({"function", "engine", "wall", "edges"}),
+    "profile_run": frozenset({"function", "wall", "edges"}),
     # attempted / active / dormant accounting
     "phase_stats": frozenset({"phases"}),
     # caches

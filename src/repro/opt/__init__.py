@@ -1,5 +1,10 @@
 """The fifteen candidate optimization phases (Table 1 of the paper).
 
+Each phase has one implementation, over the flat IR: the kernels in
+:mod:`repro.opt.flat`, and the loop phases g and l (object-IR
+transforms behind the flat :class:`~repro.opt.base.LoopPhase`
+interface).
+
 ======  ================================  ==============================
 Letter  Phase                             Ordering restrictions
 ======  ================================  ==============================
@@ -23,29 +28,30 @@ u       remove useless jumps
 """
 
 from repro.opt.base import (
+    LoopPhase,
     Phase,
     apply_phase,
-    attempt_phase_on_clone,
-    set_legacy_clone_mode,
+    attempt_phase_on_flat,
+    implicit_cleanup,
 )
-from repro.opt.cleanup import implicit_cleanup
-from repro.opt.register_assignment import assign_registers
 
-from repro.opt.branch_chaining import BranchChaining
-from repro.opt.cse import CommonSubexpressionElimination
-from repro.opt.unreachable import RemoveUnreachableCode
+from repro.opt.flat.cflow import (
+    BlockReordering,
+    BranchChaining,
+    RemoveUnreachableCode,
+    RemoveUselessJumps,
+    ReverseBranches,
+)
+from repro.opt.flat.cse import CommonSubexpressionElimination
+from repro.opt.flat.deadassign import DeadAssignmentElimination
+from repro.opt.flat.loopjumps import MinimizeLoopJumps
+from repro.opt.flat.regalloc import RegisterAllocation
+from repro.opt.flat.abstraction import CodeAbstraction
+from repro.opt.flat.evalorder import EvaluationOrderDetermination
+from repro.opt.flat.strength import StrengthReduction
+from repro.opt.flat.selection import InstructionSelection
 from repro.opt.loop_unrolling import LoopUnrolling
-from repro.opt.dead_assign import DeadAssignmentElimination
-from repro.opt.block_reordering import BlockReordering
-from repro.opt.loop_jumps import MinimizeLoopJumps
-from repro.opt.regalloc import RegisterAllocation
 from repro.opt.loop_transforms import LoopTransformations
-from repro.opt.code_abstraction import CodeAbstraction
-from repro.opt.eval_order import EvaluationOrderDetermination
-from repro.opt.strength_reduction import StrengthReduction
-from repro.opt.reverse_branches import ReverseBranches
-from repro.opt.instruction_selection import InstructionSelection
-from repro.opt.useless_jumps import RemoveUselessJumps
 
 #: all candidate phases in the paper's Table 1 order
 PHASES = (
@@ -77,12 +83,11 @@ def phase_by_id(phase_id: str) -> Phase:
 
 
 __all__ = [
+    "LoopPhase",
     "Phase",
     "apply_phase",
-    "attempt_phase_on_clone",
-    "set_legacy_clone_mode",
+    "attempt_phase_on_flat",
     "implicit_cleanup",
-    "assign_registers",
     "PHASES",
     "PHASE_IDS",
     "phase_by_id",

@@ -1,11 +1,13 @@
-"""Phase framework: the Phase interface and application driver.
+"""Phase framework: the Phase interface and the one application driver.
 
 A phase is *active* when running it changes the code, and *dormant*
 otherwise (paper section 4.1).  A phase that is illegal at the current
 compilation state (e.g. evaluation order determination after register
 assignment) is trivially dormant.
 
-``apply_phase`` implements VPO's implicit behaviour around a phase:
+Every phase runs on the flat IR (:class:`~repro.ir.flat.FlatFunction`),
+and every caller applies phases through :func:`attempt_phase_on_flat`,
+which implements VPO's implicit behaviour around a phase:
 
 - compulsory register assignment runs before the first phase in a
   sequence that requires it (c and k);
@@ -14,44 +16,28 @@ assignment) is trivially dormant.
   not part of the candidate phase set);
 - the function's legality flags are updated when s or k is active.
 
-A dormant attempt leaves the function unchanged (callers that need the
-original must apply phases to a clone, as the enumerator does).
+It attempts the phase on a clone: at most one clone per attempt, none
+for an illegal phase, and a dormant attempt returns ``None`` with the
+input untouched — including not committing the implicit register
+assignment, so a dormant attempt never changes the instance (see
+DESIGN.md).
 
-Cloning invariant (the enumeration hot path)
---------------------------------------------
-
-``apply_phase`` mutates its argument in place, so enumeration callers
-historically cloned the parent *and* — for phases requiring the
-compulsory register assignment — ``apply_phase`` cloned a scratch copy
-again and copied it back, i.e. two deep clones per attempted edge.
-:func:`attempt_phase_on_clone` collapses this to **at most one clone
-per attempt, and none for a trivially-dormant phase**:
-
-- legality (``phase.applicable``) is checked *before* cloning, so an
-  illegal phase costs nothing;
-- one clone is made, and for ``requires_assignment`` phases the
-  register assignment is committed directly on that clone (no
-  scratch-and-copy-back: if the phase turns out dormant the clone is
-  simply discarded, which is what preserves the dormant-leaves-the-
-  parent-unchanged invariant);
-- a dormant run returns ``None`` and the parent is untouched;
-- an active run returns the clone after the implicit cleanup fixpoint
-  and legality-flag update, exactly as ``apply_phase`` would have left
-  it.
-
-``set_legacy_clone_mode(True)`` (or ``REPRO_LEGACY_CLONE=1``) restores
-the old clone-then-``apply_phase`` flow so the hot-path bench can
-measure what the double clone cost.
+The object IR stays the format of the frontend, the VM, the printer and
+the verifiers.  :func:`apply_phase` and :func:`implicit_cleanup` are
+thin adapters for one-off callers holding a
+:class:`~repro.ir.function.Function`: convert, run on flat, write back.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional
+from typing import Optional
 
+from repro.analysis.flat import flat_loops_of
+from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
-from repro.observability import tracer as _obs
+from repro.opt.flat.assign import flat_assign_registers
+from repro.opt.flat.cleanup import flat_implicit_cleanup
 
 
 class Phase:
@@ -71,11 +57,11 @@ class Phase:
     #: and monotone invariants the phase is allowed to destroy.
     contract_breaks: tuple = ()
 
-    def applicable(self, func: Function) -> bool:
+    def applicable(self, flat: FlatFunction) -> bool:
         """Legality of attempting this phase in the current state."""
         return True
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, flat: FlatFunction, target: Target) -> bool:
         """Apply the phase in place; return True when code changed."""
         raise NotImplementedError
 
@@ -83,91 +69,52 @@ class Phase:
         return f"<Phase {self.id}: {self.name}>"
 
 
-def apply_phase(func: Function, phase: Phase, target: Optional[Target] = None) -> bool:
-    """Attempt *phase* on *func* with VPO's implicit behaviours.
+class LoopPhase(Phase):
+    """A loop-restructuring phase whose transform is written over the
+    object IR (g and l: they fire rarely and mutate heavily).
 
-    Returns True when the phase was active.  When the phase is dormant
-    the function is left exactly as it was — including not committing
-    the implicit register assignment, so a dormant attempt never
-    changes the instance (see DESIGN.md).
+    ``run`` keeps the flat interface: a loop-free function is dormant
+    without ever being converted, otherwise the transform runs on the
+    object view and an active result is written back in place.
     """
-    from repro.opt.cleanup import implicit_cleanup
-    from repro.opt.register_assignment import assign_registers
 
-    if target is None:
-        target = DEFAULT_TARGET
-    if not phase.applicable(func):
-        return False
-
-    if phase.requires_assignment and not func.reg_assigned:
-        # Attempt on a scratch copy first so a dormant phase does not
-        # commit the assignment.
-        scratch = func.clone()
-        assign_registers(scratch, target)
-        scratch.reg_assigned = True
-        if not phase.run(scratch, target):
+    def run(self, flat: FlatFunction, target: Target) -> bool:
+        if not flat_loops_of(flat):
             return False
-        _cleanup_fixpoint(scratch, phase, target)
-        _copy_into(scratch, func)
-        _note_active(func, phase)
+        func = from_flat(flat)
+        if not self.transform(func, target):
+            return False
+        to_flat(func, into=flat)
         return True
 
-    changed = phase.run(func, target)
-    if changed:
-        _cleanup_fixpoint(func, phase, target)
-        _note_active(func, phase)
-    return changed
+    def transform(self, func: Function, target: Target) -> bool:
+        """Apply the transform to *func* in place; True when changed."""
+        raise NotImplementedError
 
 
-_LEGACY_CLONE = bool(os.environ.get("REPRO_LEGACY_CLONE"))
-
-
-def set_legacy_clone_mode(enabled: bool) -> bool:
-    """Restore the clone + apply_phase double-clone flow (bench toggle).
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _LEGACY_CLONE
-    previous = _LEGACY_CLONE
-    _LEGACY_CLONE = enabled
-    return previous
-
-
-def attempt_phase_on_clone(
-    func: Function, phase: Phase, target: Optional[Target] = None
-) -> Optional[Function]:
-    """Attempt *phase* on a clone of *func*; None when dormant.
-
-    Single-clone fast path for enumeration (see the module docstring
-    for the invariant): *func* is never mutated, and at most one clone
-    is made — none when the phase is illegal in the current state.
-    """
-    from repro.opt.register_assignment import assign_registers
-
+def attempt_phase_on_flat(
+    flat: FlatFunction, phase: Phase, target: Optional[Target] = None
+) -> Optional[FlatFunction]:
+    """Attempt *phase* on a clone of *flat*; ``None`` when dormant."""
     if target is None:
         target = DEFAULT_TARGET
-    if _LEGACY_CLONE:
-        candidate = func.clone()
-        active = apply_phase(candidate, phase, target)
-        _note_outcome(phase, active)
-        return candidate if active else None
-    if not phase.applicable(func):
-        _note_outcome(phase, False)
+    if not phase.applicable(flat):
         return None
-    candidate = func.clone()
+    candidate = flat.clone()
     if phase.requires_assignment and not candidate.reg_assigned:
-        assign_registers(candidate, target)
+        flat_assign_registers(candidate, target)
         candidate.reg_assigned = True
     if not phase.run(candidate, target):
-        _note_outcome(phase, False)
         return None
     _cleanup_fixpoint(candidate, phase, target)
-    _note_active(candidate, phase)
-    _note_outcome(phase, True)
+    if phase.id == "s":
+        candidate.sel_applied = True
+    elif phase.id == "k":
+        candidate.alloc_applied = True
     return candidate
 
 
-def _cleanup_fixpoint(func: Function, phase: Phase, target: Target) -> None:
+def _cleanup_fixpoint(flat: FlatFunction, phase: Phase, target: Target) -> None:
     """Run the implicit cleanup and re-run *phase* to a joint fixpoint.
 
     The implicit block merging can expose new opportunities for the
@@ -176,45 +123,32 @@ def _cleanup_fixpoint(func: Function, phase: Phase, target: Target) -> None:
     Re-running until dormant preserves the paper's invariant that no
     phase is ever successfully applied twice in a row.
     """
-    from repro.opt.cleanup import implicit_cleanup
-
-    implicit_cleanup(func)
+    flat_implicit_cleanup(flat)
     for _ in range(100):
-        if not phase.run(func, target):
+        if not phase.run(flat, target):
             return
-        implicit_cleanup(func)
+        flat_implicit_cleanup(flat)
     raise RuntimeError(
-        f"{func.name}: phase {phase.id} did not reach a fixpoint with cleanup"
+        f"{flat.name}: phase {phase.id} did not reach a fixpoint with cleanup"
     )
 
 
-def _note_outcome(phase: Phase, active: bool) -> None:
-    """Count this attempt's outcome on the active tracer, if any.
+def apply_phase(func: Function, phase: Phase, target: Optional[Target] = None) -> bool:
+    """Attempt *phase* on *func* in place; True when it was active.
 
-    Observational only — never touches the function or the phase, so
-    traced and untraced runs stay bit-identical.
+    A dormant attempt leaves *func* exactly as it was.
     """
-    tr = _obs.ACTIVE
-    if tr is not None:
-        tr.phase_outcome(phase.id, "active" if active else "dormant")
+    candidate = attempt_phase_on_flat(to_flat(func), phase, target)
+    if candidate is None:
+        return False
+    from_flat(candidate, into=func)
+    return True
 
 
-def _note_active(func: Function, phase: Phase) -> None:
-    if phase.id == "s":
-        func.sel_applied = True
-    elif phase.id == "k":
-        func.alloc_applied = True
-
-
-def _copy_into(source: Function, dest: Function) -> None:
-    """Overwrite *dest* in place with *source*'s state."""
-    dest.blocks = source.blocks
-    dest.frame = source.frame
-    dest.frame_size = source.frame_size
-    dest.next_pseudo = source.next_pseudo
-    dest.next_label = source.next_label
-    dest.reg_assigned = source.reg_assigned
-    dest.sel_applied = source.sel_applied
-    dest.alloc_applied = source.alloc_applied
-    dest.unrolled = source.unrolled
-    dest._analyses = source._analyses
+def implicit_cleanup(func: Function) -> bool:
+    """Run the implicit control-flow cleanup on *func* to a fixpoint."""
+    flat = to_flat(func)
+    if not flat_implicit_cleanup(flat):
+        return False
+    from_flat(flat, into=func)
+    return True

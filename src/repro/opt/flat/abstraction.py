@@ -1,4 +1,18 @@
-"""Flat kernel for phase n — code abstraction (cross-jump + hoist).
+"""Phase n — code abstraction.
+
+Table 1: "Performs cross-jumping and code-hoisting to move identical
+instructions from basic blocks to their common predecessor or
+successor."
+
+Cross-jumping: when every predecessor of a block reaches it
+unconditionally (by jump or fallthrough) and all predecessors end with
+the same instruction suffix, the suffix is moved into the successor.
+
+Code hoisting: when both successors of a conditional branch have the
+branching block as their only predecessor and begin with the same
+instruction, that instruction is moved up into the branching block
+(after its compare — a moved compare would clobber the condition code,
+so compares are never hoisted).
 
 Instruction equality is id equality under hash-consing, so the common
 suffix scan and the hoist comparison are integer compares.
@@ -18,7 +32,8 @@ from repro.ir.flat import (
     FlatFunction,
 )
 from repro.machine.target import Target
-from repro.opt.flat.support import FlatKernel, terminator_iid
+from repro.opt.base import Phase
+from repro.opt.flat.support import terminator_iid
 
 
 def _body(block: List[int]) -> List[int]:
@@ -26,8 +41,9 @@ def _body(block: List[int]) -> List[int]:
     return block[:-1] if term >= 0 else list(block)
 
 
-class CodeAbstractionKernel(FlatKernel):
+class CodeAbstraction(Phase):
     id = "n"
+    name = "code abstraction"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False

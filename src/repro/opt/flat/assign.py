@@ -1,10 +1,15 @@
-"""Flat mirror of the compulsory register assignment.
+"""Compulsory register assignment: pseudo registers -> hardware registers.
 
-Identical Chaitin-Briggs coloring to
-:mod:`repro.opt.register_assignment` — same interference edges, same
-simplify order, same tie-breaks, same spill fallback — computed over
-register-id bitmasks instead of object sets, so the result (and hence
-the fingerprint of everything downstream) is bit-identical.
+VPO performs this implicitly before the first code-improving phase in a
+sequence that requires it (c and k).  It is not one of the fifteen
+candidate phases; evaluation order determination (o) is illegal after
+it has run.
+
+The implementation is a Chaitin-Briggs graph coloring over pseudo
+register live ranges (register-id bitmasks), with precolored hardware
+registers (argument registers, the return value, call-clobbered
+registers) as interference constraints and spill-to-stack as the
+fallback.
 """
 
 from __future__ import annotations
@@ -30,6 +35,15 @@ from repro.machine.target import ALLOCATABLE, FP, Target
 from repro.opt.flat.support import ALLOC_MASK, HW_MASK, PSEUDO_CLEAR, rewrite_regs_iid
 
 _MAX_SPILL_ROUNDS = 25
+
+#: phase contract (one of the two implicit phases; candidate phases
+#: declare these as Phase class attributes instead — see
+#: repro/staticanalysis/contracts.py for the vocabulary and checker)
+CONTRACT = {
+    "requires": ("pre-assignment",),
+    "establishes": ("registers-assigned", "no-pseudo-registers"),
+    "breaks": (),
+}
 
 
 def flat_assign_registers(flat: FlatFunction, target: Target) -> None:
@@ -79,7 +93,7 @@ def _try_color(flat: FlatFunction) -> Tuple[Dict[int, int], List[int]]:
                         forbidden[other] |= bit
 
     # Chaitin-Briggs simplify/select with optimistic spilling, ordered
-    # by the pseudo's own numeric index exactly as the object engine.
+    # by the pseudo's own numeric index.
     colors = list(ALLOCATABLE)
     k = len(colors)
     index_of = {p: REG_OBJS[p].index for p in pseudos}
@@ -104,9 +118,12 @@ def _try_color(flat: FlatFunction) -> Tuple[Dict[int, int], List[int]]:
             if neighbor not in removed:
                 degree[neighbor] -= 1
 
-    # Prefer lightly used colors (see register_assignment.py): hardware
-    # registers already in the code count once per defs set and once
-    # per uses set of each instruction, exactly like the object tally.
+    # Prefer lightly used colors so unrelated values get distinct
+    # registers — keeping live ranges separable for the later phases,
+    # as VPO's plentiful-register assignment does.  Hardware registers
+    # already in the code (arguments, return value) count once per
+    # defs set and once per uses set of each instruction, so
+    # temporaries avoid them.
     usage: Dict[int, int] = {c: 0 for c in colors}
     for block in flat.blocks:
         for iid in block:

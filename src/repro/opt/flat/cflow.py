@@ -1,10 +1,11 @@
-"""Flat kernels for the pure control-flow phases: b, d, i, r, u.
+"""The pure control-flow phases: b, d, i, r, u.
 
-Each mirrors its object phase decision-for-decision (same scan order,
-same guards, same single-change-per-pass structure) over label ids and
-block indices.  Branch retargeting goes through the interned
-constructors in :mod:`repro.opt.flat.support`, so rewritten
-terminators hash-cons to the same ids everywhere.
+Each works over label ids and block indices only.  Branch retargeting
+goes through the interned constructors in
+:mod:`repro.opt.flat.support`, so rewritten terminators hash-cons to
+the same ids everywhere.  None of them requires or establishes a
+contract invariant, and each preserves every monotone one (see
+staticanalysis/contracts.py).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from repro.ir.flat import (
 )
 from repro.ir.instructions import INVERTED_RELOP
 from repro.machine.target import Target
-from repro.opt.flat.support import FlatKernel, condbr_iid, jump_iid, terminator_iid
+from repro.opt.base import Phase
+from repro.opt.flat.support import condbr_iid, jump_iid, terminator_iid
 
 
 def _final_target(start: int, trivial: Dict[int, int]) -> int:
@@ -40,8 +42,18 @@ def _final_target(start: int, trivial: Dict[int, int]) -> int:
     return current
 
 
-class BranchChainingKernel(FlatKernel):
+class BranchChaining(Phase):
+    """Table 1: "Replaces a branch or jump target with the target of
+    the last jump in the jump chain."
+
+    Per section 5.1 of the paper, unreachable code occasionally left
+    behind by branch chaining is removed during branch chaining itself
+    (it would otherwise hinder later analyses); a standalone
+    unreachable-code phase (d) still exists.
+    """
+
     id = "b"
+    name = "branch chaining"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         trivial: Dict[int, int] = {}
@@ -80,8 +92,12 @@ class BranchChainingKernel(FlatKernel):
         return changed
 
 
-class RemoveUnreachableCodeKernel(FlatKernel):
+class RemoveUnreachableCode(Phase):
+    """Table 1: "Removes basic blocks that cannot be reached from the
+    function entry block." """
+
     id = "d"
+    name = "remove unreachable code"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         cfg = flat_cfg_of(flat)
@@ -96,8 +112,21 @@ class RemoveUnreachableCodeKernel(FlatKernel):
         return True
 
 
-class BlockReorderingKernel(FlatKernel):
+class BlockReordering(Phase):
+    """Table 1: "Removes a jump by reordering blocks when the target of
+    the jump has only a single predecessor."
+
+    A jump to the next positional block is simply deleted.  Otherwise
+    the target block moves to just after the jumping block and the jump
+    is deleted; the moved block must end in an explicit transfer (or
+    fall through, in which case an explicit jump to its old positional
+    successor is appended first).  Blocks ending in a conditional
+    branch are not moved: their fallthrough successor cannot move with
+    them.
+    """
+
     id = "i"
+    name = "block reordering"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False
@@ -148,8 +177,24 @@ class BlockReorderingKernel(FlatKernel):
         return False
 
 
-class ReverseBranchesKernel(FlatKernel):
+class ReverseBranches(Phase):
+    """Table 1: "Removes an unconditional jump by reversing a
+    conditional branch branching over the jump."
+
+    Pattern::
+
+        B1:  ... ; IC=... ; PC=IC cc 0, L2
+        B2:  PC=L3                            (only reached from B1)
+        L2:  ...
+
+    becomes::
+
+        B1:  ... ; IC=... ; PC=IC !cc 0, L3
+        L2:  ...
+    """
+
     id = "r"
+    name = "reverse branches"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False
@@ -182,8 +227,12 @@ class ReverseBranchesKernel(FlatKernel):
                 return changed
 
 
-class RemoveUselessJumpsKernel(FlatKernel):
+class RemoveUselessJumps(Phase):
+    """Table 1: "Removes jumps and branches whose target is the
+    following positional block." """
+
     id = "u"
+    name = "remove useless jumps"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False

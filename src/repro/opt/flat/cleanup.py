@@ -1,10 +1,15 @@
-"""Flat mirror of the implicit control-flow canonicalization.
+"""Implicit control-flow canonicalization.
 
-Same fixpoint as :mod:`repro.opt.cleanup`, over parallel label/block
-int lists.  The ``labels`` list must stay in lockstep with ``blocks``
-through every structural edit — that is the one invariant the object IR
-gets for free (labels live inside the block) and the flat IR must
-maintain by hand.
+VPO performs *merge basic blocks* and *eliminate empty blocks*
+implicitly after any transformation that may enable them; they are not
+candidate phases because they only change the compiler's internal
+control-flow representation (paper section 3).  They run after each
+active phase and once on frontend output.
+
+The fixpoint works over parallel label/block int lists.  The ``labels``
+list must stay in lockstep with ``blocks`` through every structural
+edit — that is the one invariant the object IR gets for free (labels
+live inside the block) and the flat IR must maintain by hand.
 """
 
 from __future__ import annotations
@@ -23,6 +28,15 @@ from repro.ir.flat import (
     FlatFunction,
 )
 from repro.opt.flat.support import condbr_iid, jump_iid
+
+#: phase contract (one of the two implicit phases): cleanup requires
+#: nothing, establishes nothing, and must preserve every monotone
+#: invariant — it only canonicalizes the block structure
+CONTRACT = {
+    "requires": (),
+    "establishes": (),
+    "breaks": (),
+}
 
 
 def _retarget(flat: FlatFunction, mapping: Dict[int, int]) -> None:
@@ -45,6 +59,12 @@ def _retarget(flat: FlatFunction, mapping: Dict[int, int]) -> None:
 
 
 def flat_remove_empty_blocks(flat: FlatFunction) -> bool:
+    """Delete blocks with no instructions, retargeting branches to them.
+
+    An empty block simply falls through; every reference to it can be
+    redirected to its positional successor.  The entry block is kept
+    even when empty (it anchors the function).
+    """
     changed = False
     while True:
         blocks = flat.blocks
@@ -75,6 +95,7 @@ def flat_remove_empty_blocks(flat: FlatFunction) -> bool:
 
 
 def flat_merge_fallthrough_blocks(flat: FlatFunction) -> bool:
+    """Merge a block into its fallthrough-only single predecessor."""
     changed = False
     while True:
         cfg = flat_cfg_of(flat)

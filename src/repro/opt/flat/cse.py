@@ -1,14 +1,38 @@
-"""Flat kernel for phase c — common subexpression elimination.
+"""Phase c — common subexpression elimination.
 
-The hottest phase of the enumeration (nearly a third of cold expansion
-time in the object engine).  The three cooperating parts of
-:mod:`repro.opt.cse` are mirrored over register-id masks: the local
-value table keys constants/copies by rid and expression holders by the
-interned source expression; global propagation and CSE use the flat
-dominator tree over block indices.  Rewrites, legalization, and slot
-classification all go through the shared per-instruction caches, so
-each distinct (instruction, substitution) pair is built once per
-process rather than once per attempt.
+Table 1: "Performs global analysis to eliminate fully redundant
+calculations, which also includes global constant and copy
+propagation."
+
+Like VPO's, this phase requires register assignment to have been
+performed (section 5.2 of the paper notes c and k always disable o for
+this reason).
+
+Three cooperating parts, iterated to a fixpoint:
+
+1. *Local value numbering* per block: constant and copy propagation
+   through a running value table, plus replacement of recomputed
+   expressions (including slot loads) with a copy from the register
+   already holding the value.  Replacements are committed only when the
+   rewritten RTL stays a legal machine instruction (commutative
+   operands are swapped when that legalizes a constant).
+2. *Global constant/copy propagation* over single-definition registers,
+   guarded by dominance.
+3. *Global CSE* over single-definition registers: a computation
+   ``rB = e`` dominated by an identical ``rA = e`` (pure register
+   expression, operands single-definition) becomes ``rB = rA``.
+
+Constant *folding* is not done here — that belongs to instruction
+selection (s), exactly as in VPO; the division of labour is what makes
+c and s overlap on cases like Figure 3 of the paper.
+
+The hottest phase of the enumeration.  The local value table keys
+constants/copies by rid and expression holders by the interned source
+expression; global propagation and CSE use the flat dominator tree
+over block indices.  Rewrites, legalization, and slot classification
+all go through the shared per-instruction caches, so each distinct
+(instruction, substitution) pair is built once per process rather than
+once per attempt.
 """
 
 from __future__ import annotations
@@ -41,10 +65,10 @@ from repro.ir.flat import (
 from repro.ir.instructions import Assign
 from repro.ir.operands import Expr, Reg
 from repro.machine.target import Target
+from repro.opt.base import Phase
 from repro.opt.flat.support import (
     FP_BIT,
     FP_RID,
-    FlatKernel,
     SRC_CONST,
     SRC_COPY,
     SRC_EXPR,
@@ -163,9 +187,12 @@ class _ValueTable:
                 self.holder_mask[payload] = USE_MASK[iid]
 
 
-class CommonSubexpressionEliminationKernel(FlatKernel):
+class CommonSubexpressionElimination(Phase):
     id = "c"
+    name = "common subexpression elimination"
     requires_assignment = True
+    #: contract: triggers compulsory register assignment when needed
+    contract_establishes = ("registers-assigned", "no-pseudo-registers")
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False

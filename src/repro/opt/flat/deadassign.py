@@ -1,4 +1,20 @@
-"""Flat kernel for phase h — dead assignment elimination."""
+"""Phase h — dead assignment elimination.
+
+Table 1: "Uses global analysis to remove assignments when the assigned
+value is never used."
+
+Three kinds of dead assignments are removed:
+
+- register assignments whose destination is not live afterwards;
+- compares whose condition code is never read (the condition code is
+  never live across a block boundary in this IR);
+- stores to scalar frame slots that are never subsequently loaded
+  (resolved through the frame-reference analysis, so stores made via
+  address registers are handled).
+
+Loads have no side effects on this target, so a dead load is removed
+like any other dead assignment.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +34,7 @@ from repro.ir.flat import (
     block_id,
 )
 from repro.machine.target import Target
-from repro.opt.flat.support import FlatKernel
+from repro.opt.base import Phase
 
 #: block id -> per-instruction "condition code read later" flags
 #: (purely local to the block)
@@ -26,8 +42,9 @@ _CC_FLAGS: Dict[int, List[bool]] = {}
 _CC_FLAGS_MAX = 1 << 18
 
 
-class DeadAssignmentEliminationKernel(FlatKernel):
+class DeadAssignmentElimination(Phase):
     id = "h"
+    name = "dead assignment elimination"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False

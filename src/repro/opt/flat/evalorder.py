@@ -1,4 +1,15 @@
-"""Flat kernel for phase o — evaluation order determination.
+"""Phase o — evaluation order determination.
+
+Table 1: "Reorders instructions within a single basic block in an
+attempt to use fewer registers."
+
+This phase is only legal before the compulsory register assignment (it
+exists to reduce the number of simultaneously live pseudo registers
+that assignment must later color).  Within each block a dependence DAG
+is built (register RAW/WAR/WAW, memory ordering, condition-code
+ordering) and instructions are re-scheduled greedily, preferring at
+each step the ready instruction that ends the most pseudo live ranges
+while starting the fewest.
 
 The per-block schedule is a pure function of (block content, pseudo
 live-out mask), so results are cached globally by interned block id —
@@ -27,7 +38,8 @@ from repro.ir.flat import (
     iter_rids,
 )
 from repro.machine.target import Target
-from repro.opt.flat.support import FlatKernel, PSEUDO_CLEAR
+from repro.opt.base import Phase
+from repro.opt.flat.support import PSEUDO_CLEAR
 
 #: (block id, pseudo live-out mask) -> schedule (tuple of indices)
 _SCHEDULES: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -123,8 +135,11 @@ def _schedule(block: List[int], live_out: int) -> Tuple[int, ...]:
     return tuple(order)
 
 
-class EvaluationOrderDeterminationKernel(FlatKernel):
+class EvaluationOrderDetermination(Phase):
     id = "o"
+    name = "evaluation order determination"
+    #: contract: illegal once registers are assigned (mirrors applicable)
+    contract_requires = ("pre-assignment",)
 
     def applicable(self, flat: FlatFunction) -> bool:
         return not flat.reg_assigned

@@ -1,8 +1,17 @@
-"""Flat kernel for phase j — minimize loop jumps (loop inversion).
+"""Phase j — minimize loop jumps.
+
+Table 1: "Removes a jump associated with a loop by duplicating a
+portion of the loop."
+
+This is loop inversion: a back edge that is an unconditional jump to a
+loop header whose only job is to test the exit condition is replaced by
+a duplicated copy of the header's test that branches back into the loop
+body directly.  The loop then pays one conditional branch per
+iteration instead of a jump plus a branch.
 
 Latches are visited in the lexicographic order of their *label
-strings*, matching the object phase's ``sorted(loop.latches)`` over
-labels, so both engines invert the same latch first.
+strings* (not their block indices), which fixes which latch is
+inverted first.
 """
 
 from __future__ import annotations
@@ -23,12 +32,16 @@ from repro.ir.flat import (
 )
 from repro.ir.instructions import INVERTED_RELOP
 from repro.machine.target import Target
-from repro.opt.flat.support import FlatKernel, condbr_iid, jump_iid, terminator_iid
-from repro.opt.loop_jumps import MAX_DUPLICATED_INSTS
+from repro.opt.base import Phase
+from repro.opt.flat.support import condbr_iid, jump_iid, terminator_iid
+
+#: headers with more instructions than this are not duplicated
+MAX_DUPLICATED_INSTS = 12
 
 
-class MinimizeLoopJumpsKernel(FlatKernel):
+class MinimizeLoopJumps(Phase):
     id = "j"
+    name = "minimize loop jumps"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False

@@ -1,4 +1,22 @@
-"""Flat kernel for phase k — register allocation (slots -> registers)."""
+"""Phase k — register allocation.
+
+Table 1: "Uses graph coloring to replace references to a variable
+within a live range with a register."
+
+Like VPO's, this phase is only legal after instruction selection has
+been applied (so that candidate loads and stores contain the addresses
+of arguments or local scalars) and it requires the compulsory register
+assignment.
+
+Every scalar frame slot whose accesses are all resolvable (the
+frame-reference analysis proves their fp offsets, and the function
+contains no wild frame access) is a candidate.  Candidates are colored
+against each other and against the hardware registers live or defined
+anywhere within the slot's live range; a colored slot's loads and
+stores become register-to-register moves — which instruction selection
+typically collapses afterwards, exactly the enabling relation between
+k and s the paper reports.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +37,8 @@ from repro.ir.flat import (
 from repro.ir.instructions import Assign
 from repro.ir.operands import Mem, Reg
 from repro.machine.target import ALLOCATABLE, Target
-from repro.opt.flat.support import FlatKernel, HW_MASK
+from repro.opt.base import Phase
+from repro.opt.flat.support import HW_MASK
 
 #: (load iid, hw index) -> ``dst = rX`` / (store iid, hw index) -> ``rX = src``
 _LOAD_REWRITES: Dict[Tuple[int, int], int] = {}
@@ -48,9 +67,17 @@ def _store_rewrite(iid: int, hw_index: int) -> int:
     return result
 
 
-class RegisterAllocationKernel(FlatKernel):
+class RegisterAllocation(Phase):
     id = "k"
+    name = "register allocation"
     requires_assignment = True
+    #: contract: legal only after instruction selection (mirrors applicable)
+    contract_requires = ("selection-done",)
+    contract_establishes = (
+        "registers-assigned",
+        "no-pseudo-registers",
+        "allocation-done",
+    )
 
     def applicable(self, flat: FlatFunction) -> bool:
         return flat.sel_applied
@@ -103,9 +130,12 @@ class RegisterAllocationKernel(FlatKernel):
             slots_after = slot_liveness.live_after_each(bi)
             refs = frame_refs.refs[bi]
             for i, iid in enumerate(block):
-                # A written slot conflicts with everything live across
-                # the instruction, exactly like a defined register (see
-                # the object implementation for the rationale).
+                # A write to a slot interferes even when the stored value
+                # is dead (overwritten before any read): the rewrite still
+                # materializes the store, and once slots share a register
+                # a dead store physically clobbers the other slot's live
+                # value — so a defined slot conflicts with everything live
+                # across this instruction, exactly like a defined register.
                 live_slots = (slots_after[i] | refs[i].writes) & candidate_set
                 if not live_slots:
                     continue

@@ -1,4 +1,19 @@
-"""Flat kernel for phase s — instruction selection.
+"""Phase s — instruction selection.
+
+Table 1: "Combines pairs or triples of instructions together where the
+instructions are linked by set/use dependencies.  After combining the
+effects of the instructions, it also performs constant folding and
+checks if the resulting effect is a legal instruction before committing
+to the transformation."
+
+A definition ``t = e`` is forward-substituted into the single
+instruction that uses ``t`` (in the same block, with nothing in between
+disturbing ``e``'s operands or, for loads, memory), the result is
+constant-folded, and the combination is committed only when the target
+accepts the combined RTL as one legal instruction.  Triples fall out of
+repeating the pass to a fixpoint.  Standalone constant folding of a
+single RTL (e.g. left behind by constant propagation) is also part of
+this phase.
 
 Combine results are pure pair facts: substituting def ``t = e`` into a
 use instruction and folding depends only on the two interned
@@ -33,8 +48,8 @@ from repro.ir.flat import (
 )
 from repro.analysis.flat import RV_RID, _cache_of
 from repro.machine.target import Target
+from repro.opt.base import Phase
 from repro.opt.flat.support import (
-    FlatKernel,
     fold_iid,
     is_legal_iid,
     legal_cache,
@@ -63,7 +78,7 @@ _MISSING = object()
 #: per-target combine decision per (block id, use-count vector of the
 #: block's defined registers): the single (def index, use index,
 #: combined iid) action the pass would take, or ``None``.  The scan in
-#: :meth:`InstructionSelectionKernel._combine_in_block` reads only the
+#: :meth:`InstructionSelection._combine_in_block` reads only the
 #: block's own instructions plus the *total* textual use count of each
 #: candidate register, so that pair fully determines the outcome.
 _DECISIONS: "weakref.WeakKeyDictionary[Target, Dict[Tuple, object]]" = (
@@ -115,8 +130,11 @@ def _count_in(iid: int, rid: int) -> int:
     return 0
 
 
-class InstructionSelectionKernel(FlatKernel):
+class InstructionSelection(Phase):
     id = "s"
+    name = "instruction selection"
+    #: contract: an active application flips the sel_applied legality flag
+    contract_establishes = ("selection-done",)
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         changed = False

@@ -1,9 +1,18 @@
-"""Flat kernel for phase q — strength reduction.
+"""Phase q — strength reduction.
 
-The multiply expansion itself is the object implementation's
-``expand_multiply``; what the kernel adds is a per-(instruction,
-target) cache of the expansion result as interned ids, so the pattern
-match and sequence construction happen once per distinct multiply.
+Table 1: "Replaces an expensive instruction with one or more cheaper
+ones.  For this version of the compiler, this means changing a multiply
+by a constant into a series of shift, adds, and subtracts."
+
+A multiply ``t = a * c`` is rewritten when ``c`` has at most three set
+bits (so the replacement sequence of shifts and shifted adds is cheaper
+than the target's multiply cost); a negative constant additionally
+pays one negate.  The ARM barrel shifter makes ``t = t + (a << k)`` a
+single legal instruction.
+
+The expansion is cached per (instruction, target) as interned ids, so
+the pattern match and sequence construction happen once per distinct
+multiply.
 """
 
 from __future__ import annotations
@@ -19,10 +28,55 @@ from repro.ir.flat import (
     block_id,
     intern_inst,
 )
-from repro.ir.operands import BinOp, Const, Reg
+from repro.ir.instructions import Assign, Instruction
+from repro.ir.operands import BinOp, Const, Reg, UnOp
 from repro.machine.target import Target
-from repro.opt.flat.support import FlatKernel
-from repro.opt.strength_reduction import expand_multiply
+from repro.opt.base import Phase
+
+
+def _set_bits(value: int) -> List[int]:
+    bits = []
+    position = 0
+    while value:
+        if value & 1:
+            bits.append(position)
+        value >>= 1
+        position += 1
+    bits.reverse()  # most significant first
+    return bits
+
+
+def expand_multiply(dst: Reg, src: Reg, constant: int, target: Target) -> Optional[List[Instruction]]:
+    """Shift/add sequence computing ``dst = src * constant``, or None.
+
+    Requires ``dst != src`` (the destination doubles as accumulator).
+    """
+    if dst == src:
+        return None
+    if constant == 0:
+        return [Assign(dst, Const(0))]
+    negative = constant < 0
+    magnitude = -constant if negative else constant
+    bits = _set_bits(magnitude)
+    cost = len(bits) + (1 if negative else 0)
+    if cost >= target.MUL_COST:
+        return None
+    first, rest = bits[0], bits[1:]
+    insts: List[Instruction] = []
+    if first == 0:
+        insts.append(Assign(dst, src))
+    else:
+        insts.append(Assign(dst, BinOp("lsl", src, Const(first))))
+    for bit in rest:
+        if bit == 0:
+            insts.append(Assign(dst, BinOp("add", dst, src)))
+        else:
+            insts.append(
+                Assign(dst, BinOp("add", dst, BinOp("lsl", src, Const(bit))))
+            )
+    if negative:
+        insts.append(Assign(dst, UnOp("neg", dst)))
+    return insts
 
 _EXPANSIONS: "weakref.WeakKeyDictionary[Target, Dict[int, Optional[Tuple[int, ...]]]]" = (
     weakref.WeakKeyDictionary()
@@ -62,8 +116,9 @@ def _expansion(iid: int, target: Target) -> Optional[Tuple[int, ...]]:
     return result
 
 
-class StrengthReductionKernel(FlatKernel):
+class StrengthReduction(Phase):
     id = "q"
+    name = "strength reduction"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
         cache = _BLOCKS.get(target)

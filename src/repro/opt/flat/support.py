@@ -1,4 +1,4 @@
-"""Shared per-instruction caches for the flat phase kernels.
+"""Shared per-instruction helpers and caches for the phase kernels.
 
 Every helper here is a pure function of interned instruction ids (plus
 a target for legality questions), so results are cached globally and
@@ -36,11 +36,16 @@ from repro.ir.flat import (
     iter_rids,
     reg_id,
 )
-from repro.ir.instructions import Assign, Call, Compare, CondBranch, Jump
-from repro.ir.operands import Const, Expr, Mem, Reg
+from repro.ir.instructions import (
+    Assign,
+    Call,
+    Compare,
+    CondBranch,
+    Instruction,
+    Jump,
+)
+from repro.ir.operands import COMMUTATIVE_OPS, BinOp, Const, Expr, Mem, Reg, fold
 from repro.machine.target import ALLOCATABLE, FP, Target
-from repro.opt.cse import _legalize, _literal_slot_offset
-from repro.opt.instruction_selection import _fold_instruction
 
 HW_MASK = (1 << NUM_SEEDED_HW) - 1
 #: AND with this to keep only pseudo-register bits (rid >= NUM_SEEDED_HW)
@@ -52,22 +57,6 @@ FP_RID = reg_id(FP)
 FP_BIT = 1 << FP_RID
 
 _CACHE_MAX = 1 << 18
-
-
-class FlatKernel:
-    """Base class for a flat port of one candidate phase."""
-
-    id: str = "?"
-    requires_assignment: bool = False
-
-    def applicable(self, flat) -> bool:
-        return True
-
-    def run(self, flat, target: Target) -> bool:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<FlatKernel {self.id}>"
 
 
 def terminator_iid(block: List[int]) -> int:
@@ -108,6 +97,64 @@ def condbr_iid(relop: str, lid: int) -> int:
 
 
 # ----------------------------------------------------------------------
+# Per-instruction helpers over instruction objects (cached by id below)
+# ----------------------------------------------------------------------
+
+
+def _legalize(inst: Instruction, target: Target) -> Optional[Instruction]:
+    """Return a legal variant of *inst*, swapping commutative operands
+    if that helps, or None when no legal form exists."""
+    if target.is_legal(inst):
+        return inst
+    if (
+        isinstance(inst, Assign)
+        and isinstance(inst.src, BinOp)
+        and inst.src.op in COMMUTATIVE_OPS
+    ):
+        swapped = Assign(inst.dst, BinOp(inst.src.op, inst.src.right, inst.src.left))
+        if target.is_legal(swapped):
+            return swapped
+    return None
+
+
+def _literal_slot_offset(mem: Mem) -> Optional[int]:
+    """fp-relative offset when the address is literally fp(+const)."""
+    addr = mem.addr
+    if addr == FP:
+        return 0
+    if (
+        isinstance(addr, BinOp)
+        and addr.op == "add"
+        and addr.left == FP
+        and isinstance(addr.right, Const)
+        and isinstance(addr.right.value, int)
+    ):
+        return addr.right.value
+    return None
+
+
+def _fold_instruction(inst: Instruction) -> Instruction:
+    """Constant-fold an assignment's or comparison's operands."""
+    if isinstance(inst, Assign):
+        src = fold(inst.src)
+        dst = inst.dst
+        if isinstance(dst, Mem):
+            addr = fold(dst.addr)
+            if addr is not dst.addr:
+                dst = Mem(addr)
+        if src is inst.src and dst is inst.dst:
+            return inst
+        return Assign(dst, src)
+    if isinstance(inst, Compare):
+        left = fold(inst.left)
+        right = fold(inst.right)
+        if left is inst.left and right is inst.right:
+            return inst
+        return Compare(left, right)
+    return inst
+
+
+# ----------------------------------------------------------------------
 # Legality and legalization (per target)
 # ----------------------------------------------------------------------
 
@@ -138,7 +185,7 @@ def is_legal_iid(iid: int, target: Target, cache: Optional[Dict[int, bool]] = No
 
 
 def legalize_iid(iid: int, target: Target) -> int:
-    """``cse._legalize`` over ids: a legal variant's id, or -1."""
+    """:func:`_legalize` over ids: a legal variant's id, or -1."""
     cache = _LEGALIZE.get(target)
     if cache is None:
         cache = {}
@@ -191,7 +238,7 @@ def rewrite_regs_iid(iid: int, pairs: Tuple) -> int:
 
 
 def fold_iid(iid: int) -> int:
-    """``instruction_selection._fold_instruction`` over ids."""
+    """:func:`_fold_instruction` over ids."""
     result = _FOLD.get(iid)
     if result is None:
         result = intern_inst(_fold_instruction(INST_OBJS[iid]))
@@ -242,7 +289,7 @@ _EXPR_MEM_SLOTS: Dict[Expr, Optional[Tuple]] = {}
 
 
 def store_slot(iid: int) -> Optional[int]:
-    """``cse._literal_slot_offset`` of a store's destination."""
+    """:func:`_literal_slot_offset` of a store's destination."""
     if iid in _STORE_SLOT:
         return _STORE_SLOT[iid]
     slot = _literal_slot_offset(INST_OBJS[iid].dst)

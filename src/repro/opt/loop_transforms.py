@@ -24,6 +24,9 @@ Three transformations, applied one at a time with fresh analyses:
   invariant bound, the comparison is rewritten against the reduced
   register (``IC = p ? bound*m`` — the shape of Figure 5 in the paper)
   and the bump deleted.
+
+The transforms work on the object IR behind the flat phase interface
+(see :class:`repro.opt.base.LoopPhase`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.operands import BinOp, Const, Expr, Mem, Reg
 from repro.machine.target import ALLOCATABLE, FP, Target
-from repro.opt.base import Phase
+from repro.opt.base import LoopPhase
 
 _TRAPPING_OPS = frozenset({"div", "rem", "fdiv"})
 
@@ -112,7 +115,7 @@ class _LoopInfo:
         return all(self.invariant_reg(reg) for reg in expr.registers())
 
 
-class LoopTransformations(Phase):
+class LoopTransformations(LoopPhase):
     id = "l"
     name = "loop transformations"
     #: contract: legal only after register allocation (mirrors applicable)
@@ -121,10 +124,10 @@ class LoopTransformations(Phase):
     contract_breaks = ()
     requires_assignment = True
 
-    def applicable(self, func: Function) -> bool:
-        return func.alloc_applied
+    def applicable(self, flat) -> bool:
+        return flat.alloc_applied
 
-    def run(self, func: Function, target: Target) -> bool:
+    def transform(self, func: Function, target: Target) -> bool:
         changed = False
         while self._apply_once(func, target):
             changed = True

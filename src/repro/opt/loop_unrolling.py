@@ -14,6 +14,9 @@ original back edges are redirected to the copy, and the copy's back
 edges return to the original header.  Each loop is unrolled at most
 once, and only when its blocks are positionally contiguous and the body
 is small enough.
+
+The transform works on the object IR behind the flat phase interface
+(see :class:`repro.opt.base.LoopPhase`).
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from repro.analysis.loops import Loop
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import CondBranch, Jump
 from repro.machine.target import Target
-from repro.opt.base import Phase
+from repro.opt.base import LoopPhase
 
 #: loops with more instructions than this are not unrolled
 MAX_UNROLL_INSTS = 40
 
 
-class LoopUnrolling(Phase):
+class LoopUnrolling(LoopPhase):
     id = "g"
     name = "loop unrolling"
     #: contract: legal only after register allocation (mirrors applicable)
@@ -40,10 +43,10 @@ class LoopUnrolling(Phase):
     contract_breaks = ()
     UNROLL_FACTOR = 2
 
-    def applicable(self, func: Function) -> bool:
-        return func.alloc_applied
+    def applicable(self, flat) -> bool:
+        return flat.alloc_applied
 
-    def run(self, func: Function, target: Target) -> bool:
+    def transform(self, func: Function, target: Target) -> bool:
         changed = False
         while self._apply_once(func):
             changed = True

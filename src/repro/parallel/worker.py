@@ -43,17 +43,17 @@ from repro.robustness.faults import FaultInjector
 _CONFIG_FIELDS = (
     "max_level_sequences", "max_nodes", "max_levels", "time_limit",
     "exact", "remap", "validate", "difftest", "input_vectors",
-    "phase_timeout", "canonical_input", "sanitize", "engine", "collapse",
+    "phase_timeout", "canonical_input", "sanitize", "collapse",
 )
 
 
 def config_spec(config: EnumerationConfig, checkpoint_interval: float) -> Dict:
     """The picklable fields a worker rebuilds *config* from.
 
-    Phases travel by id, so workers run the canonical phase objects the
-    flat kernels are verified against.  The fault injector travels as
-    its settings and is rebuilt for each function, which then draws the
-    stream a serial run with a fresh injector would.
+    Phases travel by id, so workers run the stock phase objects.  The
+    fault injector travels as its settings and is rebuilt for each
+    function, which then draws the stream a serial run with a fresh
+    injector would.
     """
     spec = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     injector = config.fault_injector

@@ -31,7 +31,6 @@ from repro.robustness.guard import (
     GuardedPhaseRunner,
     PhaseTimeout,
     default_vectors,
-    restore_function,
 )
 from repro.robustness.quarantine import KINDS, QuarantineLog, QuarantineRecord
 from repro.robustness.retry import (
@@ -46,7 +45,6 @@ __all__ = [
     "DifferentialTester",
     "PhaseTimeout",
     "default_vectors",
-    "restore_function",
     "FaultInjector",
     "InjectedFault",
     "CORRUPT_LABEL",

@@ -1,11 +1,13 @@
 """The guarded phase application hot path.
 
-:class:`GuardedPhaseRunner` wraps :func:`repro.opt.apply_phase` with a
-set of runtime defenses so one buggy (or sabotaged) phase application
-cannot abort a long enumeration or poison the space DAG:
+:class:`GuardedPhaseRunner` wraps :func:`repro.opt.attempt_phase_on_flat`
+with a set of runtime defenses so one buggy (or sabotaged) phase
+application cannot abort a long enumeration or poison the space DAG.
+The phase runs on a clone of the flat parent; every check reads object
+views (``from_flat``) of the parent and the candidate:
 
-1. **Exception containment** — a phase that raises is caught, the
-   pre-phase instance is restored, and the attempt is recorded.
+1. **Exception containment** — a phase that raises is caught and the
+   attempt is recorded.
 2. **IR validation** — the output of an active phase must pass
    :func:`repro.ir.validate.validate_ir` (structure, machine legality,
    register discipline, frame consistency).
@@ -18,7 +20,8 @@ cannot abort a long enumeration or poison the space DAG:
    phase that runs past ``phase_timeout`` seconds (main thread only;
    elsewhere the watchdog degrades to no timeout).
 
-On any failure the runner restores the instance, appends a
+On any failure the runner drops the candidate (the parent was never
+mutated), appends a
 :class:`~repro.robustness.quarantine.QuarantineRecord`, and reports the
 phase as dormant, so the caller — enumerator or compiler — simply
 continues.  A seeded :class:`~repro.robustness.faults.FaultInjector`
@@ -33,11 +36,12 @@ import time
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
+from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.ir.function import Function, Program
 from repro.ir.validate import IRValidationError, validate_ir
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
-from repro.opt import Phase, apply_phase
+from repro.opt import Phase, attempt_phase_on_flat
 from repro.robustness.faults import FaultInjector, InjectedFault
 from repro.robustness.quarantine import QuarantineLog, QuarantineRecord
 from repro.vm import Interpreter, VMError
@@ -80,20 +84,6 @@ def _phase_alarm(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def restore_function(dest: Function, snapshot: Function) -> None:
-    """Overwrite *dest* in place with *snapshot*'s state."""
-    dest.blocks = snapshot.blocks
-    dest.params = snapshot.params
-    dest.frame = snapshot.frame
-    dest.frame_size = snapshot.frame_size
-    dest.next_pseudo = snapshot.next_pseudo
-    dest.next_label = snapshot.next_label
-    dest.reg_assigned = snapshot.reg_assigned
-    dest.sel_applied = snapshot.sel_applied
-    dest.alloc_applied = snapshot.alloc_applied
-    dest.unrolled = snapshot.unrolled
 
 
 def default_vectors(func: Function) -> Tuple[Tuple[int, ...], ...]:
@@ -178,9 +168,9 @@ class DifferentialTester:
 class GuardedPhaseRunner:
     """Apply phases through the full guard stack.
 
-    Drop-in for :func:`repro.opt.apply_phase`: ``runner.apply(func,
-    phase, target)`` mutates *func* on success and returns whether the
-    phase was active; on any guard failure *func* is restored and the
+    Drop-in for :func:`repro.opt.attempt_phase_on_flat`:
+    ``runner.apply(flat, phase, target)`` returns the active candidate
+    or ``None``; *flat* is never mutated, and on any guard failure the
     attempt reads as dormant.
     """
 
@@ -211,15 +201,14 @@ class GuardedPhaseRunner:
 
     def apply(
         self,
-        func: Function,
+        flat: FlatFunction,
         phase: Phase,
         target: Optional[Target] = None,
         node_key: Optional[str] = None,
         level: Optional[int] = None,
-    ) -> bool:
+    ) -> Optional[FlatFunction]:
         target = target or self.target
         self.guarded_applications += 1
-        snapshot = func.clone()
         injected = (
             self.fault_injector is not None
             and self.fault_injector.should_inject()
@@ -234,31 +223,30 @@ class GuardedPhaseRunner:
                     level=level,
                 )
         started = time.monotonic()
+        after: Optional[Function] = None
         try:
             with _phase_alarm(self.phase_timeout):
                 if injected:
                     # Sabotage instead of the real application: either
-                    # raises, hangs into the alarm, or corrupts in
-                    # place (and the validation below must catch it).
+                    # raises, hangs into the alarm, or corrupts a fresh
+                    # object view of the parent (and the validation
+                    # below must catch it).
+                    after = from_flat(flat)
                     self.fault_injector.sabotage(
-                        func, phase.id, self.phase_timeout
+                        after, phase.id, self.phase_timeout
                     )
-                    active = True
+                    candidate = None
                 else:
-                    active = apply_phase(func, phase, target)
+                    candidate = attempt_phase_on_flat(flat, phase, target)
         except PhaseTimeout as error:
-            restore_function(func, snapshot)
             self._record(phase, "timeout", str(error), node_key, level)
-            return False
+            return None
         except InjectedFault as error:
-            restore_function(func, snapshot)
             self._record(phase, "exception", str(error), node_key, level)
-            return False
-        except (KeyboardInterrupt, SystemExit, MemoryError):
-            restore_function(func, snapshot)
+            return None
+        except MemoryError:
             raise
         except Exception as error:
-            restore_function(func, snapshot)
             self._record(
                 phase,
                 "exception",
@@ -266,22 +254,20 @@ class GuardedPhaseRunner:
                 node_key,
                 level,
             )
-            return False
+            return None
 
         # Cooperative deadline: where the SIGALRM watchdog could not be
         # armed (worker threads; platforms without SIGALRM) the phase
         # ran to completion unsupervised, so enforce the budget after
-        # the fact — the instance is restored and the attempt
-        # quarantined exactly as a preempted one would be.  This cannot
-        # unstick a truly hung phase (nothing cooperative can), but it
-        # keeps the timeout *policy* identical on and off the main
-        # thread.
+        # the fact — the attempt is quarantined exactly as a preempted
+        # one would be.  This cannot unstick a truly hung phase
+        # (nothing cooperative can), but it keeps the timeout *policy*
+        # identical on and off the main thread.
         if (
             self.phase_timeout is not None
             and not _alarm_available()
             and time.monotonic() - started > self.phase_timeout
         ):
-            restore_function(func, snapshot)
             self._record(
                 phase,
                 "timeout",
@@ -290,59 +276,59 @@ class GuardedPhaseRunner:
                 node_key,
                 level,
             )
-            return False
+            return None
 
-        if not active:
-            return False
+        if after is None:
+            if candidate is None:
+                return None
+            if not self.validate and self.sanitizer is None and self.difftest is None:
+                return candidate
+            after = from_flat(candidate)
+        # The checks below read object views; the parent is never
+        # mutated, so a rejected candidate is simply dropped.
+        before = from_flat(flat)
 
         # An injected corruption must never survive even with
         # validation switched off — the injection harness depends on
         # the validator catching it.
         if self.validate or injected:
             try:
-                validate_ir(func, target)
+                validate_ir(after, target)
             except IRValidationError as error:
-                diff = self._excerpt(snapshot, func)
-                restore_function(func, snapshot)
+                diff = self._excerpt(before, after)
                 self._record(
                     phase, "validation", str(error), node_key, level, diff
                 )
-                return False
+                return None
 
         if self.sanitizer is not None:
-            failure = None
             try:
-                failure = self.sanitizer.check_edge(snapshot, func, phase)
-            except (KeyboardInterrupt, SystemExit, MemoryError):
-                restore_function(func, snapshot)
+                failure = self.sanitizer.check_edge(before, after, phase)
+            except MemoryError:
                 raise
             except Exception as error:  # checker bug — still contain
                 failure = ("sanitizer", f"static checker crashed: {error}")
             if failure is not None:
                 kind, detail = failure
-                diff = self._excerpt(snapshot, func)
-                restore_function(func, snapshot)
+                diff = self._excerpt(before, after)
                 self._record(phase, kind, detail, node_key, level, diff)
-                return False
+                return None
 
-        if self.difftest is not None and func.name == self.difftest.entry:
-            mismatch = None
+        if self.difftest is not None and after.name == self.difftest.entry:
             try:
-                mismatch = self.difftest.check(func)
-            except (KeyboardInterrupt, SystemExit, MemoryError):
-                restore_function(func, snapshot)
+                mismatch = self.difftest.check(after)
+            except MemoryError:
                 raise
             except Exception as error:  # interpreter bug — still contain
                 mismatch = f"differential test crashed: {error}"
             if mismatch is not None:
-                diff = self._excerpt(snapshot, func)
-                restore_function(func, snapshot)
+                diff = self._excerpt(before, after)
                 self._record(
                     phase, "semantics", mismatch, node_key, level, diff
                 )
-                return False
+                return None
 
-        return True
+        return candidate if candidate is not None else to_flat(after)
 
     # ------------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 A *quarantined* application is one the :class:`GuardedPhaseRunner`
 refused to let into the space: the phase raised, produced malformed IR,
 changed observable semantics, or exceeded its time budget.  The
-pre-phase instance is restored and the phase is treated as dormant at
-that instance, so enumeration continues — the record preserves enough
+candidate is dropped and the phase is treated as dormant at that
+instance, so enumeration continues — the record preserves enough
 context to reproduce and debug the failure offline.
 """
 

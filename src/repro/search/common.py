@@ -33,9 +33,10 @@ import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import fingerprint_function
+from repro.ir.flat import from_flat, to_flat
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
-from repro.opt import PHASE_IDS, apply_phase, phase_by_id
+from repro.opt import PHASE_IDS, attempt_phase_on_flat, phase_by_id
 
 
 def codesize_objective(func: Function) -> float:
@@ -147,6 +148,9 @@ class SearchStrategy:
         target: Optional[Target] = None,
     ):
         self.base = func.clone()
+        #: flat form of the base, shared by every sequence evaluation
+        #: (phase attempts never mutate their input)
+        self.base_flat = to_flat(self.base)
         self.objective = objective
         self.sequence_length = sequence_length
         self.seed = seed
@@ -162,12 +166,15 @@ class SearchStrategy:
     # ------------------------------------------------------------------
 
     def _apply(self, sequence: Sequence[str]) -> Function:
-        """Apply *sequence* to a fresh clone; counts every attempt."""
-        func = self.base.clone()
+        """Apply *sequence* to the base; counts every attempt."""
+        flat = self.base_flat
         for phase_id in sequence:
             self.attempted_phases += 1
-            apply_phase(func, phase_by_id(phase_id), self.target)
-        return func
+            flat = (
+                attempt_phase_on_flat(flat, phase_by_id(phase_id), self.target)
+                or flat
+            )
+        return from_flat(flat)
 
     def _score(self, func: Function) -> float:
         """Objective value of *func*, cached by instance fingerprint."""

@@ -21,9 +21,10 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.interactions import InteractionAnalysis
+from repro.ir.flat import from_flat
 from repro.ir.function import Function
 from repro.machine.target import Target
-from repro.opt import PHASE_IDS, apply_phase, phase_by_id
+from repro.opt import PHASE_IDS, attempt_phase_on_flat, phase_by_id
 from repro.search.common import SearchResult, SearchStrategy, codesize_objective
 
 
@@ -70,7 +71,7 @@ class TableDrivenPolicy(SearchStrategy):
         probability = {
             pid: self.interactions.start.get(pid, 0.0) for pid in phase_ids
         }
-        func = self.base.clone()
+        flat = self.base_flat
         applied: List[str] = []
         for _ in range(self.max_steps):
             best = self._select(probability, phase_ids, stochastic)
@@ -78,8 +79,9 @@ class TableDrivenPolicy(SearchStrategy):
                 break
             self.attempted_phases += 1
             applied.append(best)
-            was_active = apply_phase(func, phase_by_id(best), self.target)
-            if was_active:
+            candidate = attempt_phase_on_flat(flat, phase_by_id(best), self.target)
+            if candidate is not None:
+                flat = candidate
                 # Figure 8's update rule:
                 #   p[i] += (1 - p[i]) * e[i][j] - p[i] * d[i][j]
                 for pid in phase_ids:
@@ -90,7 +92,7 @@ class TableDrivenPolicy(SearchStrategy):
                     p = probability[pid]
                     probability[pid] = p + (1.0 - p) * enable - p * disable
             probability[best] = 0.0
-        return tuple(applied), func
+        return tuple(applied), from_flat(flat)
 
     # ------------------------------------------------------------------
 

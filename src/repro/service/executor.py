@@ -81,7 +81,6 @@ def _build_config(spec: Dict, program=None) -> EnumerationConfig:
         # couple of seconds of expansion, not the CLI default's 30
         checkpoint_interval=raw.get("checkpoint_interval", 2.0),
         sanitize=raw.get("sanitize"),
-        engine=raw.get("engine", "flat"),
         collapse=raw.get("collapse", "syntactic"),
     )
 

@@ -46,7 +46,6 @@ CONFIG_FIELDS: Dict[str, tuple] = {
     "fault_rate": (int, float),
     "fault_seed": (int,),
     "jobs": (int,),
-    "engine": (str,),
     "collapse": (str,),
 }
 
@@ -106,9 +105,6 @@ def _validated_config(raw: object) -> Dict[str, object]:
     jobs = config.get("jobs")
     if jobs is not None and not 1 <= jobs <= 64:
         _fail("config.jobs must be in [1, 64]")
-    engine = config.get("engine")
-    if engine is not None and engine not in ("flat", "object"):
-        _fail("config.engine must be 'flat' or 'object'")
     collapse = config.get("collapse")
     if collapse is not None and collapse not in ("syntactic", "semantic"):
         _fail("config.collapse must be 'syntactic' or 'semantic'")

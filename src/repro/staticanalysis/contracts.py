@@ -95,7 +95,8 @@ def contract_registry() -> Dict[str, PhaseContract]:
     """All 17 contracts, keyed by phase id (built lazily once)."""
     global _REGISTRY
     if _REGISTRY is None:
-        from repro.opt import PHASES, cleanup, register_assignment
+        from repro.opt import PHASES
+        from repro.opt.flat import assign as register_assignment, cleanup
 
         registry = {
             phase.id: _contract_from_phase(phase) for phase in PHASES
@@ -124,7 +125,7 @@ def contract_for(phase_id: str) -> PhaseContract:
 def validate_contracts() -> List[str]:
     """Self-check of the registry: every declared invariant name must
     exist, and the two flag-coupled phases must declare what the
-    engine's ``apply_phase`` flow guarantees.  Returns problems."""
+    ``attempt_phase_on_flat`` flow guarantees.  Returns problems."""
     problems: List[str] = []
     registry = contract_registry()
     if len(registry) != 17:

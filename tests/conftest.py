@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.frontend import compile_source
+from repro.ir.flat import from_flat, to_flat
 from repro.ir.function import Function, Program
+from repro.machine.target import DEFAULT_TARGET
 from repro.opt import apply_phase, implicit_cleanup, phase_by_id
 from repro.vm import Interpreter
 
@@ -51,6 +53,43 @@ def compile_prog(source: str) -> Program:
 def run_value(program: Program, entry: str, args=(), fuel: int = 5_000_000):
     """Execute and return just the produced value."""
     return Interpreter(program, fuel=fuel).run(entry, args).value
+
+
+def on_object(flat_fn):
+    """Lift a FlatFunction mutator to an object-IR one: convert *func*
+    to flat, run ``flat_fn(flat, *args)``, write the result back into
+    *func*, and return what ``flat_fn`` returned.
+
+    Surviving blocks keep their identity (the write-back refills them
+    by label), so a test may hold a block across the call.
+    """
+
+    def run(func: Function, *args):
+        flat = to_flat(func)
+        result = flat_fn(flat, *args)
+        kept = {block.label: block for block in func.blocks}
+        from_flat(flat, into=func)
+        for index, block in enumerate(func.blocks):
+            if block.label in kept:
+                kept[block.label].insts = block.insts
+                func.blocks[index] = kept[block.label]
+        return result
+
+    return run
+
+
+class ObjectPhase:
+    """One raw pass of a phase (no implicit assignment or cleanup) on
+    an object-IR function, through the phase's flat ``run``."""
+
+    def __init__(self, phase):
+        self.phase = phase
+        # legality reads the flags both IR forms carry
+        self.applicable = phase.applicable
+        self._run = on_object(phase.run)
+
+    def run(self, func: Function, target=DEFAULT_TARGET) -> bool:
+        return self._run(func, target)
 
 
 def apply_sequence(func: Function, sequence: str) -> str:

@@ -1,14 +1,11 @@
-"""Differential fuzz: engines × collapse modes must agree on the space.
+"""Differential fuzz: collapse modes × guarding must agree on the space.
 
-Random well-typed functions go through the flat and object expansion
-engines under both collapse modes.  The flat engine promises the same
-space as the object engine; semantic collapse promises the same
-*decisions* regardless of engine (merge proofs always run on the
-object view).  So, per random function:
+Random well-typed functions are enumerated under both collapse modes,
+and semantic collapse once more through the guard.  Merge proofs always
+run on object views, so semantic collapse promises the same *decisions*
+whether or not the guard vets each edge.  So, per random function:
 
-- syntactic flat and syntactic object produce identical DAG
-  fingerprints (node keys, edges, dormant sets);
-- semantic flat and semantic object are bit-identical too — including
+- semantic unguarded and semantic guarded are bit-identical — including
   the alias table and the merge/split counters;
 - the semantic space never exceeds the syntactic one, and nothing is
   ever refuted (a refuted digest collision would be a canonicalizer
@@ -43,13 +40,13 @@ def _snapshot(dag):
     return nodes, tuple(sorted(dag.aliases.items(), key=repr))
 
 
-def _enumerate(program, engine, collapse):
+def _enumerate(program, collapse, **guards):
     func = program.function("f").clone()
     implicit_cleanup(func)
     return enumerate_space(
         func,
         EnumerationConfig(
-            engine=engine, collapse=collapse, program=program, **_BUDGET
+            collapse=collapse, program=program, **guards, **_BUDGET
         ),
     )
 
@@ -58,34 +55,22 @@ def _enumerate(program, engine, collapse):
 @given(programs())
 def test_engines_and_collapse_modes_agree(source):
     program = compile_source(source)
-    syntactic = {
-        engine: _enumerate(program, engine, "syntactic")
-        for engine in ("flat", "object")
-    }
-    semantic = {
-        engine: _enumerate(program, engine, "semantic")
-        for engine in ("flat", "object")
-    }
+    syntactic = _enumerate(program, "syntactic")
+    semantic = _enumerate(program, "semantic")
+    guarded = _enumerate(program, "semantic", sanitize="fast")
 
-    assert _snapshot(syntactic["flat"].dag) == _snapshot(
-        syntactic["object"].dag
-    )
-    assert syntactic["flat"].collapse_stats is None
+    assert syntactic.collapse_stats is None
+    assert _snapshot(semantic.dag) == _snapshot(guarded.dag)
+    assert semantic.collapse_stats == guarded.collapse_stats
 
-    assert _snapshot(semantic["flat"].dag) == _snapshot(semantic["object"].dag)
-    assert (
-        semantic["flat"].collapse_stats == semantic["object"].collapse_stats
-    )
-
-    for engine in ("flat", "object"):
-        stats = semantic[engine].collapse_stats
-        assert stats is not None
-        assert stats["refuted"] == 0
-        if semantic[engine].completed and syntactic[engine].completed:
-            # Only comparable on complete spaces: a budget-truncated
-            # semantic run visits a different instance prefix, so its
-            # node count is not bounded by the truncated syntactic one.
-            assert len(semantic[engine].dag) <= len(syntactic[engine].dag)
-        # class count: every physically created canonical instance owns
-        # one class; merges never add classes
-        assert stats["classes"] <= len(semantic[engine].dag)
+    stats = semantic.collapse_stats
+    assert stats is not None
+    assert stats["refuted"] == 0
+    if semantic.completed and syntactic.completed:
+        # Only comparable on complete spaces: a budget-truncated
+        # semantic run visits a different instance prefix, so its
+        # node count is not bounded by the truncated syntactic one.
+        assert len(semantic.dag) <= len(syntactic.dag)
+    # class count: every physically created canonical instance owns
+    # one class; merges never add classes
+    assert stats["classes"] <= len(semantic.dag)

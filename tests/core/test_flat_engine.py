@@ -1,11 +1,13 @@
-"""The flat engine's contract: bit-identical DAGs, object-engine parity.
+"""One phase engine, several drivers: the same space down every path.
 
-The flat expansion engine (``repro.opt.flat`` kernels over the packed
-``repro.ir.flat`` representation) exists purely for speed — it must
-never change *what* is enumerated.  These tests enumerate whole spaces
-under both engines and require the full serialized DAGs to match, along
-with every result statistic an engine could plausibly skew.  The
-companion round-trip tests live in ``tests/ir/test_flat.py``.
+Each phase has one implementation (``repro.opt.PHASES``, over the flat
+IR), and ``tests/core/test_goldens.py`` pins what the spaces are.  The
+enumerator still drives the phases along several paths — the unguarded
+prefix-sharing hot path, the guard (which checks object views of every
+candidate), and the transition memo — and these tests require whole
+serialized DAGs to match across them, along with every result
+statistic a path could plausibly skew.  The companion round-trip tests
+live in ``tests/ir/test_flat.py``.
 """
 
 import gc
@@ -23,6 +25,9 @@ from repro.search.harness import SEED_FUNCTIONS
 
 from tests.conftest import GCD_SRC, MAXI_SRC, SUM_ARRAY_SRC, compile_fn
 
+#: guard settings that vet every edge without changing the space
+GUARDED = dict(validate=True, sanitize="fast")
+
 
 def dag_digest(dag) -> str:
     """Content digest of the fully serialized DAG (nodes, edges,
@@ -32,21 +37,22 @@ def dag_digest(dag) -> str:
     ).hexdigest()
 
 
-def both_engines(func, **overrides):
-    results = {}
-    for engine in ("object", "flat"):
-        results[engine] = enumerate_space(
-            func.clone(), EnumerationConfig(engine=engine, **overrides)
-        )
-    return results["object"], results["flat"]
+def both_paths(func, **overrides):
+    """(unguarded, guarded) enumerations of *func*."""
+    plain = enumerate_space(func.clone(), EnumerationConfig(**overrides))
+    guarded = enumerate_space(
+        func.clone(), EnumerationConfig(**GUARDED, **overrides)
+    )
+    assert not guarded.quarantine, guarded.quarantine.format_report()
+    return plain, guarded
 
 
-def assert_results_identical(obj, flat):
-    assert dag_digest(obj.dag) == dag_digest(flat.dag)
-    assert obj.attempted_phases == flat.attempted_phases
-    assert obj.phases_applied == flat.phases_applied
-    assert obj.completed == flat.completed
-    assert obj.abort_reason == flat.abort_reason
+def assert_results_identical(plain, guarded):
+    assert dag_digest(plain.dag) == dag_digest(guarded.dag)
+    assert plain.attempted_phases == guarded.attempted_phases
+    assert plain.phases_applied == guarded.phases_applied
+    assert plain.completed == guarded.completed
+    assert plain.abort_reason == guarded.abort_reason
 
 
 class TestEngineParity:
@@ -56,45 +62,43 @@ class TestEngineParity:
     def test_seed_spaces_are_bit_identical(self, seed):
         func = compile_benchmark(seed.benchmark).functions[seed.function]
         implicit_cleanup(func)
-        assert_results_identical(*both_engines(func))
+        assert_results_identical(*both_paths(func))
 
     def test_small_function_spaces_are_bit_identical(self):
-        assert_results_identical(*both_engines(compile_fn(MAXI_SRC, "maxi")))
+        assert_results_identical(*both_paths(compile_fn(MAXI_SRC, "maxi")))
         # gcd and sum_array have spaces in the thousands; a budget keeps
-        # the test fast while still walking hundreds of shared nodes
+        # the test fast while still walking hundreds of shared nodes,
+        # through the loop phases' object-IR transforms too
         for source, name in ((GCD_SRC, "gcd"), (SUM_ARRAY_SRC, "sum_array")):
-            obj, flat = both_engines(
-                compile_fn(source, name), max_nodes=400
-            )
-            assert obj.abort_reason == "max_nodes"
-            assert_results_identical(obj, flat)
+            plain, guarded = both_paths(compile_fn(source, name), max_nodes=400)
+            assert plain.abort_reason == "max_nodes"
+            assert_results_identical(plain, guarded)
 
     def test_bounded_enumeration_aborts_identically(self):
-        # budget cutoffs must land on the same node under both engines
+        # budget cutoffs must land on the same node on both paths
         func = compile_fn(SUM_ARRAY_SRC, "sum_array")
-        obj, flat = both_engines(func, max_nodes=40)
-        assert obj.abort_reason == "max_nodes"
-        assert_results_identical(obj, flat)
+        plain, guarded = both_paths(func, max_nodes=40)
+        assert plain.abort_reason == "max_nodes"
+        assert_results_identical(plain, guarded)
 
     def test_memo_interop(self):
-        # a memo filled by one engine serves the other bit-identically
+        # a memo filled by an exact-mode run (text fingerprints) serves
+        # a plain run (streaming fingerprints) bit-identically
         func = compile_fn(MAXI_SRC, "maxi")
         reference = enumerate_space(func.clone(), EnumerationConfig())
         memo = TransitionMemo()
-        enumerate_space(
-            func.clone(), EnumerationConfig(engine="object", memo=memo)
-        )
-        warm = enumerate_space(
-            func.clone(), EnumerationConfig(engine="flat", memo=memo)
-        )
+        enumerate_space(func.clone(), EnumerationConfig(exact=True, memo=memo))
+        assert len(memo)
+        warm = enumerate_space(func.clone(), EnumerationConfig(memo=memo))
+        assert memo.hits
         assert dag_digest(warm.dag) == dag_digest(reference.dag)
 
 
-class TestEngineGate:
-    def test_custom_phase_objects_force_the_object_path(self):
-        # kernels dispatch on phase.id, so an instrumented wrapper with
-        # a stock id must silently fall back to the object engine —
-        # and still produce the same space
+class TestCustomPhases:
+    def test_wrapped_phase_simply_runs(self):
+        # the enumerator calls whatever phase object it is given: an
+        # instrumented wrapper of a stock phase runs, and the space is
+        # unchanged
         calls = []
         stock = phase_by_id("s")
 
@@ -102,18 +106,16 @@ class TestEngineGate:
             def __getattr__(self, attr):
                 return getattr(stock, attr)
 
-            def run(self, func, target=None):
-                calls.append(func.name)
-                return stock.run(func, target)
+            def run(self, flat, target=None):
+                calls.append(flat.name)
+                return stock.run(flat, target)
 
         func = compile_fn(MAXI_SRC, "maxi")
         phases = tuple(
             Instrumented() if phase.id == "s" else phase
             for phase in EnumerationConfig().phases
         )
-        result = enumerate_space(
-            func.clone(), EnumerationConfig(engine="flat", phases=phases)
-        )
+        result = enumerate_space(func.clone(), EnumerationConfig(phases=phases))
         assert calls, "the wrapped phase never executed"
         reference = enumerate_space(func.clone(), EnumerationConfig())
         assert dag_digest(result.dag) == dag_digest(reference.dag)
@@ -132,7 +134,7 @@ def test_flat_analyses_die_with_their_functions():
     before = alive()
     func = compile_benchmark("sha").functions["rol"]
     implicit_cleanup(func)
-    result = enumerate_space(func, EnumerationConfig(engine="flat"))
+    result = enumerate_space(func, EnumerationConfig())
     assert result.completed
     del result, func
     gc.collect()

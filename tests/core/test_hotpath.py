@@ -4,8 +4,8 @@ the single-clone fast path, and the phase-transition memo.
 Every optimization here is only admissible because it is invisible:
 each test pins some piece of the ``bit-identical to the slow path``
 contract — streaming vs render-then-hash fingerprints, zlib vs
-from-scratch CRC, cached vs recomputed analyses, memoized vs real
-phase transitions.
+from-scratch CRC, cached vs recomputed analyses, single-clone attempts
+vs clone-then-apply, memoized vs real phase transitions.
 """
 
 from __future__ import annotations
@@ -17,19 +17,27 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import crc as crc_mod
+from repro.analysis import cache as analysis_cache
+from repro.analysis import flat as flat_analysis
+from repro.analysis import set_paranoid
 from repro.core.crc import crc32, crc32_reference
 from repro.core.enumeration import EnumerationConfig, enumerate_space
-from repro.core.fingerprint import fingerprint_function, set_legacy_mode
+from repro.core.fingerprint import (
+    _text_fingerprint,
+    control_flow_text,
+    fingerprint_function,
+    remap_function_text,
+)
 from repro.core.memo import MemoEntry, TransitionMemo
+from repro.ir.flat import flat_fingerprint, to_flat
 from repro.opt import (
     PHASES,
+    DeadAssignmentElimination,
     apply_phase,
-    attempt_phase_on_clone,
+    attempt_phase_on_flat,
     implicit_cleanup,
-    set_legacy_clone_mode,
 )
-from repro.analysis import set_cache_enabled, set_paranoid
+from repro.opt.flat import selection
 from repro.programs import PROGRAMS, compile_benchmark
 
 
@@ -61,11 +69,8 @@ def _mutated_functions(seed: int = 2006, count: int = 10, length: int = 6):
 
 
 def _legacy_fingerprint(func, keep_text=False, remap=True):
-    previous = set_legacy_mode(True)
-    try:
-        return fingerprint_function(func, keep_text=keep_text, remap=remap)
-    finally:
-        set_legacy_mode(previous)
+    """The render-then-hash text path, called directly."""
+    return _text_fingerprint(func, keep_text, remap)
 
 
 def dag_snapshot(dag):
@@ -107,16 +112,15 @@ class TestStreamingFingerprint:
             assert fingerprint_function(func) == _legacy_fingerprint(func), label
 
     def test_matches_legacy_under_reference_crc(self):
-        # The table CRC and zlib must agree through the streaming
-        # chunk-chaining too, not just on whole buffers.
-        previous = crc_mod.set_reference_mode(True)
-        try:
-            for label, func in list(_all_seed_functions())[:8]:
-                assert fingerprint_function(func) == _legacy_fingerprint(
-                    func
-                ), label
-        finally:
-            crc_mod.set_reference_mode(previous)
+        # The table CRC over the whole rendered text must equal the
+        # streaming zlib chunk-chaining, not just agree on buffers.
+        for label, func in list(_all_seed_functions())[:8]:
+            data = remap_function_text(func).encode("utf-8")
+            cf_data = control_flow_text(func).encode("utf-8")
+            streamed = fingerprint_function(func)
+            assert streamed.crc == crc32_reference(data), label
+            assert streamed.cf_crc == crc32_reference(cf_data), label
+            assert streamed.byte_sum == sum(data) & 0xFFFFFFFF, label
 
     def test_keep_text_matches_streaming_hashes(self):
         # Exact mode renders the text; its hashes must equal the
@@ -160,15 +164,18 @@ def test_reference_crc_matches_zlib_with_seed(data, seed):
 
 
 class TestAnalysisCache:
-    def test_cache_off_is_bit_identical(self):
+    def test_cache_off_is_bit_identical(self, monkeypatch):
         func = compile_benchmark("sha").functions["rol"]
         implicit_cleanup(func)
         cached = enumerate_space(func, EnumerationConfig())
-        previous = set_cache_enabled(False)
-        try:
-            uncached = enumerate_space(func, EnumerationConfig())
-        finally:
-            set_cache_enabled(previous)
+        # every getter gets a fresh, empty cache: nothing is reused
+        monkeypatch.setattr(
+            analysis_cache, "_cache_of", lambda f: analysis_cache.AnalysisCache()
+        )
+        fresh = lambda f: flat_analysis.FlatAnalyses()  # noqa: E731
+        monkeypatch.setattr(flat_analysis, "_cache_of", fresh)
+        monkeypatch.setattr(selection, "_cache_of", fresh)
+        uncached = enumerate_space(func, EnumerationConfig())
         assert result_signature(cached) == result_signature(uncached)
 
     def test_paranoid_mode_finds_no_stale_analyses(self):
@@ -184,28 +191,51 @@ class TestAnalysisCache:
             set_paranoid(previous)
         assert result.completed
 
+    def test_paranoid_mode_catches_a_kernel_keeping_stale_analyses(
+        self, monkeypatch
+    ):
+        # A kernel that mutates without invalidating leaves the flat
+        # analyses of the code it rewrote in place; paranoid mode must
+        # catch the next lookup (and without it, the bug is silent).
+        real_run = DeadAssignmentElimination.run
+
+        def stale_run(self, flat, target):
+            kept = flat._analyses
+            changed = real_run(self, flat, target)
+            flat._analyses = kept
+            return changed
+
+        monkeypatch.setattr(DeadAssignmentElimination, "run", stale_run)
+        func = compile_benchmark("jpeg").functions["descale"]
+        implicit_cleanup(func)
+        enumerate_space(func, EnumerationConfig())
+        previous = set_paranoid(True)
+        try:
+            with pytest.raises(RuntimeError, match="stale cached flat"):
+                enumerate_space(func, EnumerationConfig())
+        finally:
+            set_paranoid(previous)
+
 
 # ----------------------------------------------------------------------
-# Single-clone fast path == legacy clone + apply_phase
+# Single-clone attempt == clone + apply_phase on the object IR
 # ----------------------------------------------------------------------
 
 
 class TestSingleCloneFastPath:
     def test_matches_legacy_on_mutated_functions(self):
         for label, func in _mutated_functions(seed=7, count=6, length=4):
+            parent = to_flat(func)
+            before = flat_fingerprint(parent, keep_text=True)
             for phase in PHASES:
-                before = fingerprint_function(func, keep_text=True)
-                fast = attempt_phase_on_clone(func.clone(), phase)
-                previous = set_legacy_clone_mode(True)
-                try:
-                    slow = attempt_phase_on_clone(func.clone(), phase)
-                finally:
-                    set_legacy_clone_mode(previous)
+                fast = attempt_phase_on_flat(parent, phase)
+                slow = func.clone()
+                active = apply_phase(slow, phase)
                 # dormant/active agreement, identical results, and the
                 # parent untouched either way
-                assert (fast is None) == (slow is None), (label, phase.id)
+                assert (fast is not None) == active, (label, phase.id)
                 if fast is not None:
-                    assert fingerprint_function(
+                    assert flat_fingerprint(
                         fast, keep_text=True
                     ) == fingerprint_function(slow, keep_text=True), (
                         label,
@@ -216,15 +246,17 @@ class TestSingleCloneFastPath:
                         slow.sel_applied,
                         slow.alloc_applied,
                     )
-                assert fingerprint_function(func, keep_text=True) == before
+                assert flat_fingerprint(parent, keep_text=True) == before
 
     def test_dormant_phase_never_mutates_parent(self):
         func = compile_benchmark("sha").functions["rol"]
         implicit_cleanup(func)
-        before = fingerprint_function(func, keep_text=True)
+        parent = to_flat(func)
+        before = (flat_fingerprint(parent, keep_text=True), parent.content_key())
         for phase in PHASES:
-            attempt_phase_on_clone(func, phase)
-            assert fingerprint_function(func, keep_text=True) == before, phase.id
+            attempt_phase_on_flat(parent, phase)
+            after = (flat_fingerprint(parent, keep_text=True), parent.content_key())
+            assert after == before, phase.id
 
 
 # ----------------------------------------------------------------------

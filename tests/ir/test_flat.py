@@ -1,13 +1,13 @@
 """The flat IR's losslessness contract: ``from_flat(to_flat(f)) == f``.
 
-The flat engine's correctness story rests on two pillars — the
-round-trip here (conversion loses nothing) and the engine-differential
-test in ``tests/core/test_flat_engine.py`` (kernels change nothing the
-object phases wouldn't).  This file pins the first pillar: for every
+The phases run on the flat IR while the verifiers, the VM and the
+printer read object views, so conversion must lose nothing.  For every
 seed function and for sanitizer-clean randomly phase-mutated variants,
 converting to the packed array-of-tables form and back reproduces the
 original bit-for-bit — same printed RTL, same fingerprint, same scalar
-metadata — and ``flat_fingerprint`` agrees with the object path.
+metadata — and ``flat_fingerprint`` agrees with the object path,
+including the remapped text exact mode compares.  What the phases
+compute is pinned by the goldens (``tests/core/test_goldens.py``).
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +16,7 @@ from repro.core.fingerprint import fingerprint_function
 from repro.ir.flat import flat_fingerprint, from_flat, to_flat
 from repro.ir.printer import format_function
 from repro.opt import PHASE_IDS, apply_phase, implicit_cleanup, phase_by_id
-from repro.programs import compile_benchmark
+from repro.programs import PROGRAMS, compile_benchmark
 from repro.search.harness import SEED_FUNCTIONS
 from repro.staticanalysis import sanitize_function
 
@@ -78,6 +78,14 @@ class TestRoundTrip:
             assert flat_fingerprint(to_flat(func)) == fingerprint_function(
                 func
             )
+        # exact mode compares these texts across the two paths
+        for name in PROGRAMS:
+            for func in compile_benchmark(name).functions.values():
+                implicit_cleanup(func)
+                assert (
+                    flat_fingerprint(to_flat(func), keep_text=True).text
+                    == fingerprint_function(func, keep_text=True).text
+                ), f"{name}.{func.name}"
 
     def test_roundtrip_is_a_fresh_function(self):
         # from_flat builds new block lists: mutating the round-tripped

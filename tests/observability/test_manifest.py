@@ -24,10 +24,10 @@ def test_config_digest_is_stable_and_order_independent():
 
 
 def test_env_toggles_capture_repro_vars_only(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_ANALYSIS_CACHE", "1")
+    monkeypatch.setenv("REPRO_PARANOID_ANALYSIS", "1")
     monkeypatch.setenv("UNRELATED", "x")
     manifest = build_manifest(tool="test")
-    assert manifest["env"].get("REPRO_NO_ANALYSIS_CACHE") == "1"
+    assert manifest["env"].get("REPRO_PARANOID_ANALYSIS") == "1"
     assert "UNRELATED" not in manifest["env"]
 
 

@@ -11,10 +11,11 @@ from repro.ir.instructions import (
 from repro.ir.operands import BinOp, Const, Reg
 from repro.machine.target import DEFAULT_TARGET, RV
 from repro.opt import phase_by_id
+from tests.conftest import ObjectPhase
 
 
 def run_phase(func, phase_id):
-    return phase_by_id(phase_id).run(func, DEFAULT_TARGET)
+    return ObjectPhase(phase_by_id(phase_id)).run(func, DEFAULT_TARGET)
 
 
 def labels(func):

@@ -3,11 +3,16 @@
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import Const, Reg
-from repro.opt.cleanup import (
-    implicit_cleanup,
-    merge_fallthrough_blocks,
-    remove_empty_blocks,
+from repro.opt.flat.cleanup import (
+    flat_implicit_cleanup,
+    flat_merge_fallthrough_blocks,
+    flat_remove_empty_blocks,
 )
+from tests.conftest import on_object
+
+implicit_cleanup = on_object(flat_implicit_cleanup)
+merge_fallthrough_blocks = on_object(flat_merge_fallthrough_blocks)
+remove_empty_blocks = on_object(flat_remove_empty_blocks)
 
 
 def labels(func):

@@ -5,8 +5,9 @@ from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Reg
 from repro.machine.target import DEFAULT_TARGET, RV
 from repro.opt import phase_by_id
+from tests.conftest import ObjectPhase
 
-N = phase_by_id("n")
+N = ObjectPhase(phase_by_id("n"))
 R = lambda i: Reg(i, pseudo=False)
 
 

@@ -5,8 +5,9 @@ from repro.ir.instructions import Assign, Call, Compare, CondBranch, Jump, Retur
 from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import DEFAULT_TARGET, FP, RV
 from repro.opt import apply_phase, phase_by_id
+from tests.conftest import ObjectPhase
 
-C = phase_by_id("c")
+C = ObjectPhase(phase_by_id("c"))
 
 R = lambda i: Reg(i, pseudo=False)
 
@@ -230,7 +231,7 @@ class TestLegality:
 
         func = compile_fn(GCD_SRC, "gcd")
         assert not func.reg_assigned
-        active = apply_phase(func, C)
+        active = apply_phase(func, C.phase)
         if active:
             assert func.reg_assigned
         else:

@@ -5,8 +5,9 @@ from repro.ir.instructions import Assign, Call, Compare, CondBranch, Jump, Retur
 from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import DEFAULT_TARGET, FP, RV
 from repro.opt import phase_by_id
+from tests.conftest import ObjectPhase
 
-H = phase_by_id("h")
+H = ObjectPhase(phase_by_id("h"))
 
 
 def one_block(insts, returns_value=True, locals_spec=("x",)):

@@ -6,8 +6,9 @@ from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import DEFAULT_TARGET, FP, RV
 from repro.opt import phase_by_id
 from repro.vm import Interpreter
+from tests.conftest import ObjectPhase
 
-O = phase_by_id("o")
+O = ObjectPhase(phase_by_id("o"))
 
 
 def interleaved_function():

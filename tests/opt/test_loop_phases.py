@@ -8,10 +8,10 @@ from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import DEFAULT_TARGET
 from repro.opt import apply_phase, phase_by_id
 from repro.vm import Interpreter
-from tests.conftest import SUM_ARRAY_SRC, apply_sequence, compile_prog
+from tests.conftest import SUM_ARRAY_SRC, ObjectPhase, apply_sequence, compile_prog
 
-L = phase_by_id("l")
-G = phase_by_id("g")
+L = ObjectPhase(phase_by_id("l"))
+G = ObjectPhase(phase_by_id("g"))
 
 LICM_SRC = """
 int a[50];
@@ -46,14 +46,14 @@ class TestLegality:
         func = program.function("sum_array")
         assert not L.applicable(func)
         assert not G.applicable(func)
-        assert not apply_phase(func, L)
-        assert not apply_phase(func, G)
+        assert not apply_phase(func, L.phase)
+        assert not apply_phase(func, G.phase)
 
 
 class TestLoopTransformations:
     def test_active_on_loop_with_invariants(self):
         program, func = prepared(LICM_SRC, "f")
-        assert apply_phase(func, L)
+        assert apply_phase(func, L.phase)
 
     def test_semantics_preserved(self):
         base = compile_prog(LICM_SRC)
@@ -63,7 +63,7 @@ class TestLoopTransformations:
         expected = vm.run("f", (7,)).value
 
         program, func = prepared(LICM_SRC, "f")
-        apply_phase(func, L)
+        apply_phase(func, L.phase)
         apply_sequence(func, "schsu")
         vm2 = Interpreter(program)
         for i in range(50):
@@ -72,8 +72,8 @@ class TestLoopTransformations:
 
     def test_idempotent(self):
         program, func = prepared(LICM_SRC, "f")
-        apply_phase(func, L)
-        assert not apply_phase(func, L)
+        apply_phase(func, L.phase)
+        assert not apply_phase(func, L.phase)
 
     def test_strength_reduction_removes_loop_multiply(self):
         # The i*4 array indexing multiply should be reduced to a
@@ -82,7 +82,7 @@ class TestLoopTransformations:
         muls_before = _loop_multiplies(func)
         if muls_before == 0:
             pytest.skip("multiply already folded by prior phases")
-        assert apply_phase(func, L)
+        assert apply_phase(func, L.phase)
         assert _loop_multiplies(func) < muls_before
 
     def test_reduces_dynamic_instruction_count(self):
@@ -94,7 +94,7 @@ class TestLoopTransformations:
 
         program, func = prepared(SUM_ARRAY_SRC, "sum_array")
         before_dyn = _run_sum(program)
-        changed = apply_phase(func, L)
+        changed = apply_phase(func, L.phase)
         apply_sequence(func, "shcs")
         after = _run_sum(program)
         assert after.value == baseline.value
@@ -130,9 +130,9 @@ class TestLoopUnrolling:
     def test_unrolls_once_per_loop(self):
         program, func = prepared(SUM_ARRAY_SRC, "sum_array")
         size_before = func.num_instructions()
-        assert apply_phase(func, G)
+        assert apply_phase(func, G.phase)
         assert func.num_instructions() > size_before
-        assert not apply_phase(func, G)  # marked as unrolled
+        assert not apply_phase(func, G.phase)  # marked as unrolled
 
     def test_semantics_preserved(self):
         base = compile_prog(SUM_ARRAY_SRC)
@@ -142,7 +142,7 @@ class TestLoopUnrolling:
         expected = vm.run("sum_array").value
 
         program, func = prepared(SUM_ARRAY_SRC, "sum_array")
-        assert apply_phase(func, G)
+        assert apply_phase(func, G.phase)
         vm2 = Interpreter(program)
         for i in range(100):
             vm2.store_global("a", 2 * i + 1, i)
@@ -152,7 +152,7 @@ class TestLoopUnrolling:
         program, func = prepared(SUM_ARRAY_SRC, "sum_array")
         apply_sequence(func, "jbu")  # rotate first so unroll pays off
         before = _run_sum(program)
-        if not apply_phase(func, G):
+        if not apply_phase(func, G.phase):
             pytest.skip("loop not unrollable in this shape")
         apply_sequence(func, "bu")
         after = _run_sum(program)
@@ -166,10 +166,10 @@ class TestLoopUnrolling:
             + " }\n return t;\n}\n"
         )
         program, func = prepared(big_src, "f")
-        assert not apply_phase(func, G)
+        assert not apply_phase(func, G.phase)
 
     def test_clone_keeps_unrolled_marker(self):
         program, func = prepared(SUM_ARRAY_SRC, "sum_array")
-        apply_phase(func, G)
+        apply_phase(func, G.phase)
         clone = func.clone()
         assert clone.unrolled == func.unrolled

@@ -8,8 +8,9 @@ from repro.machine.target import DEFAULT_TARGET, RV
 from repro.opt import phase_by_id
 from repro.opt.loop_transforms import ensure_preheader
 from repro.vm import Interpreter
+from tests.conftest import ObjectPhase
 
-L = phase_by_id("l")
+L = ObjectPhase(phase_by_id("l"))
 R = lambda i: Reg(i, pseudo=False)
 
 

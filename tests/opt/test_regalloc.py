@@ -5,10 +5,10 @@ from repro.ir.operands import Mem, Reg
 from repro.machine.target import DEFAULT_TARGET
 from repro.opt import apply_phase, phase_by_id
 from repro.vm import Interpreter
-from tests.conftest import GCD_SRC, SUM_ARRAY_SRC, apply_sequence, compile_prog
+from tests.conftest import GCD_SRC, SUM_ARRAY_SRC, ObjectPhase, apply_sequence, compile_prog
 
-K = phase_by_id("k")
-S = phase_by_id("s")
+K = ObjectPhase(phase_by_id("k"))
+S = ObjectPhase(phase_by_id("s"))
 
 
 def memory_access_count(func):
@@ -24,12 +24,12 @@ class TestLegality:
         program = compile_prog(GCD_SRC)
         func = program.function("gcd")
         assert not K.applicable(func)
-        assert not apply_phase(func, K)
+        assert not apply_phase(func, K.phase)
 
     def test_legal_after_instruction_selection(self):
         program = compile_prog(GCD_SRC)
         func = program.function("gcd")
-        assert apply_phase(func, S)
+        assert apply_phase(func, S.phase)
         assert K.applicable(func)
 
 
@@ -37,9 +37,9 @@ class TestAllocation:
     def test_promotes_scalar_slots_to_registers(self):
         program = compile_prog(GCD_SRC)
         func = program.function("gcd")
-        apply_phase(func, S)
+        apply_phase(func, S.phase)
         before = memory_access_count(func)
-        assert apply_phase(func, K)
+        assert apply_phase(func, K.phase)
         assert func.alloc_applied
         assert memory_access_count(func) < before
 
@@ -48,17 +48,17 @@ class TestAllocation:
         # k-enables-s relation).
         program = compile_prog(GCD_SRC)
         func = program.function("gcd")
-        apply_phase(func, S)
-        assert not apply_phase(func, S)  # s at fixpoint
-        apply_phase(func, K)
-        assert apply_phase(func, S)  # k re-enabled s
+        apply_phase(func, S.phase)
+        assert not apply_phase(func, S.phase)  # s at fixpoint
+        apply_phase(func, K.phase)
+        assert apply_phase(func, S.phase)  # k re-enabled s
 
     def test_dormant_second_time(self):
         program = compile_prog(GCD_SRC)
         func = program.function("gcd")
-        apply_phase(func, S)
-        assert apply_phase(func, K)
-        assert not apply_phase(func, K)
+        apply_phase(func, S.phase)
+        assert apply_phase(func, K.phase)
+        assert not apply_phase(func, K.phase)
 
     def test_semantics_preserved(self):
         base = compile_prog(GCD_SRC)
@@ -83,7 +83,7 @@ class TestAllocation:
         program = compile_prog(src)
         func = program.function("f")
         apply_sequence(func, "scs")
-        apply_phase(func, K)
+        apply_phase(func, K.phase)
         # array accesses remain memory accesses
         assert memory_access_count(func) > 0
         assert Interpreter(program).run("f", (10,)).value == 46
@@ -127,8 +127,8 @@ int f(int x, int y) {
             Interpreter(compile_prog(self.SRC)).run("f", vector).value
             for vector in [(2, 3), (0, 0), (1, 1), (-5, 7)]
         ]
-        apply_phase(func, S)
-        assert apply_phase(func, K)
+        apply_phase(func, S.phase)
+        assert apply_phase(func, K.phase)
         values = [
             Interpreter(program).run("f", vector).value
             for vector in [(2, 3), (0, 0), (1, 1), (-5, 7)]
@@ -141,20 +141,23 @@ int f(int x, int y) {
         # never write a register that carries another slot's live value.
         program = compile_prog(self.SRC)
         func = program.function("f")
-        apply_phase(func, S)
-        from repro.analysis.cache import slot_liveness_of
-        from repro.opt.regalloc import RegisterAllocation
-        from repro.analysis.cache import liveness_of
+        apply_phase(func, S.phase)
+        from repro.analysis.flat import flat_liveness_of, flat_slot_liveness_of
+        from repro.ir.flat import to_flat
+        from repro.opt import RegisterAllocation
 
-        slot_liveness = slot_liveness_of(func)
-        candidates = RegisterAllocation._referenced_slots(
-            func, slot_liveness.frame_refs
-        )
+        flat = to_flat(func)
+        slot_liveness = flat_slot_liveness_of(flat)
+        referenced = set()
+        for block_refs in slot_liveness.frame_refs.refs:
+            for ref in block_refs:
+                referenced |= ref.reads | ref.writes
+        candidates = sorted(referenced)
         forbidden, slot_edges = RegisterAllocation._interference(
-            func, candidates, liveness_of(func), slot_liveness
+            flat, candidates, flat_liveness_of(flat), slot_liveness
         )
         coloring = RegisterAllocation._color(candidates, forbidden, slot_edges)
-        for offset, reg in coloring.items():
+        assert coloring
+        for offset, index in coloring.items():
             for other in slot_edges[offset]:
-                other_reg = coloring.get(other)
-                assert other_reg is None or other_reg.index != reg.index
+                assert coloring.get(other) != index

@@ -6,9 +6,11 @@ from repro.ir.function import Function, Program
 from repro.ir.instructions import Assign, Call, Return
 from repro.ir.operands import BinOp, Const, Reg
 from repro.machine.target import ALLOCATABLE, DEFAULT_TARGET, RV
-from repro.opt.register_assignment import assign_registers
+from repro.opt.flat.assign import flat_assign_registers
 from repro.vm import Interpreter
-from tests.conftest import GCD_SRC, SUM_ARRAY_SRC, compile_fn, compile_prog
+from tests.conftest import GCD_SRC, SUM_ARRAY_SRC, compile_fn, compile_prog, on_object
+
+assign_registers = on_object(flat_assign_registers)
 
 
 def all_registers(func):

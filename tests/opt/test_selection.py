@@ -4,10 +4,24 @@ from repro.ir.function import Function
 from repro.ir.instructions import Assign, Call, Compare, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg, Sym
 from repro.machine.target import DEFAULT_TARGET, FP, RV
-from repro.opt import phase_by_id
-from repro.opt.instruction_selection import count_register_uses
+from repro.ir.flat import reg_id, to_flat
+from repro.opt import InstructionSelection, phase_by_id
+from tests.conftest import ObjectPhase
 
-S = phase_by_id("s")
+S = ObjectPhase(phase_by_id("s"))
+
+
+def count_register_uses(func):
+    """Textual use counts by register, via the kernel's rid counts."""
+    counts = InstructionSelection._count_register_uses(to_flat(func))
+    return {reg: counts.get(reg_id(reg), 0) for reg in func_registers(func)}
+
+
+def func_registers(func):
+    regs = set()
+    for inst in func.instructions():
+        regs |= inst.defs() | inst.uses()
+    return regs
 
 
 def one_block(insts, returns_value=True):

@@ -7,10 +7,11 @@ from repro.ir.instructions import Assign, Return
 from repro.ir.operands import BinOp, Const, Reg
 from repro.machine.target import DEFAULT_TARGET, RV
 from repro.opt import phase_by_id
-from repro.opt.strength_reduction import expand_multiply
+from repro.opt.flat.strength import expand_multiply
 from repro.vm import Interpreter
+from tests.conftest import ObjectPhase
 
-Q = phase_by_id("q")
+Q = ObjectPhase(phase_by_id("q"))
 
 
 def multiply_function(constant):

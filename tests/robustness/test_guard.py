@@ -1,4 +1,9 @@
-"""Tests for the guarded phase runner and differential tester."""
+"""Tests for the guarded phase runner and differential tester.
+
+The guard attempts phases on a clone of a flat parent and returns the
+candidate or ``None``; the parent is never mutated.  The custom phases
+below are flat phases, like every phase.
+"""
 
 import time
 
@@ -7,6 +12,7 @@ import pytest
 from repro.core.batch import BatchCompiler
 from repro.core.fingerprint import fingerprint_function
 from repro.frontend import compile_source
+from repro.ir.flat import INST_OBJS, KIND, K_ASSIGN, from_flat, intern_inst, to_flat
 from repro.ir.instructions import Assign
 from repro.ir.operands import Const
 from repro.opt.base import Phase
@@ -15,10 +21,9 @@ from repro.robustness.guard import (
     DifferentialTester,
     GuardedPhaseRunner,
     default_vectors,
-    restore_function,
 )
 from repro.robustness.quarantine import QuarantineLog, QuarantineRecord
-from tests.conftest import MAXI_SRC, compile_fn
+from tests.conftest import MAXI_SRC, compile_fn, on_object
 
 FIVE_SRC = "int five(void) { return 5; }"
 
@@ -49,34 +54,43 @@ class _ConstTweakPhase(Phase):
     def __init__(self):
         self.fired = False
 
-    def run(self, func, target):
+    def run(self, flat, target):
         if self.fired:
             return False
-        for block in func.blocks:
-            for i, inst in enumerate(block.insts):
-                if isinstance(inst, Assign) and isinstance(inst.src, Const):
-                    block.insts[i] = Assign(inst.dst, Const(inst.src.value + 1))
+        for block in flat.blocks:
+            for i, iid in enumerate(block):
+                inst = INST_OBJS[iid]
+                if KIND[iid] == K_ASSIGN and isinstance(inst.src, Const):
+                    block[i] = intern_inst(
+                        Assign(inst.dst, Const(inst.src.value + 1))
+                    )
+                    flat.invalidate_analyses()
                     self.fired = True
                     return True
         return False
 
 
-def _fp(func):
-    return fingerprint_function(func).key
+def _fp(flat):
+    return fingerprint_function(from_flat(flat)).key
+
+
+@pytest.fixture
+def maxi_flat(maxi_func):
+    return to_flat(maxi_func)
 
 
 class TestExceptionContainment:
-    def test_raising_phase_is_quarantined(self, maxi_func):
+    def test_raising_phase_is_quarantined(self, maxi_flat):
         guard = GuardedPhaseRunner()
-        before = _fp(maxi_func)
-        assert guard.apply(maxi_func, _RaisingPhase()) is False
-        assert _fp(maxi_func) == before  # restored
+        before = _fp(maxi_flat)
+        assert guard.apply(maxi_flat, _RaisingPhase()) is None
+        assert _fp(maxi_flat) == before  # never mutated
         assert len(guard.quarantine) == 1
         record = guard.quarantine.records[0]
         assert record.kind == "exception"
         assert "ValueError" in record.detail
 
-    def test_control_exceptions_propagate(self, maxi_func):
+    def test_control_exceptions_propagate(self, maxi_flat):
         class _Interrupting(Phase):
             id = "b"
             name = "interrupts"
@@ -86,48 +100,48 @@ class TestExceptionContainment:
 
         guard = GuardedPhaseRunner()
         with pytest.raises(KeyboardInterrupt):
-            guard.apply(maxi_func, _Interrupting())
+            guard.apply(maxi_flat, _Interrupting())
         assert len(guard.quarantine) == 0
 
 
 class TestTimeouts:
-    def test_hanging_phase_is_quarantined(self, maxi_func):
+    def test_hanging_phase_is_quarantined(self, maxi_flat):
         guard = GuardedPhaseRunner(phase_timeout=0.1)
-        before = _fp(maxi_func)
+        before = _fp(maxi_flat)
         start = time.perf_counter()
-        assert guard.apply(maxi_func, _HangingPhase()) is False
+        assert guard.apply(maxi_flat, _HangingPhase()) is None
         assert time.perf_counter() - start < 5.0
-        assert _fp(maxi_func) == before
+        assert _fp(maxi_flat) == before
         assert guard.quarantine.records[0].kind == "timeout"
 
 
 class TestInjectedFaults:
-    def test_injected_raise(self, maxi_func):
+    def test_injected_raise(self, maxi_flat):
         from repro.opt import phase_by_id
 
         guard = GuardedPhaseRunner(
             fault_injector=FaultInjector(modes=("raise",), attempts={1})
         )
-        before = _fp(maxi_func)
-        assert guard.apply(maxi_func, phase_by_id("b")) is False
-        assert _fp(maxi_func) == before
+        before = _fp(maxi_flat)
+        assert guard.apply(maxi_flat, phase_by_id("b")) is None
+        assert _fp(maxi_flat) == before
         assert guard.quarantine.records[0].kind == "exception"
 
-    def test_injected_corruption_caught_even_without_validate(self, maxi_func):
+    def test_injected_corruption_caught_even_without_validate(self, maxi_flat):
         from repro.opt import phase_by_id
 
         guard = GuardedPhaseRunner(
             validate=False,
             fault_injector=FaultInjector(modes=("corrupt",), attempts={1}),
         )
-        before = _fp(maxi_func)
-        assert guard.apply(maxi_func, phase_by_id("b")) is False
-        assert _fp(maxi_func) == before
+        before = _fp(maxi_flat)
+        assert guard.apply(maxi_flat, phase_by_id("b")) is None
+        assert _fp(maxi_flat) == before
         record = guard.quarantine.records[0]
         assert record.kind == "validation"
         assert record.diff is not None
 
-    def test_injected_hang_hits_the_alarm(self, maxi_func):
+    def test_injected_hang_hits_the_alarm(self, maxi_flat):
         from repro.opt import phase_by_id
 
         guard = GuardedPhaseRunner(
@@ -137,11 +151,11 @@ class TestInjectedFaults:
             ),
         )
         start = time.perf_counter()
-        assert guard.apply(maxi_func, phase_by_id("b")) is False
+        assert guard.apply(maxi_flat, phase_by_id("b")) is None
         assert time.perf_counter() - start < 5.0
         assert guard.quarantine.records[0].kind == "timeout"
 
-    def test_uninjected_applications_work_normally(self, maxi_func):
+    def test_uninjected_applications_work_normally(self, maxi_flat):
         from repro.opt import phase_by_id
 
         guard = GuardedPhaseRunner(
@@ -149,7 +163,8 @@ class TestInjectedFaults:
         )
         # maxi has at least one active phase from the start
         changed = any(
-            guard.apply(maxi_func, phase_by_id(pid)) for pid in "bsiu"
+            guard.apply(maxi_flat, phase_by_id(pid)) is not None
+            for pid in "bsiu"
         )
         assert changed
         assert len(guard.quarantine) == 0
@@ -164,9 +179,10 @@ class TestDifferentialTesting:
         implicit_cleanup(func)
         tester = DifferentialTester(program, "five", default_vectors(func))
         guard = GuardedPhaseRunner(difftest=tester)
-        before = _fp(func)
-        assert guard.apply(func, _ConstTweakPhase()) is False
-        assert _fp(func) == before
+        flat = to_flat(func)
+        before = _fp(flat)
+        assert guard.apply(flat, _ConstTweakPhase()) is None
+        assert _fp(flat) == before
         record = guard.quarantine.records[0]
         assert record.kind == "semantics"
         assert "expected" in record.detail
@@ -179,9 +195,9 @@ class TestDifferentialTesting:
             program, "maxi", default_vectors(program.functions["maxi"])
         )
         guard = GuardedPhaseRunner(difftest=tester)
-        func = compile_fn(MAXI_SRC, "maxi")
+        flat = to_flat(compile_fn(MAXI_SRC, "maxi"))
         for pid in "bsiukch":
-            guard.apply(func, phase_by_id(pid))
+            flat = guard.apply(flat, phase_by_id(pid)) or flat
         assert len(guard.quarantine) == 0
 
     def test_check_reports_mismatch_directly(self):
@@ -193,7 +209,7 @@ class TestDifferentialTesting:
         tester = DifferentialTester(program, "five", default_vectors(func))
         assert tester.check(func.clone()) is None
         tweaked = func.clone()
-        _ConstTweakPhase().run(tweaked, None)
+        assert on_object(_ConstTweakPhase().run)(tweaked, None)
         assert "expected" in tester.check(tweaked)
 
     def test_default_vectors_cover_arity(self, maxi_func):
@@ -205,14 +221,16 @@ class TestDifferentialTesting:
 
 class TestRestoreFunction:
     def test_restore_roundtrip(self, gcd_func):
+        # writing a flat snapshot back in place restores the function
+        # (how the one-off adapters commit a flat result)
         from repro.opt import apply_phase, phase_by_id
 
-        snapshot = gcd_func.clone()
-        before = _fp(gcd_func)
+        snapshot = to_flat(gcd_func)
+        before = _fp(snapshot)
         assert apply_phase(gcd_func, phase_by_id("s"))
-        assert _fp(gcd_func) != before
-        restore_function(gcd_func, snapshot)
-        assert _fp(gcd_func) == before
+        assert _fp(to_flat(gcd_func)) != before
+        from_flat(snapshot, into=gcd_func)
+        assert _fp(to_flat(gcd_func)) == before
         assert not gcd_func.sel_applied
 
 
@@ -284,12 +302,12 @@ class TestCooperativeDeadline:
         outcome = {}
 
         def target():
-            outcome["active"] = guard.apply(func, phase)
+            outcome["candidate"] = guard.apply(func, phase)
 
         thread = threading.Thread(target=target)
         thread.start()
         thread.join()
-        return outcome["active"]
+        return outcome["candidate"]
 
     def test_slow_phase_rejected_off_main_thread(self):
         class _SlowConstTweak(_ConstTweakPhase):
@@ -297,17 +315,17 @@ class TestCooperativeDeadline:
                 time.sleep(0.2)
                 return super().run(func, target)
 
-        func = compile_fn(FIVE_SRC, "five")
+        flat = to_flat(compile_fn(FIVE_SRC, "five"))
         guard = GuardedPhaseRunner(phase_timeout=0.05)
-        before = _fp(func)
-        active = self._apply_in_thread(guard, func, _SlowConstTweak())
-        assert active is False
-        assert _fp(func) == before  # restored despite "success"
+        before = _fp(flat)
+        candidate = self._apply_in_thread(guard, flat, _SlowConstTweak())
+        assert candidate is None  # rejected despite "success"
+        assert _fp(flat) == before
         record = guard.quarantine.records[0]
         assert record.kind == "timeout"
         assert "cooperative" in record.detail
 
-    def test_slow_dormant_phase_also_counts(self, maxi_func):
+    def test_slow_dormant_phase_also_counts(self, maxi_flat):
         class _SlowDormant(Phase):
             id = "b"
             name = "slow and dormant"
@@ -317,13 +335,13 @@ class TestCooperativeDeadline:
                 return False
 
         guard = GuardedPhaseRunner(phase_timeout=0.05)
-        active = self._apply_in_thread(guard, maxi_func, _SlowDormant())
-        assert active is False
+        candidate = self._apply_in_thread(guard, maxi_flat, _SlowDormant())
+        assert candidate is None
         assert guard.quarantine.records[0].kind == "timeout"
 
-    def test_fast_phase_passes_off_main_thread(self, maxi_func):
+    def test_fast_phase_passes_off_main_thread(self, maxi_flat):
         from repro.opt import phase_by_id
 
         guard = GuardedPhaseRunner(phase_timeout=5.0)
-        self._apply_in_thread(guard, maxi_func, phase_by_id("b"))
+        self._apply_in_thread(guard, maxi_flat, phase_by_id("b"))
         assert len(guard.quarantine) == 0

@@ -30,17 +30,19 @@ from repro.service.executor import _dag_fingerprint
 from tests.parallel.conftest import bench_function
 from tests.service.conftest import wait_for
 
-#: steady ~5s workload; checkpoints land every 0.2s so a kill or drain
-#: at any point loses almost nothing.  Pinned to the object engine:
-#: the timing was measured against it, and the flat engine (with warm
-#: process caches) finishes too fast to leave a kill window.
+#: steady ~4s workload; checkpoints land every 0.2s so a kill or drain
+#: at any point loses almost nothing.  Validation plus fast sanitizing
+#: of every edge keeps it slow enough to leave a kill window (the
+#: unguarded run, with warm process caches, finishes too fast), and
+#: changes nothing about the space.
 SLOW = {
     "benchmark": "sha",
     "function": "byte_reverse",
     "config": {
         "max_nodes": 1200,
         "checkpoint_interval": 0.2,
-        "engine": "object",
+        "validate": True,
+        "sanitize": "fast",
     },
 }
 

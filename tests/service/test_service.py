@@ -104,6 +104,17 @@ class TestStructuredErrors:
         assert info.value.status == 400
         assert info.value.error == "bad_request"
 
+    def test_retired_engine_field_is_400(self, service):
+        # one phase engine: config.engine is no longer a knob
+        server = service()
+        with pytest.raises(ServiceError) as info:
+            server.client().enumerate(
+                source=SOURCE, function="add3", config={"engine": "object"}
+            )
+        assert info.value.status == 400
+        assert info.value.error == "bad_request"
+        assert "unknown config field 'engine'" in info.value.detail
+
     def test_unknown_path_is_404(self, service):
         server = service()
         with pytest.raises(ServiceError) as info:

@@ -284,55 +284,53 @@ class TestContractMutations:
 class TestGuardIntegration:
     def test_sanitizer_quarantines_corrupted_phase(self, gcd):
         """A phase whose output drops a def must be quarantined with
-        kind 'sanitizer', and the function restored."""
+        kind 'sanitizer', and the parent left untouched."""
+        from repro.ir.flat import DEF_RID, KIND, K_ASSIGN, REG_OBJS, to_flat
+        from repro.opt import Phase
 
-        class _Corrupting:
+        class _Corrupting(Phase):
             id = "u"
             name = "corrupting stand-in"
-            requires_assignment = False
 
-        def corrupt(func):
-            for block in func.blocks:
-                for index, inst in enumerate(block.insts):
-                    if isinstance(inst, Assign):
-                        defs = inst.defs()
-                        if len(defs) == 1 and next(iter(defs)).pseudo:
-                            del block.insts[index]
-                            func.invalidate_analyses()
+            def __init__(self):
+                self.fired = False
+
+            def run(self, flat, target):
+                if self.fired:
+                    return False
+                for block in flat.blocks:
+                    for index, iid in enumerate(block):
+                        if KIND[iid] == K_ASSIGN and REG_OBJS[DEF_RID[iid]].pseudo:
+                            del block[index]
+                            flat.invalidate_analyses()
+                            self.fired = True
                             return True
-            return False
-
-        import repro.opt as opt_mod
+                return False
 
         checker = EdgeChecker(mode=FULL)
         runner = GuardedPhaseRunner(validate=False, sanitizer=checker)
-        phase = _Corrupting()
-        original = opt_mod.apply_phase
-        before_text = [repr(block.insts) for block in gcd.blocks]
-
-        from unittest import mock
-
-        with mock.patch(
-            "repro.robustness.guard.apply_phase",
-            lambda func, ph, target: corrupt(func),
-        ):
-            active = runner.apply(gcd, phase)
-        assert original is opt_mod.apply_phase
-        assert active is False
+        flat = to_flat(gcd)
+        before_blocks = [list(block) for block in flat.blocks]
+        assert runner.apply(flat, _Corrupting()) is None
         assert len(runner.quarantine) == 1
         record = runner.quarantine.records[0]
         assert record.kind == "sanitizer"
         assert checker.counters["findings"] >= 1
-        # The pre-phase instance must be restored bit-for-bit.
-        assert [repr(block.insts) for block in gcd.blocks] == before_text
+        # The parent instance is never mutated.
+        assert flat.blocks == before_blocks
 
     def test_clean_phase_passes_through(self, gcd):
+        from repro.ir.flat import to_flat
+
         checker = EdgeChecker(mode=FULL)
         runner = GuardedPhaseRunner(validate=True, sanitizer=checker)
         applied = 0
+        flat = to_flat(gcd)
         for phase_id in "sckshu":
-            if runner.apply(gcd, phase_by_id(phase_id)):
+            candidate = runner.apply(flat, phase_by_id(phase_id))
+            if candidate is not None:
                 applied += 1
+                flat = candidate
         assert applied > 0
         assert len(runner.quarantine) == 0
         assert checker.counters["edges"] == applied

@@ -157,8 +157,11 @@ def test_fingerprint_invariant_under_register_renaming(source):
     (the Figure 5 property, for arbitrary renamings)."""
     from repro.analysis.defuse import rewrite_registers
     from repro.ir.operands import Reg
-    from repro.opt.register_assignment import assign_registers
+    from repro.opt.flat.assign import flat_assign_registers
     from repro.machine.target import DEFAULT_TARGET
+    from tests.conftest import on_object
+
+    assign_registers = on_object(flat_assign_registers)
 
     program = compile_source(source)
     func = program.function("f")
