@@ -7,9 +7,9 @@ point (``python -m repro serve``):
 1. start a server, drive **concurrent** enumerate requests through the
    bundled client (three identical ones must coalesce into a single
    execution) plus independent fast requests;
-2. **kill an executor** mid-run — the request must still complete,
-   and every returned DAG must be bit-identical to an in-process
-   serial enumeration;
+2. **kill a busy pool worker** (a pid from ``/status``) mid-run — the
+   request must still complete, and every returned DAG must be
+   bit-identical to an in-process serial enumeration;
 3. **SIGTERM the server** mid-enumeration — the in-flight request gets
    a structured ``503 draining`` with ``checkpointed: true`` and the
    server exits 0;
@@ -17,9 +17,9 @@ point (``python -m repro serve``):
    checkpoint and finishes bit-identically to the serial reference;
 5. ``repro report`` on the run dir must render the service section.
 
-Exit status 0 means every claim held. The run dir (journal, manifest,
-per-request specs/results/executor logs) is the artifact CI uploads on
-failure.
+Exit status 0 means every claim held. The run dir (journal with the
+pool's lease events and any worker traceback, manifest, per-work-key
+checkpoints, store) is the artifact CI uploads on failure.
 
 Usage::
 
@@ -41,23 +41,26 @@ from repro.frontend import compile_source
 from repro.opt import implicit_cleanup
 from repro.programs import PROGRAMS
 from repro.robustness.retry import RetryError, RetryPolicy
+from repro.core.checkpoint import dag_digest
 from repro.service.client import ServiceClient, TransientServiceError
-from repro.service.executor import _dag_fingerprint
 
 RUN_DIR = sys.argv[1] if len(sys.argv) > 1 else ".run-service"
 
-#: a steady ~5s workload (budget-capped, hence deterministic) with a
-#: tight checkpoint cadence — wide open to kills and drains mid-flight
+#: a steady ~3.5s workload (budget-capped, hence deterministic) with a
+#: tight checkpoint cadence — wide open to kills and drains mid-flight.
+#: Validating and fast-sanitizing every edge keeps it that slow (the
+#: plain run takes under 2s) and changes nothing about the space.
+GUARDED = {"checkpoint_interval": 0.2, "validate": True, "sanitize": "fast"}
 SLOW = {
     "benchmark": "sha",
     "function": "byte_reverse",
-    "config": {"max_nodes": 1200, "checkpoint_interval": 0.2},
+    "config": dict(GUARDED, max_nodes=1200),
 }
 #: the drain victim: same function, different budget = different work key
 DRAIN = {
     "benchmark": "sha",
     "function": "byte_reverse",
-    "config": {"max_nodes": 1100, "checkpoint_interval": 0.2},
+    "config": dict(GUARDED, max_nodes=1100),
 }
 FAST = [("sha", "rol"), ("jpeg", "descale")]
 
@@ -72,9 +75,7 @@ def check(condition, message):
 def serial_fingerprint(bench, name, **config):
     func = compile_source(PROGRAMS[bench].source).functions[name].clone()
     implicit_cleanup(func)
-    return _dag_fingerprint(
-        enumerate_space(func, EnumerationConfig(**config)).dag
-    )
+    return dag_digest(enumerate_space(func, EnumerationConfig(**config)).dag)
 
 
 def start_server():
@@ -82,8 +83,7 @@ def start_server():
         [
             sys.executable, "-m", "repro", "serve",
             "--run-dir", RUN_DIR, "--port", "0",
-            "--workers", "4", "--executor-retries", "2",
-            "--tenant-concurrency", "8",
+            "--workers", "4", "--tenant-concurrency", "8",
         ],
         env={**os.environ, "PYTHONPATH": "src"},
     )
@@ -126,7 +126,7 @@ def main():
         for bench, name in FAST
     }
 
-    print("== phase 1: concurrent load + executor kill")
+    print("== phase 1: concurrent load + worker kill")
     proc, port = start_server()
     client = ServiceClient(
         "127.0.0.1", port, policy=RetryPolicy(max_attempts=4, base_delay=0.2)
@@ -141,11 +141,11 @@ def main():
         for i, (bench, name) in enumerate(FAST)
     ]
 
-    # kill the first executor that shows up in /status, mid-run
+    # kill the first busy pool worker that shows up in /status, mid-run
     victim = None
     deadline = time.monotonic() + 20.0
     while victim is None and time.monotonic() < deadline:
-        for pid in client.status()["executors"]:
+        for pid in client.status()["workers"]:
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
@@ -153,7 +153,7 @@ def main():
             victim = pid
             break
         time.sleep(0.05)
-    check(victim is not None, f"killed executor {victim} mid-request")
+    check(victim is not None, f"killed pool worker {victim} mid-request")
 
     for thread in threads:
         thread.join(timeout=120)
@@ -182,7 +182,7 @@ def main():
     once = ServiceClient("127.0.0.1", port, policy=RetryPolicy(max_attempts=1))
     thread = fire(once, outcomes, 0, **DRAIN)
     deadline = time.monotonic() + 20.0
-    while time.monotonic() < deadline and not client.status()["executors"]:
+    while time.monotonic() < deadline and not client.status()["workers"]:
         time.sleep(0.05)
     time.sleep(0.6)  # let checkpoints land
     proc.send_signal(signal.SIGTERM)

@@ -304,18 +304,6 @@ def cmd_enumerate(args) -> int:
         exact=args.exact,
         validate=args.validate,
         difftest=args.difftest,
-        program=(
-            program
-            if (
-                (
-                    args.difftest
-                    or args.sanitize
-                    or args.collapse == "semantic"
-                )
-                and not use_parallel
-            )
-            else None
-        ),
         phase_timeout=args.phase_timeout,
         fault_injector=injector,
         checkpoint_path=None if use_parallel else checkpoint_path,
@@ -323,6 +311,8 @@ def cmd_enumerate(args) -> int:
         sanitize=args.sanitize,
         collapse=args.collapse,
     )
+    if config.needs_program() and not use_parallel:
+        config.program = program
     tracer = _build_tracer(args, "repro.enumerate") if args.run_dir else None
     profiler = None
     if args.profile:
@@ -339,17 +329,7 @@ def cmd_enumerate(args) -> int:
                 args, args.store, args.progress, args.run_dir, tracer
             )
             request = EnumerationRequest(
-                args.function,
-                func,
-                (
-                    source
-                    if (
-                        args.difftest
-                        or args.sanitize
-                        or args.collapse == "semantic"
-                    )
-                    else None
-                ),
+                args.function, func, source if config.needs_program() else None
             )
             try:
                 result = ParallelEnumerator(config, parallel).enumerate(
@@ -901,7 +881,6 @@ def cmd_serve(args) -> int:
         tenant_concurrency=args.tenant_concurrency,
         default_deadline=args.default_deadline,
         max_deadline=args.max_deadline,
-        executor_retries=args.executor_retries,
         drain_grace=args.drain_grace,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
@@ -1326,7 +1305,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="concurrent executor subprocesses",
+        help="worker processes in the pool that runs requests",
     )
     p.add_argument(
         "--queue-depth",
@@ -1366,13 +1345,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ceiling on any requested deadline",
     )
     p.add_argument(
-        "--executor-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="crash retries per request (resume makes them cheap)",
-    )
-    p.add_argument(
         "--drain-grace",
         type=float,
         default=20.0,
@@ -1385,7 +1357,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="N",
-        help="consecutive executor failures before a work key is "
+        help="consecutive worker failures before a work key is "
         "circuit-broken",
     )
     p.add_argument(

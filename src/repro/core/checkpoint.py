@@ -231,6 +231,15 @@ def dag_to_dict(dag: SpaceDAG) -> Dict[str, object]:
     return data
 
 
+def dag_digest(dag: SpaceDAG) -> str:
+    """sha256 of the serialized DAG: the bit-identity witness that
+    serial, ``--jobs``, service, resumed and store-served spaces are
+    compared by."""
+    return hashlib.sha256(
+        json.dumps(dag_to_dict(dag), sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
 def dag_from_dict(function_name: str, data: Dict[str, object]) -> SpaceDAG:
     dag = SpaceDAG(function_name)
     for node_id, entry in enumerate(data["nodes"]):

@@ -1,9 +1,9 @@
 """One function's enumeration, with the store, memo and checkpoint rules.
 
-:func:`run_function` is the single execution driver: the ``--jobs N``
-pool workers (:mod:`repro.parallel.worker`) and the service executor
-(:mod:`repro.service.executor`) both call it, and it runs the ordinary
-serial :class:`~repro.core.enumeration.SpaceEnumerator`.  Every rule
+:func:`run_function` is the single execution driver: the worker pool's
+tasks for ``--jobs N`` (:mod:`repro.parallel.worker`) and for the
+service (:mod:`repro.service.executor`) both call it, and it runs the
+ordinary serial :class:`~repro.core.enumeration.SpaceEnumerator`.  Every rule
 about persisted state therefore exists once, here:
 
 - **store** — a completed space is looked up by the function's

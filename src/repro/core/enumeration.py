@@ -57,7 +57,13 @@ from repro.ir.flat import FlatFunction, flat_fingerprint, from_flat, to_flat
 from repro.ir.function import Function, Program
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
-from repro.opt import PHASES, Phase, attempt_phase_on_flat, implicit_cleanup
+from repro.opt import (
+    PHASES,
+    Phase,
+    attempt_phase_on_flat,
+    implicit_cleanup,
+    phase_by_id,
+)
 from repro.robustness.faults import FaultInjector
 from repro.robustness.guard import (
     DifferentialTester,
@@ -91,7 +97,6 @@ class EnumerationConfig:
         checkpoint_path: Optional[str] = None,
         checkpoint_interval: Optional[float] = 30.0,
         resume: bool = False,
-        canonical_input: bool = False,
         memo: Optional[TransitionMemo] = None,
         sanitize: Optional[str] = None,
         collapse: str = "syntactic",
@@ -137,12 +142,6 @@ class EnumerationConfig:
         self.checkpoint_interval = checkpoint_interval
         #: continue from ``checkpoint_path`` when it exists
         self.resume = resume
-        #: the input function is already the canonical root instance
-        #: (implicit cleanup applied — e.g. round-tripped from a
-        #: checkpoint or a worker task); skips the redundant cleanup
-        #: pass on the root and on the resume probe, which matters when
-        #: many small enumerations are spawned from serialized inputs
-        self.canonical_input = canonical_input
         #: opt-in phase-transition memo table (see repro.core.memo).
         #: Shared across enumerations: memo keys are content-based
         #: node keys, so hits are sound across functions and runs.
@@ -185,6 +184,60 @@ class EnumerationConfig:
             or (self.difftest and self.program is not None)
             or self.sanitize is not None
         )
+
+    def needs_program(self) -> bool:
+        """Whether the run consults its program context: differential
+        testing runs the program in the VM, the sanitizer checks calls
+        against it, and semantic collapse co-executes through it.
+        Callers that hold the program (or its source) pass it exactly
+        when this is true."""
+        return (
+            self.difftest
+            or self.sanitize is not None
+            or self.collapse == "semantic"
+        )
+
+    #: settings :meth:`to_dict` ships verbatim
+    PLAIN_FIELDS = (
+        "max_level_sequences", "max_nodes", "max_levels", "time_limit",
+        "exact", "share_prefixes", "remap", "validate", "difftest",
+        "input_vectors", "phase_timeout", "checkpoint_interval",
+        "sanitize", "collapse",
+    )
+
+    def to_dict(self) -> Dict[str, object]:
+        """The picklable settings :meth:`from_dict` rebuilds this config
+        from.  Phases travel by id; the fault injector travels as its
+        settings, so each rebuilt config draws a fresh injector's
+        stream.  The program, target, checkpoint and memo are the
+        caller's to supply."""
+        spec: Dict[str, object] = {
+            name: getattr(self, name) for name in self.PLAIN_FIELDS
+        }
+        spec["phases"] = "".join(phase.id for phase in self.phases)
+        injector = self.fault_injector
+        if injector is not None:
+            spec["fault"] = dict(
+                seed=injector.seed,
+                rate=injector.rate,
+                modes=injector.modes,
+                attempts=injector.attempts,
+                hang_seconds=injector.hang_seconds,
+            )
+        return spec
+
+    @classmethod
+    def from_dict(cls, spec: Dict[str, object]) -> "EnumerationConfig":
+        """A config from plain settings: any subset of the constructor's
+        keywords, with ``phases`` as an id string and ``fault`` as
+        :class:`FaultInjector` keywords."""
+        fields = dict(spec)
+        fault = fields.pop("fault", None)
+        if fault is not None:
+            fields["fault_injector"] = FaultInjector(**fault)
+        if "phases" in fields:
+            fields["phases"] = [phase_by_id(pid) for pid in fields["phases"]]
+        return cls(**fields)
 
     def signature(self) -> Dict[str, object]:
         """The space-shaping settings a checkpoint must agree on.
@@ -317,6 +370,9 @@ class SpaceEnumerator:
                 program=self.config.program, entry=func.name
             )
         self.resumed_from: Optional[str] = None
+        #: phase attempts so far; a pool worker's heartbeat thread reads
+        #: it from before run(), while a big checkpoint is restored
+        self.attempted = 0
         self._interrupted = False
         self._last_checkpoint = time.monotonic()
 
@@ -921,10 +977,12 @@ class SpaceEnumerator:
         config = self.config
         if config.checkpoint_path is None or config.checkpoint_interval is None:
             return
-        now = time.monotonic()
-        if now - self._last_checkpoint >= config.checkpoint_interval:
+        if time.monotonic() - self._last_checkpoint >= config.checkpoint_interval:
             self._write_checkpoint()
-            self._last_checkpoint = now
+            # Timed from the end of the write: a write slower than the
+            # interval (a big frontier) must not make every node
+            # expansion a checkpoint.
+            self._last_checkpoint = time.monotonic()
 
     def _write_checkpoint(self) -> None:
         ckpt.save_checkpoint(self.config.checkpoint_path, self._state())
@@ -1023,12 +1081,11 @@ def enumerate_space(
 def canonical_root(
     func: Function, config: EnumerationConfig
 ) -> Tuple[Function, Fingerprint, object]:
-    """The root instance of *func*'s space (implicit cleanup applied
-    unless the input already is canonical), its fingerprint and its
-    node key — the key checkpoints and the space store are matched on."""
+    """The root instance of *func*'s space (implicit cleanup applied),
+    its fingerprint and its node key — the key checkpoints and the
+    space store are matched on."""
     root = func.clone()
-    if not config.canonical_input:
-        implicit_cleanup(root)
+    implicit_cleanup(root)
     fingerprint = fingerprint_function(
         root, keep_text=config.exact, remap=config.remap
     )

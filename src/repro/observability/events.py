@@ -27,6 +27,7 @@ rather than into each record.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from typing import Dict, FrozenSet, List, Optional, TextIO, Tuple
 
@@ -156,7 +157,9 @@ class EventStream:
     The stream is the single producer-side writer; consumers (the live
     reporter, ``repro report``) never write.  ``path=None`` gives a
     null stream: emit() validates and returns the record but writes
-    nothing, which keeps producer call sites branch-free.
+    nothing, which keeps producer call sites branch-free.  Threads may
+    share a stream (the service's event loop and its pool thread do):
+    each line is written whole.
     """
 
     def __init__(self, path: Optional[str] = None, stream: Optional[TextIO] = None):
@@ -171,6 +174,7 @@ class EventStream:
             self._log = None
             self._owns = False
         self._start = time.monotonic()
+        self._lock = threading.Lock()
 
     def elapsed(self) -> float:
         return time.monotonic() - self._start
@@ -180,15 +184,17 @@ class EventStream:
         validate_event(name, fields)
         record: Dict[str, object] = {"t": round(self.elapsed(), 3), "event": name}
         record.update(fields)
-        if self._log is not None:
-            self._log.write(json.dumps(record, sort_keys=True) + "\n")
-            self._log.flush()
+        with self._lock:
+            if self._log is not None:
+                self._log.write(json.dumps(record, sort_keys=True) + "\n")
+                self._log.flush()
         return record
 
     def close(self) -> None:
-        if self._log is not None and self._owns:
-            self._log.close()
-        self._log = None
+        with self._lock:
+            if self._log is not None and self._owns:
+                self._log.close()
+            self._log = None
 
     def __enter__(self) -> "EventStream":
         return self

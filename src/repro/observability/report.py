@@ -490,7 +490,7 @@ def render_report(summary: Dict[str, object]) -> str:
             f"  service: {service['admitted']} admitted "
             f"({service['coalesced']} coalesced), "
             f"{service['shed_total']} shed, "
-            f"{service['retries']} executor retries, "
+            f"{service['retries']} request retries, "
             f"{service['breaker_opens']} breaker opens, "
             f"{service['drains']} drain(s)"
         )

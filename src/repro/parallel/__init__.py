@@ -6,11 +6,13 @@ function per worker process, so every space DAG is **bit-identical**
 to a serial run by construction — every Table 3–7 number is
 reproducible at any ``--jobs`` level.  See ``docs/PARALLEL.md``.
 
-- :mod:`~repro.parallel.coordinator` — the worker pool: leases,
-  heartbeats, respawns, signal forwarding, the run journal;
-- :mod:`~repro.parallel.worker` — the worker process, which runs
-  :func:`repro.core.driver.run_function` (the one driver owning the
-  store, memo and checkpoint rules; the service executor calls it too);
+- :mod:`~repro.parallel.coordinator` — the worker pool (leases,
+  heartbeats, respawns, signal forwarding), the one process supervisor
+  behind both ``--jobs N`` and ``repro serve``, and the parallel
+  enumerator built on it;
+- :mod:`~repro.parallel.worker` — the worker process, and the
+  ``--jobs`` task that runs :func:`repro.core.driver.run_function`
+  (the one driver owning the store, memo and checkpoint rules);
 - :mod:`~repro.parallel.telemetry` — JSONL event log + live status.
 
 The completed-space store lives in :mod:`repro.core.store`.

@@ -1,27 +1,29 @@
-"""The parallel enumeration coordinator: a pool of serial enumerators.
+"""The worker pool, and the parallel enumerator built on it.
 
-:class:`ParallelEnumerator` runs each requested function in a worker
-process (:mod:`repro.parallel.worker`) through
-:func:`repro.core.driver.run_function` — the ordinary serial enumerator
-with its store, memo and checkpoint rules, the same driver the service
-executor calls.  Results are bit-identical to serial runs because they
-come from the same code.  The unit of parallelism is the function; one
-function's space is never split across workers (``docs/PARALLEL.md``
-says why).
+:class:`WorkerPool` is the one process supervisor.  Its workers
+(:mod:`repro.parallel.worker`) run submitted tasks, one at a time
+each; a task names a module-level runner and its picklable arguments,
+so each task carries its own config.  ``--jobs N`` submits one
+:func:`~repro.parallel.worker.enumerate_function` task per function,
+``repro serve`` one :func:`~repro.service.executor.run_spec` task per
+request.
 
-- **Scheduling.** Functions go to free worker slots in request order;
-  the pool never has more workers than functions.  Budgets
-  (``time_limit``, ``max_nodes``, ...) are enforced by each function's
-  own serial enumerator, so they mean what they mean serially.
 - **Leases.** Workers heartbeat their enumerator's attempt count.  A
   worker that dies, or whose count stalls past ``lease_timeout``, is
-  terminated and respawned, and its function re-leased — resuming from
-  the serial checkpoint when a ``run_dir`` is set.  SIGTERM and ^C are
-  forwarded to busy workers as one SIGTERM each; their enumerators
-  checkpoint before :class:`KeyboardInterrupt` is re-raised here.
-- **Persistence.** With a ``run_dir``, function *label* checkpoints to
-  ``<run_dir>/<label>.ckpt.json`` in the serial format, so a parallel
-  run resumes serially (``--checkpoint ... --resume``) and vice versa.
+  terminated and respawned, and its task re-leased; runners resume
+  from their checkpoint.  A task gets at most ``1 + MAX_SHARD_RETRIES``
+  leases, then ends as ``shard_failed``; slots respawn without limit.
+- **Stops.** :meth:`WorkerPool.cancel` sends one SIGTERM to a task's
+  worker, :meth:`WorkerPool.drain` to every busy one; the enumerator
+  checkpoints and returns, and a stopped task is never re-leased.
+
+:class:`ParallelEnumerator` runs each function through
+:func:`repro.core.driver.run_function`, the serial enumerator, so its
+results are bit-identical to serial runs by construction; one
+function's space is never split (``docs/PARALLEL.md`` says why).  With
+a ``run_dir``, function *label* checkpoints to
+``<run_dir>/<label>.ckpt.json`` in the serial format, so a parallel run
+resumes serially (``--checkpoint ... --resume``) and vice versa.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core import checkpoint as ckpt
 from repro.core.dag import SpaceDAG
@@ -49,13 +51,325 @@ from repro.machine.target import DEFAULT_TARGET
 from repro.observability import manifest as manifest_mod
 from repro.observability.tracer import Tracer
 from repro.parallel.telemetry import ProgressReporter
-from repro.parallel.worker import config_spec, worker_main
-from repro.robustness.retry import RetryBudget
+from repro.parallel.worker import enumerate_function, worker_main
+
+
+def resolve_start_method(explicit: Optional[str] = None) -> str:
+    """*explicit*, else ``$REPRO_START_METHOD``, else fork where the
+    platform has it."""
+    if explicit is not None:
+        return explicit
+    env = os.environ.get("REPRO_START_METHOD")
+    if env:
+        return env
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+class PoolTask:
+    """One unit of pool work and, once finished, its outcome."""
+
+    def __init__(self, task_id: int, runner: Callable, args: tuple, label: str):
+        self.task_id = task_id
+        self.runner = runner
+        self.args = args
+        #: display name in the journal (a function, a request id)
+        self.label = label
+        #: leases started so far
+        self.attempts = 0
+        #: worker slot of the latest lease
+        self.worker: Optional[int] = None
+        #: the runner's return value, once a lease finished the task
+        self.payload = None
+        #: why the task ended without a payload: ``shard_failed: ...``
+        #: when its leases ran out, ``stopped`` when cancelled or drained
+        self.error: Optional[str] = None
+        #: cancel() or drain() reached the task while it ran
+        self.stopped = False
+
+
+class _WorkerSlot:
+    """One worker process slot (respawned across worker deaths)."""
+
+    def __init__(self, worker_id: int):
+        self.worker_id = worker_id
+        self.process = None
+        self.task_queue = None
+        #: per-worker event channel, fresh per incarnation.  Never
+        #: shared: a worker killed mid-write can leave a queue's
+        #: cross-process lock held forever; a private channel confines
+        #: the damage (and any late message) to the dead worker.
+        self.event_queue = None
+        self.task: Optional[PoolTask] = None
+        #: last heartbeat-reported attempt count, and when it moved
+        self.attempts: Optional[int] = None
+        self.last_progress = 0.0
+
+
+class WorkerPool:
+    """Long-lived worker processes running submitted tasks.
+
+    One thread owns a pool: it calls :meth:`submit`, :meth:`poll`,
+    :meth:`cancel`, :meth:`drain` and :meth:`close`.  :meth:`wake` is
+    the one method other threads may call.
+    """
+
+    #: times a task is re-leased; its next lost lease ends it
+    #: (shard_failed), so a task gets at most three leases
+    MAX_SHARD_RETRIES = 2
+
+    def __init__(
+        self,
+        workers: int,
+        *,
+        start_method: Optional[str] = None,
+        lease_timeout: float = 30.0,
+        heartbeat_interval: float = 0.5,
+        forward_events: bool = False,
+        chaos: Optional[Dict] = None,
+        emit: Optional[Callable[..., None]] = None,
+    ):
+        #: seconds without enumeration progress before a lease is
+        #: reclaimed; must exceed the worst-case single phase attempt
+        self.lease_timeout = lease_timeout
+        self._emit = emit if emit is not None else (lambda name, **fields: None)
+        self._spec = {
+            "heartbeat_interval": heartbeat_interval,
+            "forward_events": forward_events,
+        }
+        self._chaos = chaos
+        self._ctx = multiprocessing.get_context(resolve_start_method(start_method))
+        self._pending = deque()
+        self._finished: List[PoolTask] = []
+        self._next_id = 0
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        self._slots = [_WorkerSlot(i) for i in range(workers)]
+        for slot in self._slots:
+            self._spawn(slot, with_chaos=True)
+
+    # ------------------------------------------------------------------
+    # Operations
+    # ------------------------------------------------------------------
+
+    def submit(self, runner: Callable, args: Sequence, label: str) -> PoolTask:
+        """Queue ``runner(*args, on_start=...)`` for the next free worker.
+
+        *runner* must be a module-level function and *args* picklable;
+        the runner's return value becomes the task's ``payload``.
+        """
+        task = PoolTask(self._next_id, runner, tuple(args), label)
+        self._next_id += 1
+        self._pending.append(task)
+        return task
+
+    def poll(self, timeout: float) -> List[PoolTask]:
+        """Dispatch pending tasks to free workers, wait up to *timeout*
+        for worker events, reclaim lost leases, and return the tasks
+        finished since the last poll."""
+        self._dispatch()
+        self._pump(0.0 if self._finished else timeout)
+        self._health()
+        finished, self._finished = self._finished, []
+        return finished
+
+    def cancel(self, task: PoolTask) -> None:
+        """Stop *task*: a queued one finishes at once; a running one's
+        worker gets one SIGTERM and the task is not re-leased."""
+        if task in self._pending:
+            self._pending.remove(task)
+            self._finish(task, "stopped")
+        for slot in self._slots:
+            if slot.task is task:
+                task.stopped = True
+                slot.process.terminate()
+
+    def drain(self) -> None:
+        """:meth:`cancel` every queued and running task."""
+        running = [slot.task for slot in self._slots if slot.task is not None]
+        for task in list(self._pending) + running:
+            self.cancel(task)
+
+    def close(self) -> None:
+        """Stop and join the workers: idle ones exit on a sentinel; any
+        still running two seconds later are killed."""
+        for slot in self._slots:
+            if slot.process.is_alive():
+                try:
+                    slot.task_queue.put(None)
+                except (OSError, ValueError):
+                    pass
+        deadline = time.monotonic() + 2.0
+        while True:
+            alive = [slot for slot in self._slots if slot.process.is_alive()]
+            remaining = deadline - time.monotonic()
+            if not alive or remaining <= 0:
+                break
+            connection_wait(
+                [slot.process.sentinel for slot in alive]
+                + [slot.event_queue._reader for slot in alive],
+                remaining,
+            )
+            # read (and drop) anything still being written, so no worker
+            # stays blocked mid-put on a full pipe
+            for slot in alive:
+                while not slot.event_queue.empty():
+                    slot.event_queue.get()
+        for slot in self._slots:
+            if slot.process.is_alive():
+                slot.process.kill()
+            slot.process.join(1.0)
+        os.close(self._wake_r)
+        os.close(self._wake_w)
+
+    def wake(self) -> None:
+        """Make a blocked :meth:`poll` return early.  Thread-safe."""
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:
+            pass  # the pipe is full of wakeups already
+
+    def busy_pids(self) -> List[int]:
+        """Process ids of the workers running a task."""
+        return [slot.process.pid for slot in self._slots if slot.task is not None]
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _spawn(self, slot: _WorkerSlot, with_chaos: bool) -> None:
+        # The replacement never inherits the chaos hook: the fault
+        # being simulated happened; the recovery is under test.
+        spec = dict(self._spec, chaos=self._chaos if with_chaos else None)
+        slot.task_queue = self._ctx.Queue()
+        slot.event_queue = self._ctx.SimpleQueue()
+        slot.process = self._ctx.Process(
+            target=worker_main,
+            args=(slot.worker_id, spec, slot.task_queue, slot.event_queue),
+            daemon=True,
+        )
+        slot.process.start()
+
+    def _dispatch(self) -> None:
+        for slot in self._slots:
+            if slot.task is None and self._pending:
+                task = slot.task = self._pending.popleft()
+                task.attempts += 1
+                task.worker = slot.worker_id
+                slot.task_queue.put({"runner": task.runner, "args": task.args})
+                slot.attempts = None
+                slot.last_progress = time.monotonic()
+                self._emit(
+                    "shard_dispatch",
+                    shard=task.task_id,
+                    worker=slot.worker_id,
+                    label=task.label,
+                )
+
+    def _finish(self, task: PoolTask, error: Optional[str] = None) -> None:
+        task.error = error
+        self._finished.append(task)
+
+    def _pump(self, timeout: float) -> None:
+        if self._read_events():
+            return
+        # select()-based wakeup: react to the next event, or a worker's
+        # death, immediately instead of polling on a sleep cadence
+        connection_wait(
+            [slot.event_queue._reader for slot in self._slots]
+            + [slot.process.sentinel for slot in self._slots]
+            + [self._wake_r],
+            timeout,
+        )
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+        self._read_events()
+
+    def _read_events(self) -> bool:
+        handled = False
+        for slot in self._slots:
+            handled = self._read_slot(slot) or handled
+        return handled
+
+    def _read_slot(self, slot: _WorkerSlot) -> bool:
+        handled = False
+        # single reader: empty() == False guarantees get() returns
+        while not slot.event_queue.empty():
+            self._handle_event(slot, *slot.event_queue.get())
+            handled = True
+        return handled
+
+    def _handle_event(self, slot: _WorkerSlot, kind: str, _worker_id: int, payload) -> None:
+        if kind == "heartbeat":
+            if payload["attempts"] != slot.attempts:
+                slot.attempts = payload["attempts"]
+                slot.last_progress = time.monotonic()
+        elif kind == "event":
+            name, fields = payload
+            if "function" in fields and slot.task is not None:
+                fields["function"] = slot.task.label
+            self._emit(name, **fields)
+        elif kind == "result":
+            task, slot.task = slot.task, None
+            task.payload = payload
+            self._finish(task)
+        elif kind == "shard_error":
+            task, slot.task = slot.task, None
+            self._emit(
+                "shard_error",
+                shard=task.task_id,
+                worker=slot.worker_id,
+                error=payload["error"],
+                traceback=payload["traceback"],
+            )
+            self._lost(task, payload["error"])
+
+    def _health(self) -> None:
+        now = time.monotonic()
+        for slot in self._slots:
+            task = slot.task
+            if slot.process.is_alive():
+                if task is None or now - slot.last_progress <= self.lease_timeout:
+                    continue
+                self._emit("lease_timeout", worker=slot.worker_id, shard=task.task_id)
+                slot.process.terminate()
+                slot.process.join(2.0)
+                if slot.process.is_alive():
+                    slot.process.kill()
+                    slot.process.join(1.0)
+            else:
+                # a worker posts its result before any graceful exit
+                self._read_slot(slot)
+                task = slot.task
+                self._emit(
+                    "worker_dead",
+                    worker=slot.worker_id,
+                    shard=None if task is None else task.task_id,
+                )
+            slot.task = None
+            self._spawn(slot, with_chaos=False)
+            if task is not None:
+                self._lost(task, "worker lost")
+
+    def _lost(self, task: PoolTask, why: str) -> None:
+        if task.stopped:
+            self._finish(task, "stopped")
+        elif task.attempts > self.MAX_SHARD_RETRIES:
+            self._finish(task, f"shard_failed: {why}")
+        else:
+            self._pending.appendleft(task)
+            self._emit(
+                "lease_reclaim", shard=task.task_id, retries=task.attempts, why=why
+            )
 
 
 class EnumerationRequest(NamedTuple):
     """One function to enumerate: a display label, the function, and —
-    when differential testing is on — its program's mini-C source."""
+    when the config consults the program — its program's mini-C
+    source."""
 
     label: str
     function: Function
@@ -84,8 +398,7 @@ class ParallelConfig:
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        #: seconds without enumeration progress before a lease is
-        #: reclaimed; must exceed the worst-case single phase attempt
+        #: see :attr:`WorkerPool.lease_timeout`
         self.lease_timeout = lease_timeout
         self.heartbeat_interval = heartbeat_interval
         #: seconds between a worker's periodic function checkpoints
@@ -104,63 +417,26 @@ class ParallelConfig:
         self.chaos = chaos
         self.start_method = start_method
         #: observability tracer (journal + manifest); caller-owned.
-        #: When None and a run_dir is set (without a legacy journaling
-        #: reporter), the coordinator builds and owns one.
+        #: When None and a run_dir is set, the coordinator builds and
+        #: owns one.
         self.tracer = tracer
-
-    def resolve_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        env = os.environ.get("REPRO_START_METHOD")
-        if env:
-            return env
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
 
 
 class _FunctionJob:
     """Coordinator-side state of one requested function."""
 
-    def __init__(
-        self, job_id: int, request: EnumerationRequest, parallel: ParallelConfig
-    ):
-        self.job_id = job_id
+    def __init__(self, request: EnumerationRequest, parallel: ParallelConfig):
         self.label = request.label
         self.request = request
         self.checkpoint_path = None
         if parallel.run_dir:
             name = re.sub(r"[^A-Za-z0-9_.-]", "_", request.label)
             self.checkpoint_path = os.path.join(parallel.run_dir, f"{name}.ckpt.json")
-        #: continue from checkpoint_path (the request's, or a re-lease)
-        self.resume = parallel.resume
         self.result: Optional[EnumerationResult] = None
-
-
-class _WorkerSlot:
-    """One worker process slot (respawned across worker deaths)."""
-
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
-        self.process = None
-        self.task_queue = None
-        #: per-worker event channel, fresh per incarnation.  Never
-        #: shared: a worker killed mid-write can leave a queue's
-        #: cross-process lock held forever; a private channel confines
-        #: the damage (and any late message) to the dead worker.
-        self.event_queue = None
-        self.busy: Optional[_FunctionJob] = None
-        #: last heartbeat-reported attempt count, and when it moved
-        self.attempts: Optional[int] = None
-        self.last_progress = 0.0
 
 
 class ParallelEnumerator:
     """Multi-process exhaustive enumeration, one function per worker."""
-
-    #: a worker slot dying this often aborts the run (systemic failure)
-    MAX_SLOT_DEATHS = 3
-    #: a function's lease failing this often aborts that function
-    MAX_SHARD_RETRIES = 2
 
     def __init__(
         self,
@@ -170,25 +446,14 @@ class ParallelEnumerator:
         self.config = config if config is not None else EnumerationConfig()
         self.parallel = parallel if parallel is not None else ParallelConfig()
         self._check_supported(self.config)
-        self._slots: List[_WorkerSlot] = []
-        self._jobs: List[_FunctionJob] = []
-        self._pending = deque()
-        self._lease_retries = RetryBudget(self.MAX_SHARD_RETRIES)
-        self._respawns = RetryBudget(self.MAX_SLOT_DEATHS)
         self._instances = 0
-        self._ctx = None
         if self.parallel.run_dir:
             os.makedirs(self.parallel.run_dir, exist_ok=True)
         self._tracer = self.parallel.tracer
         self._owns_tracer = False
-        reporter = self.parallel.progress
-        if (
-            self._tracer is None
-            and self.parallel.run_dir
-            and (reporter is None or reporter.jsonl_path is None)
-        ):
-            # No caller-provided tracer and no legacy journal-owning
-            # reporter: give the run dir its journal + manifest here.
+        if self._tracer is None and self.parallel.run_dir:
+            # No caller-provided tracer: give the run dir its journal
+            # and manifest here.
             self._tracer = self._build_tracer()
             self._owns_tracer = True
 
@@ -203,7 +468,7 @@ class ParallelEnumerator:
             seeds=seeds,
             extra={
                 "jobs": parallel.jobs,
-                "start_method": parallel.resolve_start_method(),
+                "start_method": resolve_start_method(parallel.start_method),
             },
         )
         tracer = Tracer(run_dir=parallel.run_dir, manifest=manifest)
@@ -248,12 +513,12 @@ class ParallelEnumerator:
         self, requests: Sequence[EnumerationRequest]
     ) -> List[EnumerationResult]:
         config, parallel = self.config, self.parallel
-        if config.difftest or config.sanitize == "full":
-            need = "difftest" if config.difftest else "sanitize=full"
+        if config.needs_program():
             for request in requests:
                 if request.source is None:
                     raise ValueError(
-                        f"{need} requires program source for {request.label!r}"
+                        "difftest, sanitize and semantic collapse consult "
+                        f"the program: pass the source for {request.label!r}"
                     )
         labels = set()
         for request in requests:
@@ -261,69 +526,70 @@ class ParallelEnumerator:
                 raise ValueError(f"duplicate request label {request.label!r}")
             labels.add(request.label)
         self._emit("job_start", functions=len(requests), jobs=parallel.jobs)
-        self._jobs = [
-            _FunctionJob(job_id, request, parallel)
-            for job_id, request in enumerate(requests)
-        ]
-        for job in self._jobs:
-            if not job.resume and job.checkpoint_path is not None:
+        jobs = [_FunctionJob(request, parallel) for request in requests]
+        for job in jobs:
+            if not parallel.resume and job.checkpoint_path is not None:
                 # A fresh run starts over; a stale checkpoint must not
-                # be picked up by a re-lease later in this run.
+                # be picked up by a task (which resumes what it finds).
                 try:
                     os.unlink(job.checkpoint_path)
                 except OSError:
                     pass
-        self._pending = deque(self._jobs)
-        if self._jobs:
-            self._run_pool()
+        if jobs:
+            self._run_pool(jobs)
         if parallel.progress is not None:
             parallel.progress.tick(force=True)
         self._emit(
             "job_done",
             instances=self._instances,
-            functions=len(self._jobs),
-            completed=sum(1 for job in self._jobs if job.result.completed),
+            functions=len(jobs),
+            completed=sum(1 for job in jobs if job.result.completed),
         )
-        return [job.result for job in self._jobs]
+        return [job.result for job in jobs]
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Driving the pool
     # ------------------------------------------------------------------
 
-    def _spawn(self, slot: _WorkerSlot, with_chaos: bool) -> None:
+    def _run_pool(self, jobs: List[_FunctionJob]) -> None:
         parallel = self.parallel
-        spec = {
-            "config": config_spec(self.config, parallel.checkpoint_interval),
-            "store": parallel.store.root if parallel.store is not None else None,
-            "heartbeat_interval": parallel.heartbeat_interval,
-            "forward_events": self._tracer is not None or parallel.progress is not None,
-            "chaos": parallel.chaos if with_chaos else None,
-        }
-        slot.task_queue = self._ctx.Queue()
-        slot.event_queue = self._ctx.SimpleQueue()
-        slot.process = self._ctx.Process(
-            target=worker_main,
-            args=(slot.worker_id, spec, slot.task_queue, slot.event_queue),
-            daemon=True,
+        spec = self.config.to_dict()
+        spec["checkpoint_interval"] = parallel.checkpoint_interval
+        store_root = parallel.store.root if parallel.store is not None else None
+        pool = WorkerPool(
+            min(parallel.jobs, len(jobs)),
+            start_method=parallel.start_method,
+            lease_timeout=parallel.lease_timeout,
+            heartbeat_interval=parallel.heartbeat_interval,
+            forward_events=self._tracer is not None or parallel.progress is not None,
+            chaos=parallel.chaos,
+            emit=self._emit,
         )
-        slot.process.start()
-
-    def _run_pool(self) -> None:
-        self._ctx = multiprocessing.get_context(self.parallel.resolve_start_method())
-        workers = min(self.parallel.jobs, len(self._pending))
-        self._slots = [_WorkerSlot(i) for i in range(workers)]
-        for slot in self._slots:
-            self._spawn(slot, with_chaos=True)
-        previous_sigterm = self._install_sigterm()
+        unfinished: Dict[int, _FunctionJob] = {}
+        previous_sigterm = None
         try:
-            self._drive()
-        except KeyboardInterrupt:
-            self._drain()
-            raise
+            for job in jobs:
+                args = (
+                    ckpt.function_to_dict(job.request.function),
+                    spec,
+                    job.request.source,
+                    store_root,
+                    job.checkpoint_path,
+                )
+                task = pool.submit(enumerate_function, args, job.label)
+                unfinished[task.task_id] = job
+            previous_sigterm = self._install_sigterm()
+            try:
+                self._drive(pool, unfinished)
+            except KeyboardInterrupt:
+                # checkpoint every running function, then re-raise
+                pool.drain()
+                self._drive(pool, unfinished)
+                raise
         finally:
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
-            self._shutdown()
+            pool.close()
 
     def _install_sigterm(self):
         """SIGTERM parity with ^C: an orchestrator shutdown takes the
@@ -337,143 +603,35 @@ class ParallelEnumerator:
 
         return signal.signal(signal.SIGTERM, _handler)
 
-    def _drain(self) -> None:
-        """Forward one SIGTERM to every busy worker, then wait (at most
-        a lease timeout) for their checkpointed, interrupted results."""
-        for slot in self._slots:
-            if slot.busy is not None and slot.process.is_alive():
-                slot.process.terminate()
-        deadline = time.monotonic() + self.parallel.lease_timeout
-        while time.monotonic() < deadline and any(
-            slot.busy is not None and slot.process.is_alive()
-            for slot in self._slots
-        ):
-            self._pump_events(timeout=0.05)
-        self._drain_events()
-
-    def _shutdown(self) -> None:
-        for slot in self._slots:
-            if slot.process.is_alive():
-                try:
-                    slot.task_queue.put(None)
-                except (OSError, ValueError):
-                    pass
-        deadline = time.monotonic() + 2.0
-        while True:
-            alive = [slot for slot in self._slots if slot.process.is_alive()]
-            remaining = deadline - time.monotonic()
-            if not alive or remaining <= 0:
-                break
-            connection_wait(
-                [slot.process.sentinel for slot in alive]
-                + [slot.event_queue._reader for slot in alive],
-                remaining,
-            )
-            # read (and drop) anything still being written, so no worker
-            # stays blocked mid-put on a full pipe
-            for slot in alive:
-                while not slot.event_queue.empty():
-                    slot.event_queue.get()
-        for slot in self._slots:
-            if slot.process.is_alive():
-                slot.process.kill()
-            slot.process.join(1.0)
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-
-    def _drive(self) -> None:
-        while any(job.result is None for job in self._jobs):
-            for slot in self._slots:
-                if slot.busy is None and self._pending:
-                    self._dispatch(slot, self._pending.popleft())
-            self._pump_events(timeout=0.05)
-            self._health()
-            reporter = self.parallel.progress
+    def _drive(self, pool: WorkerPool, unfinished: Dict[int, _FunctionJob]) -> None:
+        reporter = self.parallel.progress
+        while unfinished:
+            for task in pool.poll(0.05):
+                self._task_done(unfinished.pop(task.task_id), task)
             if reporter is not None:
-                busy = sum(1 for slot in self._slots if slot.busy is not None)
                 reporter.gauges(
-                    queue_depth=len(self._pending) + busy,
-                    busy=busy,
+                    queue_depth=len(unfinished),
+                    busy=len(pool.busy_pids()),
                     instances=self._instances,
                 )
                 reporter.tick()
 
-    def _dispatch(self, slot: _WorkerSlot, job: _FunctionJob) -> None:
-        slot.task_queue.put(
-            {
-                "job_id": job.job_id,
-                "function": ckpt.function_to_dict(job.request.function),
-                "source": job.request.source,
-                "checkpoint_path": job.checkpoint_path,
-                "resume": job.resume,
-            }
-        )
-        slot.busy = job
-        slot.attempts = None
-        slot.last_progress = time.monotonic()
-        self._emit(
-            "shard_dispatch",
-            shard=job.job_id,
-            worker=slot.worker_id,
-            function=job.label,
-        )
-
-    def _pump_events(self, timeout: float) -> None:
-        if self._drain_events():
+    def _task_done(self, job: _FunctionJob, task: PoolTask) -> None:
+        payload = task.payload
+        if payload is None:
+            if task.error == "stopped":
+                return  # drained before it produced a result
+            # No lease finished the function: report it aborted, with
+            # a root-only space.
+            root, fingerprint, key = canonical_root(job.request.function, self.config)
+            dag = SpaceDAG(root.name)
+            dag.add_node(key, 0, fingerprint.num_insts, fingerprint.cf_crc)
+            job.result = EnumerationResult(dag, False, 0, 0, 0.0, task.error)
+            self._function_done(job)
             return
-        # select()-based wakeup: react to the next event immediately
-        # instead of polling on a sleep cadence
-        connection_wait([slot.event_queue._reader for slot in self._slots], timeout)
-        self._drain_events()
-
-    def _drain_events(self) -> bool:
-        handled = False
-        for slot in self._slots:
-            handled = self._drain_slot(slot) or handled
-        return handled
-
-    def _drain_slot(self, slot: _WorkerSlot) -> bool:
-        handled = False
-        # single reader: empty() == False guarantees get() returns
-        while not slot.event_queue.empty():
-            self._handle_event(slot, *slot.event_queue.get())
-            handled = True
-        return handled
-
-    def _handle_event(
-        self, slot: _WorkerSlot, kind: str, _worker_id: int, payload
-    ) -> None:
-        if kind == "heartbeat":
-            if payload["attempts"] != slot.attempts:
-                slot.attempts = payload["attempts"]
-                slot.last_progress = time.monotonic()
-        elif kind == "event":
-            name, fields = payload
-            if "function" in fields and slot.busy is not None:
-                fields["function"] = slot.busy.label
-            self._emit(name, **fields)
-        elif kind == "result":
-            slot.busy = None
-            self._on_result(self._jobs[payload["job_id"]], slot.worker_id, payload)
-        elif kind == "shard_error":
-            slot.busy = None
-            self._emit(
-                "shard_error",
-                shard=payload["job_id"],
-                worker=slot.worker_id,
-                error=payload["error"],
-            )
-            if payload["checkpoint_error"]:
-                # Resuming is an explicit request: a checkpoint that
-                # will not load is the caller's error, not a retry.
-                raise ckpt.CheckpointError(payload["checkpoint_error"])
-            self._requeue(self._jobs[payload["job_id"]], payload["error"])
-
-    def _on_result(self, job: _FunctionJob, worker_id: int, payload: Dict) -> None:
+        if "checkpoint_error" in payload:
+            raise ckpt.CheckpointError(payload["checkpoint_error"])
         result = job.result = payload["result"]
-        self._lease_retries.reset(job.job_id)
         injector = self.config.fault_injector
         if injector is not None:
             # the caller's injector reports what the workers drew, as
@@ -499,8 +657,8 @@ class ParallelEnumerator:
             return
         self._emit(
             "shard_done",
-            shard=job.job_id,
-            worker=worker_id,
+            shard=task.task_id,
+            worker=task.worker,
             function=job.label,
             nodes=len(result.dag),
             attempts=result.attempted_phases,
@@ -518,65 +676,6 @@ class ParallelEnumerator:
             completed=result.completed,
             reason=result.abort_reason,
             wall=round(result.elapsed, 3),
-        )
-
-    def _health(self) -> None:
-        now = time.monotonic()
-        for slot in self._slots:
-            if slot.busy is None:
-                continue
-            dead = not slot.process.is_alive()
-            if dead:
-                # a worker posts its result before any graceful exit
-                self._drain_slot(slot)
-                if slot.busy is None:
-                    continue
-            elif now - slot.last_progress <= self.parallel.lease_timeout:
-                continue
-            job, slot.busy = slot.busy, None
-            self._emit(
-                "worker_dead" if dead else "lease_timeout",
-                worker=slot.worker_id,
-                shard=job.job_id,
-            )
-            if not dead:
-                slot.process.terminate()
-                slot.process.join(2.0)
-                if slot.process.is_alive():
-                    slot.process.kill()
-                    slot.process.join(1.0)
-            if not self._respawns.record_failure(slot.worker_id):
-                raise RuntimeError(
-                    f"worker slot {slot.worker_id} died "
-                    f"{self._respawns.failures(slot.worker_id)} times; "
-                    "aborting the run (systemic failure)"
-                )
-            # The replacement never inherits the chaos hook: the fault
-            # being simulated happened; the recovery is under test.
-            self._spawn(slot, with_chaos=False)
-            self._requeue(job, "worker lost")
-
-    def _requeue(self, job: _FunctionJob, why: str) -> None:
-        if not self._lease_retries.record_failure(job.job_id):
-            # No lease finished the function: report it aborted, with
-            # a root-only space.
-            root, fingerprint, key = canonical_root(job.request.function, self.config)
-            dag = SpaceDAG(root.name)
-            dag.add_node(key, 0, fingerprint.num_insts, fingerprint.cf_crc)
-            job.result = EnumerationResult(
-                dag, False, 0, 0, 0.0, f"shard_failed: {why}"
-            )
-            self._function_done(job)
-            return
-        # the lost lease's serial checkpoint (if it wrote one) carries
-        # the function's progress over to the next lease
-        job.resume = job.checkpoint_path is not None
-        self._pending.appendleft(job)
-        self._emit(
-            "lease_reclaim",
-            shard=job.job_id,
-            retries=self._lease_retries.failures(job.job_id),
-            why=why,
         )
 
     def _emit(self, name: str, **fields) -> None:

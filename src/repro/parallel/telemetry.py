@@ -8,12 +8,11 @@ showing functions done, worker occupancy, queue depth, instance
 throughput and a coarse ETA.  It only renders when the stream is a TTY
 (or when forced), so piped output and test logs stay clean.
 
-For compatibility the reporter can still be given a ``jsonl_path``, in
-which case it owns an :class:`~repro.observability.events.EventStream`
-journal (UTF-8, schema-validated) — but when a
-:class:`~repro.observability.tracer.Tracer` owns the journal, build the
-reporter without a path and subscribe it to the tracer instead; the
-events then flow tracer → journal + reporter with a single writer.
+The reporter never writes the journal: a
+:class:`~repro.observability.tracer.Tracer` owns it, and the reporter
+subscribes to the tracer (or is handed the same events by the
+coordinator), so events flow tracer → journal + reporter with a single
+writer.
 
 The reporter is deliberately passive: events and gauges are pushed in;
 nothing here spawns threads or touches the worker pool.
@@ -27,7 +26,7 @@ import time
 from collections import deque
 from typing import Deque, Optional, TextIO, Tuple
 
-from repro.observability.events import EventStream, read_journal
+from repro.observability.events import read_journal
 
 #: seconds of (t, instances) history the throughput window keeps
 _WINDOW_S = 5.0
@@ -37,18 +36,14 @@ _MIN_COLUMNS = 40
 
 
 class ProgressReporter:
-    """Folds run events into gauges; renders a status line (and
-    optionally a legacy-owned JSONL journal)."""
+    """Folds run events into gauges; renders a status line."""
 
     def __init__(
         self,
-        jsonl_path: Optional[str] = None,
         stream: Optional[TextIO] = None,
         interval: float = 0.25,
         force_tty: bool = False,
     ):
-        self.jsonl_path = jsonl_path
-        self._log = EventStream(jsonl_path) if jsonl_path else None
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
         self._tty = force_tty or bool(
@@ -89,7 +84,7 @@ class ProgressReporter:
         return self.functions_done + self.cached_done
 
     def event(self, name: str, **fields) -> None:
-        """Fold one event into the gauges; journal it if we own a log."""
+        """Fold one event into the gauges."""
         if name == "job_start":
             self.functions_total = fields.get("functions", 0)
             self.workers = fields.get("jobs", 0)
@@ -110,8 +105,6 @@ class ProgressReporter:
                 self._function_walls.append(fields["wall"])
         elif name == "lease_reclaim":
             self.reclaims += 1
-        if self._log is not None:
-            self._log.emit(name, **fields)
 
     def gauges(self, queue_depth: int, busy: int, instances: int) -> None:
         """Update the fast-moving gauges (called every coordinator tick)."""
@@ -199,21 +192,12 @@ class ProgressReporter:
         self._line_live = True
 
     def close(self) -> None:
-        """Finish the status line and close the JSONL log."""
+        """Finish the status line."""
         if self._tty and self._line_live:
             self.tick(force=True)
             self.stream.write("\n")
             self.stream.flush()
             self._line_live = False
-        if self._log is not None:
-            self._log.close()
-            self._log = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def replay_journal(

@@ -1,14 +1,16 @@
-"""Worker-process side of the parallel enumeration service.
+"""Worker-process side of the worker pool.
 
 Each worker is one OS process running :func:`worker_main`: it takes
-one function at a time off its task queue, enumerates it with
-:func:`~repro.core.driver.run_function` — the serial enumerator with
-the serial store, memo and checkpoint rules — and posts the
-:class:`EnumerationResult` back on its own event channel.
+one task at a time off its task queue, calls the task's runner — a
+module-level function named by the task, such as
+:func:`enumerate_function` for ``--jobs`` or the service's
+:func:`~repro.service.executor.run_spec` — and posts the runner's
+return value back on its own event channel.
 
-- A daemon **heartbeat** thread posts the enumerator's attempt count;
-  a hang keeps the thread alive but the count still, and the
-  coordinator reclaims the lease either way.
+- A daemon **heartbeat** thread posts the running enumerator's attempt
+  count (runners hand it over through their ``on_start`` keyword); a
+  hang keeps the thread alive but the count still, and the coordinator
+  reclaims the lease either way.
 - Workers leave the coordinator's process group, so a terminal ^C
   reaches the coordinator only; it forwards one SIGTERM, which the
   enumerator turns into a final checkpoint.  An orphaned worker exits.
@@ -16,7 +18,7 @@ the serial store, memo and checkpoint rules — and posts the
   worker runs a journal-less :class:`~repro.observability.tracer.Tracer`
   and forwards its events.
 
-The ``chaos`` entry of the job spec is a test hook: it makes one
+The ``chaos`` entry of the worker spec is a test hook: it makes one
 worker die (or hang) after a set number of node expansions.
 """
 
@@ -27,7 +29,7 @@ import signal
 import threading
 import time
 import traceback
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core import checkpoint as ckpt
 from repro.core.driver import run_function
@@ -35,54 +37,56 @@ from repro.core.enumeration import EnumerationConfig, SpaceEnumerator
 from repro.core.store import SpaceStore
 from repro.frontend import compile_source
 from repro.observability import tracer as obs_tracer
-from repro.opt import phase_by_id
-from repro.robustness.faults import FaultInjector
 
 
-#: EnumerationConfig fields shipped to workers verbatim
-_CONFIG_FIELDS = (
-    "max_level_sequences", "max_nodes", "max_levels", "time_limit",
-    "exact", "remap", "validate", "difftest", "input_vectors",
-    "phase_timeout", "canonical_input", "sanitize", "collapse",
-)
+def enumerate_function(
+    function: Dict,
+    config: Dict,
+    source: Optional[str],
+    store_root: Optional[str],
+    checkpoint_path: Optional[str],
+    *,
+    on_start: Callable[[SpaceEnumerator], None],
+) -> Dict:
+    """The ``--jobs`` task: one function through :func:`run_function`.
 
-
-def config_spec(config: EnumerationConfig, checkpoint_interval: float) -> Dict:
-    """The picklable fields a worker rebuilds *config* from.
-
-    Phases travel by id, so workers run the stock phase objects.  The
-    fault injector travels as its settings and is rebuilt for each
-    function, which then draws the stream a serial run with a fresh
-    injector would.
+    A task resumes whatever checkpoint it finds at *checkpoint_path*:
+    the coordinator deletes a stale one before a fresh run, so one
+    there is the caller's or a lost lease's.
     """
-    spec = {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    config = EnumerationConfig.from_dict(config)
+    if source is not None and config.needs_program():
+        config.program = compile_source(source)
+    store = SpaceStore(store_root) if store_root else None
+    try:
+        run = run_function(
+            ckpt.function_from_dict(function),
+            config,
+            store=store,
+            checkpoint_path=checkpoint_path,
+            resume=checkpoint_path is not None,
+            on_start=on_start,
+        )
+    except ckpt.CheckpointError as error:
+        # Resuming is an explicit request: a checkpoint that will not
+        # load is the caller's error, not a lost lease to retry.
+        return {"checkpoint_error": str(error)}
     injector = config.fault_injector
-    spec.update(
-        phases="".join(phase.id for phase in config.phases),
-        checkpoint_interval=checkpoint_interval,
-        fault=None if injector is None else dict(
-            seed=injector.seed,
-            rate=injector.rate,
-            modes=injector.modes,
-            attempts=injector.attempts,
-            hang_seconds=injector.hang_seconds,
+    tracer = obs_tracer.ACTIVE
+    return {
+        "result": run.result,
+        "faults": None if injector is None else {
+            "applications": injector.applications,
+            "injected": injector.injected,
+            "by_mode": injector.injected_by_mode,
+        },
+        "store": None if store is None else {
+            "hits": store.hits, "misses": store.misses, "corrupt": store.corrupt,
+        },
+        "analysis": None if tracer is None else (
+            tracer.analysis_hits, tracer.analysis_misses,
         ),
-    )
-    return spec
-
-
-def _build_config(spec: Dict, source: Optional[str]) -> EnumerationConfig:
-    spec = dict(spec)
-    fault = spec.pop("fault")
-    spec["phases"] = [phase_by_id(phase_id) for phase_id in spec["phases"]]
-    needs_program = (
-        spec["difftest"] or spec["sanitize"] or spec["collapse"] == "semantic"
-    )
-    return EnumerationConfig(
-        program=compile_source(source) if needs_program and source else None,
-        fault_injector=None if fault is None else FaultInjector(**fault),
-        **spec,
-    )
+    }
 
 
 class _Heartbeat:
@@ -93,7 +97,7 @@ class _Heartbeat:
         self.event_queue = event_queue
         self.interval = interval
         self.parent = os.getppid()
-        #: the running function's enumerator (None between tasks)
+        #: the running task's enumerator (None between tasks)
         self.enumerator: Optional[SpaceEnumerator] = None
         #: whether a task is running (heartbeats are sent only then)
         self.busy = False
@@ -137,19 +141,16 @@ def _arm_chaos(enumerator: SpaceEnumerator, chaos: Dict, state: Dict) -> None:
 
 
 def _run_task(
-    worker_id: int, job_spec: Dict, task: Dict, beat: _Heartbeat, chaos_state: Dict
-) -> Dict:
-    config = _build_config(job_spec["config"], task.get("source"))
-    store = SpaceStore(job_spec["store"]) if job_spec.get("store") else None
-    chaos = job_spec.get("chaos")
+    worker_id: int, spec: Dict, task: Dict, beat: _Heartbeat, chaos_state: Dict
+):
+    chaos = spec.get("chaos")
 
     def on_start(enumerator: SpaceEnumerator) -> None:
         beat.enumerator = enumerator
         if chaos and chaos["worker"] == worker_id:
             _arm_chaos(enumerator, chaos, chaos_state)
 
-    tracer = None
-    if job_spec.get("forward_events"):
+    if spec.get("forward_events"):
         tracer = obs_tracer.Tracer()
         tracer.subscribe(
             lambda name, **fields: beat.event_queue.put(
@@ -158,46 +159,28 @@ def _run_task(
         )
         obs_tracer.install(tracer)
     try:
-        run = run_function(
-            ckpt.function_from_dict(task["function"]),
-            config,
-            store=store,
-            checkpoint_path=task["checkpoint_path"],
-            resume=task["resume"],
-            on_start=on_start,
-        )
+        return task["runner"](*task["args"], on_start=on_start)
     finally:
         beat.enumerator = None
         obs_tracer.uninstall()
-    injector = config.fault_injector
-    return {
-        "job_id": task["job_id"],
-        "result": run.result,
-        "faults": None if injector is None else {
-            "applications": injector.applications,
-            "injected": injector.injected,
-            "by_mode": injector.injected_by_mode,
-        },
-        "store": None if store is None else {
-            "hits": store.hits, "misses": store.misses, "corrupt": store.corrupt,
-        },
-        "analysis": None if tracer is None else (
-            tracer.analysis_hits, tracer.analysis_misses,
-        ),
-    }
 
 
-def worker_main(worker_id: int, job_spec: Dict, task_queue, event_queue) -> None:
-    """Worker process entry point: enumerate functions until told to stop."""
+def worker_main(worker_id: int, spec: Dict, task_queue, event_queue) -> None:
+    """Worker process entry point: run tasks until told to stop."""
     try:
         os.setpgrp()
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # A fork-started child of an asyncio server inherits the loop's
+        # signal wakeup fd: a SIGTERM aimed at this worker would be
+        # written to it and run the server's handler (drain) instead.
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (AttributeError, ValueError, OSError):  # non-POSIX / non-main thread
         pass
     # A fork-started worker inherits the coordinator's installed tracer
     # — and with it an open journal file descriptor.
     obs_tracer.ACTIVE = None
-    beat = _Heartbeat(worker_id, event_queue, job_spec["heartbeat_interval"])
+    beat = _Heartbeat(worker_id, event_queue, spec["heartbeat_interval"])
     chaos_state: Dict = {}
     while True:
         task = task_queue.get()
@@ -205,22 +188,14 @@ def worker_main(worker_id: int, job_spec: Dict, task_queue, event_queue) -> None
             break
         beat.busy = True
         try:
-            payload = _run_task(worker_id, job_spec, task, beat, chaos_state)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as error:
+            payload = _run_task(worker_id, spec, task, beat, chaos_state)
+        except Exception as error:
             event_queue.put(
                 (
                     "shard_error",
                     worker_id,
                     {
-                        "job_id": task["job_id"],
                         "error": f"{type(error).__name__}: {error}",
-                        "checkpoint_error": (
-                            str(error)
-                            if isinstance(error, ckpt.CheckpointError)
-                            else None
-                        ),
                         "traceback": traceback.format_exc(limit=8),
                     },
                 )
@@ -229,5 +204,3 @@ def worker_main(worker_id: int, job_spec: Dict, task_queue, event_queue) -> None
         finally:
             beat.busy = False
         event_queue.put(("result", worker_id, payload))
-        if payload["result"].abort_reason == "interrupted":
-            break  # a graceful stop was requested: checkpointed, done

@@ -2,11 +2,12 @@
 
 A long-lived asyncio JSON-over-HTTP server that accepts ``compile`` /
 ``enumerate`` / ``interactions`` requests from many concurrent clients
-and multiplexes them onto the existing enumeration machinery — the
-serial :mod:`~repro.core.enumeration` engine through
-:func:`~repro.core.driver.run_function`, the parallel pool, and a
-:class:`~repro.core.store.SpaceStore` shared
-across requests as the cross-request cache.
+and runs them on the worker pool ``--jobs N`` uses
+(:class:`~repro.parallel.coordinator.WorkerPool`) — each request one
+task through :func:`~repro.core.driver.run_function` and the serial
+:mod:`~repro.core.enumeration` engine — with a
+:class:`~repro.core.store.SpaceStore` shared across requests as the
+cross-request cache.
 
 The package is structured as independently testable layers:
 
@@ -14,10 +15,11 @@ The package is structured as independently testable layers:
   the error vocabulary shared by server and client;
 - :mod:`~repro.service.admission` — token buckets, tenant quotas, and
   the per-work-key circuit breaker (pure, clock-injected, no I/O);
-- :mod:`~repro.service.executor` — the per-request worker subprocess;
-  crash containment and graceful SIGTERM checkpointing live here;
+- :mod:`~repro.service.executor` — the request runner a pool worker
+  calls for each request, and the response payloads;
 - :mod:`~repro.service.server` — the asyncio front end: admission,
-  load shedding, request coalescing, deadlines, drain;
+  load shedding, request coalescing, deadlines, drain, and the thread
+  that owns the worker pool;
 - :mod:`~repro.service.client` — the bundled retrying client (also
   what the chaos tests drive the server with).
 """

@@ -8,8 +8,9 @@ jitter policy from :mod:`repro.robustness.retry`; a server-supplied
 ``Retry-After`` always wins over the computed backoff, so the client
 cooperates with the server's admission control instead of hammering it.
 
-Non-transient statuses (``400`` bad request, ``404``, ``500`` executor
-failure, ``504`` deadline exceeded) raise immediately: retrying them
+Non-transient statuses (``400`` bad request, ``404``, ``500`` a
+request whose worker kept failing, ``504`` deadline exceeded) raise
+immediately: retrying them
 either cannot help or must be the caller's decision.
 """
 

@@ -3,8 +3,9 @@
 Everything a client may send is declared here — the three request
 kinds, the enumeration-config subset a request may set, and their
 types and ranges — so the server rejects malformed input with a
-structured 400 before any work is admitted, and the executor can trust
-its spec file completely.
+structured 400 before any work is admitted, and the request runner
+(:func:`~repro.service.executor.run_spec`) can trust its spec
+completely.
 
 The **work key** is the service's unit of identity: a stable digest of
 everything that shapes the computation (kind, source text, functions,
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.opt import PHASE_IDS
 from repro.programs import PROGRAMS
@@ -45,7 +46,6 @@ CONFIG_FIELDS: Dict[str, tuple] = {
     "sanitize": (str,),
     "fault_rate": (int, float),
     "fault_seed": (int,),
-    "jobs": (int,),
     "collapse": (str,),
 }
 
@@ -102,9 +102,6 @@ def _validated_config(raw: object) -> Dict[str, object]:
     rate = config.get("fault_rate")
     if rate is not None and not 0.0 < rate <= 1.0:
         _fail("config.fault_rate must be in (0, 1]")
-    jobs = config.get("jobs")
-    if jobs is not None and not 1 <= jobs <= 64:
-        _fail("config.jobs must be in [1, 64]")
     collapse = config.get("collapse")
     if collapse is not None and collapse not in ("syntactic", "semantic"):
         _fail("config.collapse must be 'syntactic' or 'semantic'")
@@ -125,8 +122,8 @@ def validate_request(kind: str, payload: object) -> Dict[str, object]:
     """Normalize one request body; raises :class:`RequestError`.
 
     Returns a dict with resolved ``source``, the validated ``config``
-    subset, and the kind-specific fields — the exact shape the executor
-    spec is built from.
+    subset, and the kind-specific fields — the exact shape a request's
+    task spec is built from.
     """
     if kind not in KINDS:
         _fail(f"unknown request kind {kind!r}; expected one of {KINDS}")
@@ -211,9 +208,3 @@ def work_key(normalized: Dict[str, object]) -> str:
         json.dumps(normalized, sort_keys=True).encode("utf-8")
     ).hexdigest()
     return f"{normalized['kind']}-{digest[:16]}"
-
-
-def split_key(key: str) -> Tuple[str, str]:
-    """(kind, digest) halves of a work key."""
-    kind, _, digest = key.partition("-")
-    return kind, digest

@@ -2,9 +2,12 @@
 
 A single-process asyncio front end speaking a minimal JSON-over-HTTP/1.1
 protocol (hand-rolled on :func:`asyncio.start_server`; the toolchain is
-stdlib-only by design).  Every admitted request runs in a fresh
-:mod:`~repro.service.executor` subprocess; the server itself never
-enumerates, so no request can wedge or crash it.
+stdlib-only by design).  Every admitted request runs as a
+:func:`~repro.service.executor.run_spec` task on one long-lived
+:class:`~repro.parallel.coordinator.WorkerPool` of ``workers``
+processes, the same pool ``--jobs N`` uses; the server itself never
+enumerates, so no request can wedge or crash it.  One thread owns the
+pool and hands finished tasks back to the event loop.
 
 Resilience layers, in admission order (see docs/SERVICE.md):
 
@@ -13,7 +16,10 @@ Resilience layers, in admission order (see docs/SERVICE.md):
   ``Retry-After`` the bundled client honors;
 - **tenant fairness** — per-tenant token buckets and concurrency
   quotas, so one noisy client degrades itself, not the service;
-- **circuit breaker** — work that repeatedly crashes its executor is
+- **crash retry** — a worker that dies or stalls mid-request is
+  respawned and the request's task re-leased from its checkpoint, at
+  most three leases in all;
+- **circuit breaker** — work that repeatedly crashes its worker is
   quarantined per work key (open → cooldown → half-open probe);
 - **request coalescing** — identical concurrent requests share one
   execution and one store write;
@@ -21,8 +27,8 @@ Resilience layers, in admission order (see docs/SERVICE.md):
   cooperative time budget; overruns get a structured ``504`` and leave
   a resumable checkpoint;
 - **graceful drain** — SIGTERM/SIGINT stops admitting, SIGTERMs the
-  in-flight executors (which checkpoint under their stable work keys),
-  and a restarted server resumes the same work bit-identically.
+  busy workers (whose enumerations checkpoint under their stable work
+  keys), and a restarted server resumes the same work bit-identically.
 
 Responses always carry ``X-Request-Id``; the same id threads through
 the run dir's ``events.jsonl``, so ``repro report`` and one grep give
@@ -34,17 +40,22 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import queue
 import signal
 import sys
+import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.core import checkpoint as ckpt
-from repro.observability.events import JOURNAL_NAME
 from repro.observability.manifest import build_manifest
 from repro.observability.tracer import Tracer
 from repro.service import protocol
 from repro.service.admission import CircuitBreaker, Tenant
+
+if TYPE_CHECKING:
+    # imported where used: clients import this package too, and need
+    # none of the engine the pool and its runner bring in
+    from repro.parallel.coordinator import PoolTask, WorkerPool
 
 #: marker file a started server writes into its run dir, so clients and
 #: tests can discover the bound port (``port=0`` binds an ephemeral one)
@@ -65,6 +76,11 @@ _REASONS = {
 #: largest accepted request body
 MAX_BODY = 2 * 1024 * 1024
 
+#: seconds past a request's deadline the server waits for the
+#: enumeration's own time budget (which starts later, in the worker)
+#: to stop it and report its partial result, before cancelling it
+DEADLINE_SLACK = 2.0
+
 
 class ServiceConfig:
     """Tunables of one server instance (see docs/SERVICE.md)."""
@@ -82,8 +98,6 @@ class ServiceConfig:
         default_deadline: Optional[float] = None,
         max_deadline: float = 600.0,
         read_timeout: float = 10.0,
-        executor_retries: int = 2,
-        exec_grace: float = 5.0,
         drain_grace: float = 20.0,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
@@ -95,7 +109,7 @@ class ServiceConfig:
         self.run_dir = run_dir
         self.host = host
         self.port = port
-        #: concurrent executor subprocesses
+        #: worker processes in the pool (concurrent requests)
         self.workers = workers
         #: admitted requests allowed to wait for a worker slot; beyond
         #: this the server sheds with 429 queue_full
@@ -109,11 +123,6 @@ class ServiceConfig:
         self.max_deadline = max_deadline
         #: seconds a client has to deliver its request bytes
         self.read_timeout = read_timeout
-        #: executor crash retries per request (resume picks up the
-        #: checkpoint, so retries never recompute finished levels)
-        self.executor_retries = executor_retries
-        #: seconds between SIGTERM and SIGKILL for an overrun executor
-        self.exec_grace = exec_grace
         #: seconds a draining server waits for in-flight work
         self.drain_grace = drain_grace
         self.breaker_threshold = breaker_threshold
@@ -205,6 +214,23 @@ def _encode_response(
     return head.encode("latin-1") + payload
 
 
+class _Submission:
+    """One request's pool task, as the server tracks it."""
+
+    def __init__(self, request_id: str, key: str, future: asyncio.Future):
+        self.request_id = request_id
+        self.key = key
+        #: resolves to the finished :class:`PoolTask`
+        self.future = future
+        #: set by the pool thread when it submits the task
+        self.task: Optional[PoolTask] = None
+
+
+def _resolve(future: asyncio.Future, value) -> None:
+    if not future.done():
+        future.set_result(value)
+
+
 class EnumerationServer:
     """One long-lived service instance bound to one run dir."""
 
@@ -235,8 +261,18 @@ class EnumerationServer:
         #: work key -> future resolving to (status, body, retry_after);
         #: concurrent identical requests await the leader's future
         self._inflight: Dict[str, asyncio.Future] = {}
-        #: request id -> running executor process (drain SIGTERMs these)
-        self._procs: Dict[str, asyncio.subprocess.Process] = {}
+        self._pool: Optional[WorkerPool] = None
+        self._pool_thread: Optional[threading.Thread] = None
+        #: callables for the pool thread to run (None stops it)
+        self._commands: queue.SimpleQueue = queue.SimpleQueue()
+        #: pool-thread state: task id -> its request
+        self._submissions: Dict[int, _Submission] = {}
+        #: pids of the busy workers, as the pool thread last saw them
+        self._busy_pids: List[int] = []
+        #: requests whose task is submitted and not yet finished
+        self._running = 0
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._drain_task: Optional[asyncio.Task] = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._stopped: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -262,7 +298,7 @@ class EnumerationServer:
 
     async def serve(self) -> None:
         """Bind, announce, and run until drained."""
-        loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._slots = asyncio.Semaphore(self.config.workers)
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -276,14 +312,27 @@ class EnumerationServer:
                 signal.signal(
                     signum, lambda *_: loop.call_soon_threadsafe(self.request_drain)
                 )
+        from repro.parallel.coordinator import resolve_start_method
+
+        # Fork-started workers copy this process as it is, with nothing
+        # more to import before the announcement; spawn-started ones
+        # import everything afresh, so they start after it.
+        fork = resolve_start_method() == "fork"
+        if fork:
+            self._start_pool()
         self.tracer.emit("run_start", tool="repro.serve")
         self.tracer.emit("server_start", port=self.port)
         self._announce()
+        if not fork:
+            self._start_pool()
         try:
             await self._stopped.wait()
         finally:
             self._server.close()
             await self._server.wait_closed()
+            self._commands.put(None)
+            self._pool.wake()
+            self._pool_thread.join()
             # retract the announce file: a drained run dir must not
             # advertise a dead endpoint to clients or a restarted server
             try:
@@ -302,35 +351,88 @@ class EnumerationServer:
 
     def request_drain(self) -> None:
         """First signal: stop admitting, checkpoint in-flight work.
-        Second signal: hard stop."""
+        Second signal: hard stop (closing the pool kills busy workers)."""
         if self.draining:
-            for proc in list(self._procs.values()):
-                try:
-                    proc.kill()
-                except ProcessLookupError:
-                    pass
             if self._stopped is not None:
                 self._stopped.set()
             return
         self.draining = True
-        self.tracer.emit("server_drain", in_flight=len(self._procs))
-        for proc in list(self._procs.values()):
-            try:
-                proc.terminate()
-            except ProcessLookupError:
-                pass
-        asyncio.ensure_future(self._finish_drain())
+        self.tracer.emit("server_drain", in_flight=self._running)
+        if self._pool is not None:
+            self._to_pool(self._pool.drain)
+        self._drain_task = asyncio.ensure_future(self._finish_drain())
 
     async def _finish_drain(self) -> None:
         deadline = self.config.clock() + self.config.drain_grace
         while self._handlers > 0 and self.config.clock() < deadline:
             await asyncio.sleep(0.05)
-        for proc in list(self._procs.values()):
-            try:
-                proc.kill()
-            except ProcessLookupError:
-                pass
         self._stopped.set()
+
+    # ------------------------------------------------------------------
+    # The pool thread
+    # ------------------------------------------------------------------
+
+    def _start_pool(self) -> None:
+        from repro.parallel.coordinator import WorkerPool
+
+        self._pool = WorkerPool(self.config.workers, emit=self._pool_event)
+        self._pool_thread = threading.Thread(
+            target=self._drive_pool, name="repro-pool", daemon=True
+        )
+        self._pool_thread.start()
+
+    def _to_pool(self, command: Callable[[], None]) -> None:
+        """Run *command* on the pool thread (from the event loop)."""
+        self._commands.put(command)
+        self._pool.wake()
+
+    def _drive_pool(self) -> None:
+        """The pool thread: run commands, hand finished tasks back."""
+        pool = self._pool
+        while True:
+            try:
+                while True:
+                    command = self._commands.get_nowait()
+                    if command is None:
+                        pool.close()
+                        return
+                    command()
+            except queue.Empty:
+                pass
+            for task in pool.poll(1.0):
+                submission = self._submissions.pop(task.task_id)
+                self._loop.call_soon_threadsafe(
+                    _resolve, submission.future, task
+                )
+            self._busy_pids = pool.busy_pids()
+
+    def _submit(self, submission: _Submission, spec: Dict[str, object]) -> None:
+        """Pool thread: queue a request's task."""
+        from repro.service.executor import run_spec
+
+        submission.task = self._pool.submit(
+            run_spec, (spec,), submission.request_id
+        )
+        self._submissions[submission.task.task_id] = submission
+
+    def _pool_event(self, name: str, **fields) -> None:
+        """Pool thread: journal a lease event; a re-lease is a retry of
+        its request."""
+        self.tracer.emit(name, **fields)
+        if name == "lease_reclaim":
+            submission = self._submissions[fields["shard"]]
+            self._loop.call_soon_threadsafe(
+                self._task_retried, submission, fields["retries"]
+            )
+
+    def _task_retried(self, submission: _Submission, attempt: int) -> None:
+        # The re-lease resumes the same state dir: the checkpoint
+        # survives, so finished levels are free.
+        self.counters["retried"] += 1
+        self.tracer.emit(
+            "request_retry", request=submission.request_id, attempt=attempt
+        )
+        self.breaker.record_failure(submission.key)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -570,24 +672,6 @@ class EnumerationServer:
     # Execution
     # ------------------------------------------------------------------
 
-    def _spec_for(
-        self, request_id: str, key: str, normalized: Dict[str, object]
-    ) -> Dict[str, object]:
-        run_dir = self.config.run_dir
-        request_dir = os.path.join(run_dir, "requests", request_id)
-        os.makedirs(request_dir, exist_ok=True)
-        spec = dict(normalized)
-        spec["request_id"] = request_id
-        spec["config"] = dict(normalized["config"])
-        # State lives under the *work key*, not the request id: a
-        # retried, coalesced, or post-restart successor request finds
-        # and resumes the same checkpoints.
-        spec["state_dir"] = os.path.join(run_dir, "state", key)
-        spec["store_root"] = self.config.store_root
-        spec["result_path"] = os.path.join(request_dir, "result.json")
-        spec["spec_path"] = os.path.join(request_dir, "spec.json")
-        return spec
-
     async def _execute(
         self,
         request_id: str,
@@ -611,150 +695,97 @@ class EnumerationServer:
                     },
                     config.drain_grace,
                 )
-            attempts = 0
-            max_attempts = 1 + config.executor_retries
-            while True:
-                attempts += 1
-                if deadline_abs is not None:
-                    remaining = deadline_abs - config.clock()
-                    if remaining <= 0:
-                        return self._deadline_response(key)
-                else:
-                    remaining = None
-                spec = self._spec_for(request_id, key, normalized)
+            spec = dict(normalized, config=dict(normalized["config"]))
+            # State lives under the *work key*, not the request id: a
+            # re-leased, coalesced, or post-restart successor request
+            # finds and resumes the same checkpoints.
+            spec["state_dir"] = os.path.join(config.run_dir, "state", key)
+            spec["store_root"] = config.store_root
+            remaining = None
+            deadline_limited = False
+            if deadline_abs is not None:
+                remaining = deadline_abs - config.clock()
+                if remaining <= 0:
+                    return self._deadline_response(key)
                 user_limit = spec["config"].get("time_limit")
-                if remaining is not None and (
-                    user_limit is None or remaining < user_limit
-                ):
+                if user_limit is None or remaining < user_limit:
                     spec["config"]["time_limit"] = remaining
-                deadline_limited = (
-                    remaining is not None
-                    and (user_limit is None or remaining < user_limit)
-                )
-                rc, result = await self._run_executor(request_id, spec, remaining)
-                response = self._interpret(
-                    request_id, key, rc, result, deadline_limited
-                )
-                if response is not None:
-                    return response
-                # Crash: retry against the same state dir (the
-                # checkpoint survives, so finished levels are free).
-                self.counters["retried"] += 1
-                self.tracer.emit(
-                    "request_retry", request=request_id, attempt=attempts
-                )
-                self.breaker.record_failure(key)
-                if self.draining:
-                    return (
-                        503,
-                        {"error": "draining", "detail": "drain during retry"},
-                        config.drain_grace,
-                    )
-                if attempts >= max_attempts:
-                    self.counters["failed"] += 1
-                    self.tracer.emit(
-                        "request_done", request=request_id, status=500
-                    )
-                    return (
-                        500,
-                        {
-                            "error": "executor_failed",
-                            "detail": f"executor crashed {attempts} time(s) "
-                            f"(last exit {rc}); work key {key} counts "
-                            "toward its circuit breaker",
-                            "attempts": attempts,
-                        },
-                        None,
-                    )
+                    deadline_limited = True
+            task, overran = await self._run(request_id, key, spec, remaining)
+            return self._interpret(request_id, key, task, deadline_limited, overran)
         finally:
             self._slots.release()
 
-    def _deadline_response(
-        self, key: str
-    ) -> Tuple[int, Dict[str, object], Optional[float]]:
-        state_dir = os.path.join(self.config.run_dir, "state", key)
-        return (
-            504,
-            {
-                "error": "deadline_exceeded",
-                "detail": "request deadline expired; partial enumeration "
-                "state is checkpointed and a repeated request resumes it",
-                "checkpointed": os.path.isdir(state_dir),
-            },
-            None,
-        )
-
-    async def _run_executor(
+    async def _run(
         self,
         request_id: str,
+        key: str,
         spec: Dict[str, object],
         remaining: Optional[float],
-    ) -> Tuple[int, Optional[Dict[str, object]]]:
-        """One executor attempt: returns (exit_status, result | None)."""
-        spec_path = spec["spec_path"]
-        result_path = spec["result_path"]
-        try:
-            os.unlink(result_path)
-        except OSError:
-            pass
-        with open(spec_path, "w", encoding="utf-8") as handle:
-            json.dump(spec, handle, sort_keys=True)
-        log_path = os.path.join(os.path.dirname(spec_path), "executor.log")
-        with open(log_path, "ab") as log:
-            proc = await asyncio.create_subprocess_exec(
-                sys.executable,
-                "-m",
-                "repro.service.executor",
-                spec_path,
-                stdout=asyncio.subprocess.DEVNULL,
-                stderr=log,
-                # Own session: terminal SIGINT aimed at the server must
-                # not also hit the executors — drain signals them
-                # explicitly, exactly once.
-                start_new_session=True,
-            )
-        self._procs[request_id] = proc
+    ) -> Tuple[PoolTask, bool]:
+        """Run a request's task; returns it finished, and whether the
+        server had to cancel it at the deadline."""
+        submission = _Submission(request_id, key, self._loop.create_future())
+        self._to_pool(lambda: self._submit(submission, spec))
+        self._running += 1
         try:
             if remaining is None:
-                rc = await proc.wait()
-            else:
-                try:
-                    rc = await asyncio.wait_for(
-                        proc.wait(), remaining + self.config.exec_grace
-                    )
-                except asyncio.TimeoutError:
-                    # The cooperative budget should have stopped it;
-                    # escalate SIGTERM (checkpoint) then SIGKILL.
-                    proc.terminate()
-                    try:
-                        rc = await asyncio.wait_for(
-                            proc.wait(), self.config.exec_grace
-                        )
-                    except asyncio.TimeoutError:
-                        proc.kill()
-                        rc = await proc.wait()
+                return await submission.future, False
+            try:
+                task = await asyncio.wait_for(
+                    asyncio.shield(submission.future), remaining + DEADLINE_SLACK
+                )
+                return task, False
+            except asyncio.TimeoutError:
+                # The time budget did not stop it: cancel (one SIGTERM,
+                # which the enumeration turns into a checkpoint) and
+                # answer once the task is over, so a repeated request
+                # finds the checkpoint written and unlocked.  A worker
+                # that ignores the signal loses its lease.
+                self._to_pool(lambda: self._pool.cancel(submission.task))
+                return await submission.future, True
         finally:
-            self._procs.pop(request_id, None)
-        try:
-            result = ckpt.load_checkpoint(result_path)
-        except ckpt.CheckpointError:
-            result = None
-        return rc, result
+            self._running -= 1
+
+    def _deadline_response(
+        self, key: str, partial: Optional[Dict[str, object]] = None
+    ) -> Tuple[int, Dict[str, object], Optional[float]]:
+        state_dir = os.path.join(self.config.run_dir, "state", key)
+        body: Dict[str, object] = {
+            "error": "deadline_exceeded",
+            "detail": "request deadline expired; partial enumeration "
+            "state is checkpointed and a repeated request resumes it",
+            "checkpointed": os.path.isdir(state_dir),
+        }
+        if partial is not None:
+            body["partial"] = partial
+        return 504, body, None
 
     def _interpret(
         self,
         request_id: str,
         key: str,
-        rc: int,
-        result: Optional[Dict[str, object]],
+        task: PoolTask,
         deadline_limited: bool,
-    ) -> Optional[Tuple[int, Dict[str, object], Optional[float]]]:
-        """Map one executor attempt to a response, or None to retry."""
-        if rc == 3 or (rc < 0 and self.draining):
-            # Graceful interruption — only meaningful during drain (or
-            # an operator signaling the executor directly).
+        overran: bool,
+    ) -> Tuple[int, Dict[str, object], Optional[float]]:
+        """Map a finished task to a response."""
+        result = task.payload
+        if result is not None and "error" in result:
+            response = (400, result, None)
+        elif overran or (
+            deadline_limited
+            and result is not None
+            and result.get("abort_reason") == "time_limit"
+        ):
+            self.counters["failed"] += 1
+            response = self._deadline_response(key, result)
+        elif task.error == "stopped" or (
+            result is not None and result.get("interrupted")
+        ):
+            # Graceful interruption: a drain (or an operator signaling
+            # the worker directly).
             self.counters["interrupted"] += 1
-            self.tracer.emit("request_done", request=request_id, status=503)
             body: Dict[str, object] = {
                 "error": "draining",
                 "detail": "enumeration checkpointed mid-request; retry "
@@ -763,36 +794,28 @@ class EnumerationServer:
             }
             if result is not None:
                 body["partial"] = result
-            return 503, body, self.config.drain_grace
-        if rc == 0 and result is not None:
-            if "error" in result:
-                status = 500 if result["error"] == "bad_spec" else 400
-                self.tracer.emit(
-                    "request_done", request=request_id, status=status
-                )
-                return status, result, None
-            if deadline_limited and result.get("abort_reason") == "time_limit":
-                self.counters["failed"] += 1
-                self.tracer.emit(
-                    "request_done", request=request_id, status=504
-                )
-                return (
-                    504,
-                    {
-                        "error": "deadline_exceeded",
-                        "detail": "enumeration stopped at the deadline; "
-                        "state is checkpointed and a repeated request "
-                        "resumes it",
-                        "checkpointed": True,
-                        "partial": result,
-                    },
-                    None,
-                )
+            response = (503, body, self.config.drain_grace)
+        elif result is None:
+            # every lease was lost: a crash storm, not a client error
+            self.breaker.record_failure(key)
+            self.counters["failed"] += 1
+            response = (
+                500,
+                {
+                    "error": "executor_failed",
+                    "detail": f"the request's worker failed {task.attempts} "
+                    f"time(s) ({task.error}); work key {key} counts "
+                    "toward its circuit breaker",
+                    "attempts": task.attempts,
+                },
+                None,
+            )
+        else:
             self.breaker.record_success(key)
             self.counters["done"] += 1
-            self.tracer.emit("request_done", request=request_id, status=200)
-            return 200, result, None
-        return None  # crash → retry
+            response = (200, result, None)
+        self.tracer.emit("request_done", request=request_id, status=response[0])
+        return response
 
     # ------------------------------------------------------------------
     # Introspection
@@ -812,7 +835,7 @@ class EnumerationServer:
             "uptime": round(self.config.clock() - self._started, 3),
             "port": self.port,
             "run_dir": self.config.run_dir,
-            "in_flight": len(self._procs),
+            "in_flight": self._running,
             "queued": self._waiting,
             "handlers": self._handlers,
             "counters": dict(self.counters),
@@ -821,7 +844,7 @@ class EnumerationServer:
                 for name, tenant in sorted(self.tenants.items())
             },
             "breaker": {"open": self.breaker.open_keys()},
-            "executors": [proc.pid for proc in self._procs.values()],
+            "workers": list(self._busy_pids),
         }
 
 
@@ -830,24 +853,3 @@ def serve_main(config: ServiceConfig) -> int:
     server = EnumerationServer(config)
     asyncio.run(server.serve())
     return 0
-
-
-def read_service_file(run_dir: str) -> Optional[Dict[str, object]]:
-    """The host/port/pid a server in *run_dir* announced, or None."""
-    try:
-        with open(
-            os.path.join(run_dir, SERVICE_FILE), encoding="utf-8"
-        ) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-#: re-export for consumers that discover a run dir's journal
-__all__ = [
-    "EnumerationServer",
-    "ServiceConfig",
-    "serve_main",
-    "read_service_file",
-    "JOURNAL_NAME",
-]

@@ -332,46 +332,3 @@ class TestCheckpointLock:
                 )
         finally:
             held.release()
-
-
-class TestCanonicalInput:
-    def test_fast_path_matches_default_on_canonical_input(self):
-        func = bench_function("jpeg", "descale")  # already canonicalized
-        default = enumerate_space(func, EnumerationConfig())
-        fast = enumerate_space(func, EnumerationConfig(canonical_input=True))
-        assert dag_snapshot(fast.dag) == dag_snapshot(default.dag)
-        assert fast.attempted_phases == default.attempted_phases
-
-    def test_fast_path_skips_cleanup(self, gcd_func, monkeypatch):
-        import repro.core.enumeration as enum_mod
-
-        calls = []
-        real = enum_mod.implicit_cleanup
-
-        def counting(func):
-            calls.append(func.name)
-            return real(func)
-
-        monkeypatch.setattr(enum_mod, "implicit_cleanup", counting)
-        enumerate_space(gcd_func, EnumerationConfig(canonical_input=True, max_levels=1))
-        assert calls == []
-        enumerate_space(gcd_func, EnumerationConfig(max_levels=1))
-        assert calls == [gcd_func.name]
-
-    def test_resume_probe_respects_fast_path(self, tmp_path):
-        func = bench_function("sha", "rol")
-        path = str(tmp_path / "rol.ckpt.json")
-        config = EnumerationConfig(
-            max_nodes=20, checkpoint_path=path, canonical_input=True
-        )
-        aborted = enumerate_space(func, config)
-        assert not aborted.completed
-        resumed = enumerate_space(
-            func,
-            EnumerationConfig(
-                checkpoint_path=path, resume=True, canonical_input=True
-            ),
-        )
-        reference = enumerate_space(func, EnumerationConfig())
-        assert resumed.completed
-        assert dag_snapshot(resumed.dag) == dag_snapshot(reference.dag)

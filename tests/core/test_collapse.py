@@ -215,10 +215,13 @@ class TestCheckpointResume:
 class TestParallelEquivalence:
     def test_jobs2_bit_identical_to_serial(self, rol, rol_semantic):
         program, func = rol
+        # the worker co-executes through the program it compiles from
+        # the source, as the serial run does through *program*
         parallel = enumerate_space_parallel(
             func.clone(),
             EnumerationConfig(collapse="semantic", program=program),
             ParallelConfig(jobs=2),
+            source=PROGRAMS["sha"].source,
         )
         assert parallel.completed
         assert dag_snapshot(parallel.dag) == dag_snapshot(rol_semantic.dag)

@@ -38,8 +38,8 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.core import checkpoint as ckpt
 from repro.core.batch import BatchCompiler
+from repro.core.checkpoint import dag_digest
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
 from repro.core.probabilistic import ProbabilisticCompiler
@@ -75,10 +75,6 @@ MODES: Dict[str, Dict[str, object]] = {
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def dag_digest(dag) -> str:
-    return sha256(json.dumps(ckpt.dag_to_dict(dag), sort_keys=True))
 
 
 def enumeration_entry(result) -> Dict[str, object]:

@@ -17,15 +17,21 @@ import pytest
 
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
+from repro.frontend import compile_source
+from repro.observability.tracer import Tracer
+from repro.programs import PROGRAMS
 from repro.robustness.faults import FaultInjector
 from repro.parallel import (
     EnumerationRequest,
     ParallelConfig,
     ParallelEnumerator,
-    ProgressReporter,
     enumerate_space_parallel,
 )
 from tests.parallel.conftest import CASES, dag_snapshot
+
+
+def journal_events(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
@@ -80,29 +86,22 @@ def test_killed_worker_lease_recovery(tmp_path, case_functions, serial_results):
     """A worker dying mid-function loses its lease, the function is
     re-leased to a respawned worker that resumes the serial checkpoint
     the lost lease wrote, and the space is still bit-identical."""
-    events_path = tmp_path / "events.jsonl"
-    reporter = ProgressReporter(jsonl_path=str(events_path))
     run_dir = tmp_path / "run"
     parallel = ParallelConfig(
         jobs=2,
         run_dir=str(run_dir),
         lease_timeout=10.0,
         chaos={"worker": 0, "after_nodes": 2, "kind": "exit"},
-        progress=reporter,
     )
     result = enumerate_space_parallel(
         case_functions[("sha", "rol")], EnumerationConfig(), parallel
     )
-    reporter.close()
     serial = serial_results[("sha", "rol")]
     assert result.completed
     assert result.resumed_from == str(run_dir / "rol.ckpt.json")
     assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)
     assert result.attempted_phases == serial.attempted_phases
-    events = [
-        json.loads(line) for line in events_path.read_text().splitlines()
-    ]
-    kinds = {event["event"] for event in events}
+    kinds = {event["event"] for event in journal_events(run_dir / "events.jsonl")}
     assert "worker_dead" in kinds
     assert "lease_reclaim" in kinds
 
@@ -112,25 +111,23 @@ def test_hung_worker_lease_timeout(tmp_path, case_functions, serial_results):
     terminated once its lease expires and the function completes on a
     respawned worker."""
     events_path = tmp_path / "events.jsonl"
-    reporter = ProgressReporter(jsonl_path=str(events_path))
+    tracer = Tracer(jsonl_path=str(events_path))
     parallel = ParallelConfig(
         jobs=2,
         lease_timeout=1.5,
         heartbeat_interval=0.1,
         chaos={"worker": 0, "after_nodes": 2, "kind": "hang"},
-        progress=reporter,
+        tracer=tracer,
     )
     result = enumerate_space_parallel(
         case_functions[("jpeg", "descale")], EnumerationConfig(), parallel
     )
-    reporter.close()
+    tracer.close()
     serial = serial_results[("jpeg", "descale")]
     assert result.completed
     assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)
-    events = [
-        json.loads(line) for line in events_path.read_text().splitlines()
-    ]
-    assert "lease_timeout" in {event["event"] for event in events}
+    kinds = {event["event"] for event in journal_events(events_path)}
+    assert "lease_timeout" in kinds
 
 
 def test_serial_resume_of_parallel_checkpoint(tmp_path, case_functions, serial_results):
@@ -214,8 +211,6 @@ def test_difftest_guard_runs_in_workers(case_functions):
     """Differential testing works across the process boundary: the
     worker recompiles the program from source and the guarded space
     still matches an unguarded serial run (all phases are correct)."""
-    from repro.programs import PROGRAMS
-
     func = case_functions[("jpeg", "descale")]
     result = enumerate_space_parallel(
         func,
@@ -233,8 +228,11 @@ def test_fault_injection_and_sanitize_match_serial(case_functions):
     """Workers rebuild the fault injector from its seed for each
     function and report the sanitizer's own counters, so a sabotaged,
     sanitized run at --jobs 2 is the serial run: same DAG, quarantine
-    log, sanitize_stats and injector counts."""
+    log, sanitize_stats and injector counts.  The sanitizer checks
+    calls against the program: serially it is given the program, in
+    parallel its source."""
     func = case_functions[("sha", "rol")]
+    source = PROGRAMS["sha"].source
 
     def config():
         return EnumerationConfig(
@@ -242,9 +240,10 @@ def test_fault_injection_and_sanitize_match_serial(case_functions):
         )
 
     serial_config, parallel_config = config(), config()
+    serial_config.program = compile_source(source)
     serial = enumerate_space(func, serial_config)
     parallel = enumerate_space_parallel(
-        func, parallel_config, ParallelConfig(jobs=2)
+        func, parallel_config, ParallelConfig(jobs=2), source=source
     )
     assert serial.quarantine.records  # the sabotage really fired
     assert dag_snapshot(parallel.dag) == dag_snapshot(serial.dag)

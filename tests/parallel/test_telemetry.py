@@ -8,24 +8,45 @@ import os
 import shutil
 from collections import deque
 
+from repro.observability.tracer import Tracer
 from repro.parallel import ProgressReporter
 from repro.parallel.telemetry import replay_journal
 
 
+def traced_journal(path, events):
+    """Emit *events* through a tracer owning the journal at *path*,
+    with a reporter subscribed; returns the reporter."""
+    reporter = ProgressReporter()
+    tracer = Tracer(jsonl_path=str(path))
+    tracer.subscribe(reporter.event)
+    for name, fields in events:
+        tracer.emit(name, **fields)
+    tracer.close()
+    return reporter
+
+
 def test_jsonl_event_log(tmp_path):
     path = tmp_path / "events.jsonl"
-    with ProgressReporter(jsonl_path=str(path)) as reporter:
-        reporter.event("job_start", functions=3, jobs=2)
-        reporter.event("shard_done", shard=0, nodes=5, attempts=70)
-        reporter.event("function_done", function="f", wall=1.5)
+    reporter = traced_journal(
+        path,
+        [
+            ("job_start", {"functions": 3, "jobs": 2}),
+            ("shard_done", {"shard": 0, "nodes": 5, "attempts": 70}),
+            ("function_done", {"function": "f", "wall": 1.5}),
+        ],
+    )
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert [event["event"] for event in events] == [
         "job_start",
         "shard_done",
         "function_done",
+        "run_end",
     ]
     assert all("t" in event for event in events)
     assert events[1]["nodes"] == 5
+    # the subscribed reporter saw the same stream
+    assert reporter.functions_total == 3
+    assert reporter.functions_done == 1
 
 
 def test_gauges_follow_events():
@@ -154,19 +175,24 @@ def test_status_line_width_follows_terminal(monkeypatch):
 
 def test_jsonl_log_is_utf8(tmp_path):
     path = tmp_path / "events.jsonl"
-    with ProgressReporter(jsonl_path=str(path)) as reporter:
-        reporter.event("function_done", function="smålänning", wall=0.1)
-    record = json.loads(path.read_text(encoding="utf-8"))
+    traced_journal(
+        path, [("function_done", {"function": "smålänning", "wall": 0.1})]
+    )
+    record = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     assert record["function"] == "smålänning"
 
 
 def test_replay_journal_reconstructs_gauges(tmp_path):
     path = tmp_path / "events.jsonl"
-    with ProgressReporter(jsonl_path=str(path)) as reporter:
-        reporter.event("job_start", functions=3, jobs=2)
-        reporter.event("cache_hit", function="a")
-        reporter.event("shard_done", shard=0, nodes=5, attempts=70)
-        reporter.event("function_done", function="b", wall=1.5)
+    traced_journal(
+        path,
+        [
+            ("job_start", {"functions": 3, "jobs": 2}),
+            ("cache_hit", {"function": "a"}),
+            ("shard_done", {"shard": 0, "nodes": 5, "attempts": 70}),
+            ("function_done", {"function": "b", "wall": 1.5}),
+        ],
+    )
     replayed = replay_journal(str(path))
     assert replayed.functions_total == 3
     assert replayed.functions_done == 1

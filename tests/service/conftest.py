@@ -4,8 +4,8 @@ Each test that needs a live server calls the ``service`` factory with
 whatever :class:`~repro.service.server.ServiceConfig` overrides it
 wants and gets back a handle (port, run dir, client maker, process).
 Servers run as genuine subprocesses so signal handling, drain, and
-executor lifecycle are exercised for real — the chaos tests kill
-actual processes.
+the worker pool are exercised for real — the chaos tests kill actual
+worker processes.
 """
 
 import json
@@ -25,10 +25,9 @@ from repro.service.server import ServiceConfig, serve_main
 sys.exit(serve_main(ServiceConfig(**json.loads(sys.argv[1]))))
 """
 
-#: fast settling for tests: retry quickly, drain quickly
+#: fast settling for tests: drain quickly
 FAST = {
     "read_timeout": 5.0,
-    "exec_grace": 3.0,
     "drain_grace": 10.0,
 }
 

@@ -3,16 +3,16 @@
 The resilience contract these tests pin down:
 
 * the server never returns a wrong DAG — every successful response is
-  bit-identical to a serial enumeration, no matter how many executors
-  were killed along the way;
+  bit-identical to a serial enumeration, no matter how many pool
+  workers were killed along the way;
 * failures are structured errors with honest retry hints, never hangs;
 * SIGTERM checkpoints in-flight work, and a restarted server on the
   same run dir resumes it bit-identically.
 
 Workloads are chosen by measured timing: ``sha/byte_reverse`` reaches a
-``max_nodes`` budget of 1200 in ~5s of steady expansion, which leaves a
-wide window to kill or drain mid-flight, while the budget cutoff keeps
-the final DAG deterministic.
+``max_nodes`` budget of 1200 in ~4s of steady, validated and sanitized
+expansion, which leaves a wide window to kill or drain mid-flight,
+while the budget cutoff keeps the final DAG deterministic.
 """
 
 import os
@@ -23,10 +23,10 @@ import time
 
 import pytest
 
+from repro.core.checkpoint import dag_digest
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.robustness.retry import RetryError, RetryPolicy
 from repro.service.client import ServiceError, TransientServiceError
-from repro.service.executor import _dag_fingerprint
 from tests.parallel.conftest import bench_function
 from tests.service.conftest import wait_for
 
@@ -55,7 +55,7 @@ def serial_slow_fingerprint():
         EnumerationConfig(max_nodes=1200),
     )
     assert result.abort_reason == "max_nodes"
-    return _dag_fingerprint(result.dag)
+    return dag_digest(result.dag)
 
 
 class Request(threading.Thread):
@@ -81,22 +81,33 @@ class Request(threading.Thread):
         return self.response, self.error
 
 
-def kill_executor(server, sig=signal.SIGKILL, timeout=20.0):
-    """Wait for an executor pid to appear in /status, then signal it."""
-    pids = wait_for(
-        lambda: server.status()["executors"],
+def kill_worker(server, sig=signal.SIGKILL, spared=(), timeout=20.0):
+    """Wait for a busy pool worker's pid in /status (not one of
+    *spared*, the workers already killed), then signal it."""
+    pid = wait_for(
+        lambda: next(
+            (pid for pid in server.status()["workers"] if pid not in spared),
+            None,
+        ),
         timeout=timeout,
-        message="an executor pid in /status",
+        message="a busy worker pid in /status",
     )
-    os.kill(pids[0], sig)
-    return pids[0]
+    os.kill(pid, sig)
+    return pid
+
+
+def kill_every_lease(server):
+    """Kill the worker of each of a task's three leases."""
+    killed = []
+    for _ in range(3):
+        killed.append(kill_worker(server, spared=killed))
 
 
 class TestExecutorCrash:
     def test_kill_midflight_retries_to_a_bit_identical_dag(self, service):
-        server = service(executor_retries=2)
+        server = service()
         request = Request(server.client(policy=ONCE), **SLOW)
-        kill_executor(server)
+        kill_worker(server)
         response, error = request.outcome()
         assert error is None, error
         assert response["dag_fingerprint"] == serial_slow_fingerprint()
@@ -111,31 +122,69 @@ class TestExecutorCrash:
         assert done[-1]["status"] == 200
 
     def test_crash_storm_is_a_structured_500(self, service):
-        server = service(executor_retries=1)
+        server = service()
         request = Request(server.client(policy=ONCE), **SLOW)
-        for _ in range(2):  # first attempt + its one retry
-            kill_executor(server)
-            time.sleep(0.3)
+        kill_every_lease(server)
         response, error = request.outcome()
         assert response is None
         assert isinstance(error, ServiceError)
         assert error.status == 500
         assert error.error == "executor_failed"
-        assert error.body["attempts"] == 2
+        assert error.body["attempts"] == 3
+        # the pool respawned every slot: the server still serves
+        assert server.client().compile(benchmark="sha", function="rol")
+
+    def test_a_kill_in_each_of_four_requests_never_exhausts_the_pool(
+        self, service
+    ):
+        """Worker deaths have no budget of their own: the first free
+        worker takes each request, so one slot dies four times, and
+        every request still completes bit-identically."""
+        server = service()
+        expected = serial_slow_fingerprint()
+        killed = []
+        for index in range(4):
+            # a distinct work key per request (same space), so none
+            # resumes another's checkpoint
+            config = dict(SLOW["config"], checkpoint_interval=0.2 + index / 100)
+            request = Request(server.client(policy=ONCE), **dict(SLOW, config=config))
+            killed.append(kill_worker(server, spared=killed))
+            response, error = request.outcome()
+            assert error is None, error
+            assert response["dag_fingerprint"] == expected
+        assert server.status()["status"] == "serving"
+        events = [record["event"] for record in server.journal()]
+        assert events.count("request_retry") == 4
+        assert events.count("worker_dead") == 4
+
+    def test_sigterm_to_a_worker_does_not_drain_the_server(self, service):
+        """A fork-started worker must not carry the server's signal
+        wakeup fd: a SIGTERM aimed at one worker stops that worker's
+        enumeration (checkpointed), never the whole server."""
+        server = service()
+        request = Request(server.client(policy=ONCE), **SLOW)
+        kill_worker(server, sig=signal.SIGTERM)
+        response, error = request.outcome()
+        if error is not None:  # interrupted mid-enumeration: transient
+            assert isinstance(error, RetryError)
+            assert error.last_error.status == 503
+            assert error.last_error.body["checkpointed"] is True
+        assert server.status()["status"] == "serving"
+        events = [record["event"] for record in server.journal()]
+        assert "server_drain" not in events
+        response = server.client().enumerate(**SLOW)
+        assert response["dag_fingerprint"] == serial_slow_fingerprint()
 
 
 class TestCircuitBreaker:
     def test_repeated_crashes_quarantine_the_work_key(self, service):
-        server = service(
-            executor_retries=0, breaker_threshold=2, breaker_cooldown=60.0
-        )
-        for _ in range(2):
-            request = Request(server.client(policy=ONCE), **SLOW)
-            kill_executor(server)
-            response, error = request.outcome()
-            assert isinstance(error, ServiceError) and error.status == 500
+        server = service(breaker_threshold=3, breaker_cooldown=60.0)
+        request = Request(server.client(policy=ONCE), **SLOW)
+        kill_every_lease(server)  # three crashes of one work key
+        response, error = request.outcome()
+        assert isinstance(error, ServiceError) and error.status == 500
 
-        # the key is now circuit-broken: shed before any executor runs
+        # the key is now circuit-broken: shed before any worker runs it
         with pytest.raises(RetryError) as info:
             server.client(policy=ONCE).enumerate(**SLOW)
         shed = info.value.last_error

@@ -13,10 +13,10 @@ import threading
 
 import pytest
 
+from repro.core.checkpoint import dag_digest
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.robustness.retry import RetryError, RetryPolicy
 from repro.service.client import ServiceError, TransientServiceError
-from repro.service.executor import _dag_fingerprint
 from tests.parallel.conftest import bench_function
 from tests.service.conftest import wait_for
 
@@ -27,7 +27,7 @@ def serial_fingerprint(bench, name, **config):
     result = enumerate_space(
         bench_function(bench, name), EnumerationConfig(**config)
     )
-    return _dag_fingerprint(result.dag), result
+    return dag_digest(result.dag), result
 
 
 class TestRequestKinds:
@@ -115,6 +115,17 @@ class TestStructuredErrors:
         assert info.value.error == "bad_request"
         assert "unknown config field 'engine'" in info.value.detail
 
+    def test_retired_jobs_field_is_400(self, service):
+        # one request is one pool task: config.jobs is no longer a knob
+        server = service()
+        with pytest.raises(ServiceError) as info:
+            server.client().enumerate(
+                source=SOURCE, function="add3", config={"jobs": 2}
+            )
+        assert info.value.status == 400
+        assert info.value.error == "bad_request"
+        assert "unknown config field 'jobs'" in info.value.detail
+
     def test_unknown_path_is_404(self, service):
         server = service()
         with pytest.raises(ServiceError) as info:
@@ -154,7 +165,7 @@ class TestSharedStore:
 class TestCoalescing:
     def test_identical_concurrent_requests_share_one_execution(self, service):
         """Two simultaneous requests for the same function+config must
-        not double-compute or interleave store writes: one executor
+        not double-compute or interleave store writes: one task
         runs, one store entry is written, and both responses are
         bit-identical to a serial enumeration."""
         server = service(workers=4)
