@@ -135,6 +135,7 @@ class WorkerPool:
         self._spec = {
             "heartbeat_interval": heartbeat_interval,
             "forward_events": forward_events,
+            "parent": os.getpid(),
         }
         self._chaos = chaos
         self._ctx = multiprocessing.get_context(resolve_start_method(start_method))

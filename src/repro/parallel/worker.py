@@ -92,11 +92,14 @@ def enumerate_function(
 class _Heartbeat:
     """Daemon thread: progress heartbeats, plus exit on orphaning."""
 
-    def __init__(self, worker_id: int, event_queue, interval: float):
+    def __init__(self, worker_id: int, event_queue, interval: float, parent: int):
         self.worker_id = worker_id
         self.event_queue = event_queue
         self.interval = interval
-        self.parent = os.getppid()
+        #: the coordinator's pid, taken by the coordinator: a worker
+        #: still starting up when the coordinator dies would read
+        #: init's pid from os.getppid() and never notice
+        self.parent = parent
         #: the running task's enumerator (None between tasks)
         self.enumerator: Optional[SpaceEnumerator] = None
         #: whether a task is running (heartbeats are sent only then)
@@ -180,7 +183,9 @@ def worker_main(worker_id: int, spec: Dict, task_queue, event_queue) -> None:
     # A fork-started worker inherits the coordinator's installed tracer
     # — and with it an open journal file descriptor.
     obs_tracer.ACTIVE = None
-    beat = _Heartbeat(worker_id, event_queue, spec["heartbeat_interval"])
+    beat = _Heartbeat(
+        worker_id, event_queue, spec["heartbeat_interval"], spec["parent"]
+    )
     chaos_state: Dict = {}
     while True:
         task = task_queue.get()

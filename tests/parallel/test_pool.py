@@ -1,7 +1,12 @@
-"""The worker pool on its own: per-task configs and cancellation."""
+"""The worker pool on its own: per-task configs, cancellation and
+orphaned workers."""
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import time
 
 from repro.core import checkpoint as ckpt
@@ -102,3 +107,45 @@ def test_cancel_checkpoints_and_is_not_re_leased(tmp_path, case_functions):
     assert done.stopped and done.attempts == 1
     assert done.payload["result"].abort_reason == "interrupted"
     assert checkpoint.exists()
+
+
+_ABANDON = """
+import os
+from repro.parallel.coordinator import WorkerPool
+
+pool = WorkerPool(1, start_method="spawn", heartbeat_interval=0.1)
+print(pool._slots[0].process.pid, flush=True)
+os._exit(0)  # the coordinator dies while its worker still starts up
+"""
+
+
+def _exited(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_a_worker_orphaned_during_start_up_exits(tmp_path):
+    """The orphan check compares against the coordinator's pid as the
+    coordinator saw it: a spawn-started worker still importing when
+    its coordinator died must not take init for its parent."""
+    out = tmp_path / "pid.txt"
+    with open(out, "w", encoding="ascii") as handle:
+        # a file, not a pipe: the worker inherits the coordinator's
+        # stdout and would hold a pipe open
+        subprocess.run(
+            [sys.executable, "-c", _ABANDON],
+            env=dict(os.environ, PYTHONPATH="src"),
+            stdout=handle,
+            timeout=60,
+            check=True,
+        )
+    pid = int(out.read_text().split()[0])
+    deadline = time.monotonic() + 30.0
+    while not _exited(pid) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    if not _exited(pid):
+        os.kill(pid, signal.SIGKILL)
+        raise AssertionError("the orphaned worker kept running")
