@@ -11,19 +11,24 @@ analyses live on ``FlatFunction._analyses``, clones share the cache
 object, and every mutation commit point rebinds it via
 ``invalidate_analyses()``; paranoid mode (``set_paranoid``) checks
 every cache hit against a fresh computation here as well.
-Additionally, per-block use/def masks are cached *globally* by
-interned block content — a block's gen/kill sets are a pure function
-of its instruction ids, and the same few hundred distinct blocks recur
-across the whole enumeration space.
+Additionally, two per-block results are cached *globally* by interned
+block content, because the same few hundred distinct blocks recur
+across the whole enumeration space: register use/def masks (a pure
+function of the block's instruction ids and ``returns_value``) and
+frame effects (a pure function of the block, the function's scalar-slot
+offsets and the abstract fp-offset state flowing in).  Both memos
+clear when full; paranoid mode recomputes every hit in them too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis import cache as _object_cache
 from repro.analysis.framerefs import (
     _NO_REFS,
+    _OTHER,
+    _WILD,
     InstSlotRefs,
     _eval_abstract,
     _meet,
@@ -138,6 +143,10 @@ def build_flat_cfg(flat: FlatFunction) -> FlatCFG:
 # Register liveness (bitmasks)
 # ----------------------------------------------------------------------
 
+#: Entries per block memo (``_BLOCK_USE_DEF``, ``_BLOCK_FRAMES``) before
+#: it is cleared.
+_BLOCK_MEMO_MAX = 1 << 16
+
 #: (block content id, returns_value) -> (use mask, def mask)
 _BLOCK_USE_DEF: Dict[Tuple[int, bool], Tuple[int, int]] = {}
 
@@ -145,8 +154,18 @@ _BLOCK_USE_DEF: Dict[Tuple[int, bool], Tuple[int, int]] = {}
 def _block_use_def(block: List[int], returns_value: bool) -> Tuple[int, int]:
     key = (block_id(tuple(block)), returns_value)
     cached = _BLOCK_USE_DEF.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        if len(_BLOCK_USE_DEF) >= _BLOCK_MEMO_MAX:
+            _BLOCK_USE_DEF.clear()
+        cached = _BLOCK_USE_DEF[key] = _eval_block_use_def(block, returns_value)
+    elif _object_cache._PARANOID:
+        _paranoid_memo_check(
+            "block use/def", key, cached, _eval_block_use_def(block, returns_value)
+        )
+    return cached
+
+
+def _eval_block_use_def(block: List[int], returns_value: bool) -> Tuple[int, int]:
     use = 0
     defs = 0
     for iid in block:
@@ -154,9 +173,7 @@ def _block_use_def(block: List[int], returns_value: bool) -> Tuple[int, int]:
         if returns_value and KIND[iid] == K_RET and not defs & RV_BIT:
             use |= RV_BIT
         defs |= DEF_MASK[iid]
-    result = (use, defs)
-    _BLOCK_USE_DEF[key] = result
-    return result
+    return (use, defs)
 
 
 class FlatLiveness:
@@ -251,87 +268,184 @@ class FlatFrameRefs:
 
     __slots__ = ("refs", "tracked", "has_wild")
 
-    def __init__(self, refs: List[List[InstSlotRefs]], tracked: frozenset, has_wild: bool):
+    def __init__(
+        self, refs: List[Tuple[InstSlotRefs, ...]], tracked: frozenset, has_wild: bool
+    ):
         self.refs = refs
         self.tracked = tracked
         self.has_wild = has_wild
 
 
-def compute_flat_frame_refs(
-    flat: FlatFunction, cfg: Optional[FlatCFG] = None
-) -> FlatFrameRefs:
-    """The fp-offset dataflow of :mod:`repro.analysis.framerefs`, driven
-    over flat blocks (abstract state transfer reuses the object-IR
-    helpers on the interned instruction objects)."""
-    if cfg is None:
-        cfg = build_flat_cfg(flat)
-    tracked = flat.scalar_slot_offsets()
-    insts = INST_OBJS
+#: The empty abstract fp-offset state.  A state is a frozenset of
+#: ``(Reg, value)`` items, value an fp offset or ``"wild"``; a register
+#: without an item is ``"other"`` (framerefs' default), so equal states
+#: have one form and can key the memo.
+_EMPTY_STATE: frozenset = frozenset()
 
-    n = len(flat.blocks)
-    in_states: List[Optional[Dict]] = [None] * n
-    in_states[0] = {}
+
+class _BlockFrame(NamedTuple):
+    """A block's frame effects under one in-state.
+
+    A ``_BLOCK_FRAMES`` value: shared by every function whose blocks
+    hit it, so it is never mutated.
+    """
+
+    out: frozenset  # abstract state after the block
+    refs: Tuple[InstSlotRefs, ...]  # per instruction
+    wild: bool  # some reference may touch any slot
+    use: frozenset  # slots read before the block writes them
+    defs: frozenset  # slots the block surely writes
+
+
+#: (scalar-slot offsets, block content id, in-state) -> _BlockFrame
+_BLOCK_FRAMES: Dict[Tuple[frozenset, int, frozenset], _BlockFrame] = {}
+#: One shared object per distinct state, slot set, InstSlotRefs and
+#: refs tuple in ``_BLOCK_FRAMES``, whose entries mostly repeat them
+#: (cleared with it).
+_INTERNED: Dict[object, object] = {}
+
+
+def _intern(value):
+    return _INTERNED.setdefault(value, value)
+
+
+def _block_frame(tracked: frozenset, block: List[int], state: frozenset) -> _BlockFrame:
+    key = (tracked, block_id(tuple(block)), state)
+    cached = _BLOCK_FRAMES.get(key)
+    if cached is None:
+        if len(_BLOCK_FRAMES) >= _BLOCK_MEMO_MAX:
+            _BLOCK_FRAMES.clear()
+            _INTERNED.clear()
+        cached = _BLOCK_FRAMES[key] = _eval_block_frame(tracked, block, state)
+    elif _object_cache._PARANOID:
+        _paranoid_memo_check(
+            "frame effects", key, cached, _eval_block_frame(tracked, block, state)
+        )
+    return cached
+
+
+def _eval_block_frame(
+    tracked: frozenset, block: List[int], state: frozenset
+) -> _BlockFrame:
+    """framerefs' transfer and classification over one block (abstract
+    state transfer reuses the object-IR helpers on the interned
+    instruction objects)."""
+    insts = INST_OBJS
+    mem_refs = MEM_REFS
+    current = dict(state)
+    refs: List[InstSlotRefs] = []
+    wild = False
+    use: Set[int] = set()
+    defs: Set[int] = set()
+    for iid in block:
+        touched = mem_refs[iid]
+        if not touched:
+            refs.append(_NO_REFS)
+            _transfer(insts[iid], current)
+            continue
+        reads: Set[int] = set()
+        writes: Set[int] = set()
+        wild_read = False
+        wild_write = False
+        for mem, is_write in touched:
+            value = _eval_abstract(mem.addr, current)
+            if isinstance(value, int):
+                if value in tracked:
+                    (writes if is_write else reads).add(value)
+            elif value == _WILD:
+                if is_write:
+                    wild_write = True
+                else:
+                    wild_read = True
+        if wild_read or wild_write:
+            wild = True
+        use |= (tracked if wild_read else reads) - defs
+        if not wild_write:
+            defs |= writes
+        refs.append(
+            _intern(
+                InstSlotRefs(
+                    _intern(frozenset(reads)),
+                    _intern(frozenset(writes)),
+                    wild_read,
+                    wild_write,
+                )
+            )
+        )
+        _transfer(insts[iid], current)
+    out = frozenset(item for item in current.items() if item[1] != _OTHER)
+    return _BlockFrame(
+        _intern(out),
+        _intern(tuple(refs)),
+        wild,
+        _intern(frozenset(use)),
+        _intern(frozenset(defs)),
+    )
+
+
+def _merge_states(a: frozenset, b: frozenset) -> frozenset:
+    """framerefs' join of two states, in the memo's state form."""
+    if a == b:
+        return a
+    left = dict(a)
+    right = dict(b)
+    merged = []
+    for reg in left.keys() | right.keys():
+        value = _meet(left.get(reg, _OTHER), right.get(reg, _OTHER))
+        if value != _OTHER:
+            merged.append((reg, value))
+    return _intern(frozenset(merged))
+
+
+def _frame_effects(flat: FlatFunction, cfg: FlatCFG) -> List[_BlockFrame]:
+    """The fp-offset dataflow of :mod:`repro.analysis.framerefs`, driven
+    over flat blocks: each block's effects under its fixpoint in-state."""
+    tracked = flat.scalar_slot_offsets()
+    blocks = flat.blocks
+    succs = cfg.succs
+    n = len(blocks)
+    in_states: List[Optional[frozenset]] = [None] * n
+    in_states[0] = _EMPTY_STATE
+    effects: List[Optional[_BlockFrame]] = [None] * n
+    # Reverse postorder reaches each block after its DFS parent, so
+    # every block of the order has an in-state by the time it is read.
     order = cfg.reverse_postorder(0)
     changed = True
     while changed:
         changed = False
         for bi in order:
-            state = in_states[bi]
-            if state is None:
-                continue
-            current = dict(state)
-            for iid in flat.blocks[bi]:
-                _transfer(insts[iid], current)
-            for succ in cfg.succs[bi]:
+            effect = effects[bi] = _block_frame(tracked, blocks[bi], in_states[bi])
+            out = effect.out
+            for succ in succs[bi]:
                 existing = in_states[succ]
-                if existing is None:
-                    in_states[succ] = dict(current)
-                    changed = True
-                    continue
-                merged = {}
-                for reg in set(existing) | set(current):
-                    merged[reg] = _meet(
-                        existing.get(reg, "other"), current.get(reg, "other")
-                    )
+                merged = out if existing is None else _merge_states(existing, out)
                 if merged != existing:
                     in_states[succ] = merged
                     changed = True
+    # The last round changed no in-state, so it evaluated every
+    # reachable block under its fixpoint state; unreachable blocks get
+    # the empty state, as in framerefs.
+    for bi in range(n):
+        if effects[bi] is None:
+            effects[bi] = _block_frame(tracked, blocks[bi], _EMPTY_STATE)
+    return effects
 
-    refs: List[List[InstSlotRefs]] = []
-    has_wild = False
-    mem_refs = MEM_REFS
-    for bi, block in enumerate(flat.blocks):
-        state = in_states[bi]
-        current = dict(state) if state is not None else {}
-        block_refs: List[InstSlotRefs] = []
-        for iid in block:
-            touched = mem_refs[iid]
-            if not touched:
-                block_refs.append(_NO_REFS)
-                _transfer(insts[iid], current)
-                continue
-            reads: Set[int] = set()
-            writes: Set[int] = set()
-            wild_read = False
-            wild_write = False
-            for mem, is_write in touched:
-                value = _eval_abstract(mem.addr, current)
-                if isinstance(value, int):
-                    if value in tracked:
-                        (writes if is_write else reads).add(value)
-                elif value == "wild":
-                    if is_write:
-                        wild_write = True
-                    else:
-                        wild_read = True
-            if wild_read or wild_write:
-                has_wild = True
-            block_refs.append(
-                InstSlotRefs(frozenset(reads), frozenset(writes), wild_read, wild_write)
-            )
-            _transfer(insts[iid], current)
-        refs.append(block_refs)
-    return FlatFrameRefs(refs, tracked, has_wild)
+
+def _frame_refs(flat: FlatFunction, effects: List[_BlockFrame]) -> FlatFrameRefs:
+    return FlatFrameRefs(
+        [effect.refs for effect in effects],
+        flat.scalar_slot_offsets(),
+        any(effect.wild for effect in effects),
+    )
+
+
+def compute_flat_frame_refs(
+    flat: FlatFunction, cfg: Optional[FlatCFG] = None
+) -> FlatFrameRefs:
+    """:func:`repro.analysis.framerefs.compute_frame_refs` over the flat IR."""
+    if cfg is None:
+        cfg = build_flat_cfg(flat)
+    return _frame_refs(flat, _frame_effects(flat, cfg))
 
 
 class FlatSlotLiveness:
@@ -384,23 +498,11 @@ def compute_flat_slot_liveness(
 ) -> FlatSlotLiveness:
     if cfg is None:
         cfg = build_flat_cfg(flat)
-    frame_refs = compute_flat_frame_refs(flat, cfg)
+    effects = _frame_effects(flat, cfg)
+    frame_refs = _frame_refs(flat, effects)
     tracked = set(frame_refs.tracked)
 
-    n = len(flat.blocks)
-    use: List[Set[int]] = [set() for _ in range(n)]
-    defs: List[Set[int]] = [set() for _ in range(n)]
-    for bi in range(n):
-        block_use = use[bi]
-        block_def = defs[bi]
-        for ref in frame_refs.refs[bi]:
-            if ref.wild_read:
-                block_use |= tracked - block_def
-            else:
-                block_use |= ref.reads - block_def
-            if not ref.wild_write:
-                block_def |= ref.writes
-
+    n = len(effects)
     live_in: List[Set[int]] = [set() for _ in range(n)]
     live_out: List[Set[int]] = [set() for _ in range(n)]
     succs = cfg.succs
@@ -411,7 +513,8 @@ def compute_flat_slot_liveness(
             out: Set[int] = set()
             for succ in succs[bi]:
                 out |= live_in[succ]
-            new_in = use[bi] | (out - defs[bi])
+            effect = effects[bi]
+            new_in = (out - effect.defs) | effect.use
             if out != live_out[bi] or new_in != live_in[bi]:
                 live_out[bi] = out
                 live_in[bi] = new_in
@@ -601,6 +704,14 @@ def _paranoid_check(flat: FlatFunction, what: str, cached, fresh) -> None:
         )
 
 
+def _paranoid_memo_check(what: str, key, cached, fresh) -> None:
+    if cached != fresh:
+        raise RuntimeError(
+            f"stale cached flat {what} for block key {key!r} "
+            "(a memo entry disagrees with its block's instructions)"
+        )
+
+
 def _loop_shape(loops: List[FlatLoop]) -> List[Tuple[int, frozenset]]:
     return [(loop.header, frozenset(loop.body)) for loop in loops]
 
@@ -743,4 +854,7 @@ def _single_defs(flat: FlatFunction, liveness: FlatLiveness) -> Dict[int, int]:
 
 
 def reset_flat_analysis_caches() -> None:
+    """Drop the per-block memos (tests / cold profiles)."""
     _BLOCK_USE_DEF.clear()
+    _BLOCK_FRAMES.clear()
+    _INTERNED.clear()

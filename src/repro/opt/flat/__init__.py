@@ -17,7 +17,9 @@ from __future__ import annotations
 
 
 def reset_flat_kernel_caches() -> None:
-    """Drop every module-level kernel cache (tests / leak hygiene)."""
+    """Drop every module-level kernel cache and the flat analyses'
+    per-block memos (tests / leak hygiene / cold profiles)."""
+    from repro.analysis.flat import reset_flat_analysis_caches
     from repro.opt.flat import (
         cse,
         deadassign,
@@ -41,3 +43,4 @@ def reset_flat_kernel_caches() -> None:
     deadassign._CC_FLAGS.clear()
     regalloc._LOAD_REWRITES.clear()
     regalloc._STORE_REWRITES.clear()
+    reset_flat_analysis_caches()

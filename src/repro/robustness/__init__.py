@@ -13,9 +13,8 @@ hours per function).  This package keeps them alive:
 - :class:`FaultInjector` deterministically sabotages applications
   (raise / corrupt IR / hang) so every guard path is testable;
 - :mod:`repro.robustness.retry` is the shared retry vocabulary —
-  :func:`retry_call` (exponential backoff, full jitter, deadlines) for
-  blocking callers and :class:`RetryBudget` for event-driven ones (the
-  coordinator's re-lease/respawn caps, the service client);
+  :func:`retry_call` (exponential backoff, full jitter, deadlines), which
+  the service client drives;
 - :mod:`repro.core.checkpoint` (a sibling, re-exported by the
   enumerator) persists the space DAG so interrupted runs resume.
 """
@@ -34,7 +33,6 @@ from repro.robustness.guard import (
 )
 from repro.robustness.quarantine import KINDS, QuarantineLog, QuarantineRecord
 from repro.robustness.retry import (
-    RetryBudget,
     RetryError,
     RetryPolicy,
     retry_call,
@@ -52,7 +50,6 @@ __all__ = [
     "QuarantineLog",
     "QuarantineRecord",
     "KINDS",
-    "RetryBudget",
     "RetryError",
     "RetryPolicy",
     "retry_call",

@@ -1,24 +1,12 @@
 """Bounded retries with exponential backoff, full jitter, deadlines.
 
-Every retry loop in the system used to be hand-rolled (the parallel
-coordinator's lease retry counters, the worker respawn cap); the
-service client needs a third.  This module is the one implementation
-they all share, split into the two shapes retrying actually takes:
-
-:func:`retry_call`
-    The blocking loop — call, sleep, call again — for callers that own
-    the clock (the HTTP client, tests).  Backoff is exponential with
-    *full jitter* (AWS architecture-blog style: each delay is drawn
-    uniformly from ``[0, cap]``), which decorrelates a thundering herd
-    of clients retrying against one overloaded server.  A deadline
-    bounds the whole affair: the loop never sleeps past it, and gives
-    up early rather than fire an attempt whose budget is already gone.
-
-:class:`RetryBudget`
-    Event-driven accounting for callers that cannot block — the
-    coordinator observes failures (a dead worker, a worker error) as
-    events in its drive loop and only needs the *bounded* part:
-    per-key failure counts with a verdict ("retry" or "give up").
+:func:`retry_call` is the blocking loop — call, sleep, call again — for
+callers that own the clock (the HTTP client, tests).  Backoff is
+exponential with *full jitter* (AWS architecture-blog style: each delay
+is drawn uniformly from ``[0, cap]``), which decorrelates a thundering
+herd of clients retrying against one overloaded server.  A deadline
+bounds the whole affair: the loop never sleeps past it, and gives up
+early rather than fire an attempt whose budget is already gone.
 
 Determinism: all timing is injectable (``sleep``, ``clock``) and the
 jitter RNG is an explicit ``random.Random`` so tests — and seeded
@@ -29,7 +17,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Dict, Hashable, Optional, Tuple, Type
+from typing import Callable, Optional, Tuple, Type
 
 
 class RetryError(RuntimeError):
@@ -132,31 +120,3 @@ def retry_call(
         last,
     ) from last
 
-
-class RetryBudget:
-    """Per-key bounded failure accounting for event-driven retry paths.
-
-    ``record_failure(key)`` returns True while the key still has retry
-    budget (i.e. for the first *max_retries* failures) and False once
-    it is exhausted — the caller aborts/escalates on False.  A success
-    should ``reset`` the key so unrelated later failures start fresh.
-    """
-
-    def __init__(self, max_retries: int):
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.max_retries = max_retries
-        self._failures: Dict[Hashable, int] = {}
-
-    def record_failure(self, key: Hashable) -> bool:
-        self._failures[key] = self._failures.get(key, 0) + 1
-        return self._failures[key] <= self.max_retries
-
-    def failures(self, key: Hashable) -> int:
-        return self._failures.get(key, 0)
-
-    def exhausted(self, key: Hashable) -> bool:
-        return self._failures.get(key, 0) > self.max_retries
-
-    def reset(self, key: Hashable) -> None:
-        self._failures.pop(key, None)

@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 from repro.analysis import cache as analysis_cache
 from repro.analysis import flat as flat_analysis
 from repro.analysis import set_paranoid
+from repro.core.checkpoint import dag_digest
 from repro.core.crc import crc32, crc32_reference
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.fingerprint import (
@@ -29,7 +30,7 @@ from repro.core.fingerprint import (
     remap_function_text,
 )
 from repro.core.memo import MemoEntry, TransitionMemo
-from repro.ir.flat import flat_fingerprint, to_flat
+from repro.ir.flat import block_id, flat_fingerprint, to_flat
 from repro.opt import (
     PHASES,
     DeadAssignmentElimination,
@@ -181,15 +182,87 @@ class TestAnalysisCache:
     def test_paranoid_mode_finds_no_stale_analyses(self):
         # Paranoid mode recomputes every analysis and raises if a
         # cached one diverges — a full enumeration is a sweep over
-        # every phase's invalidation discipline.
-        func = compile_benchmark("jpeg").functions["descale"]
-        implicit_cleanup(func)
+        # every phase's invalidation discipline.  The bounded loop
+        # function sends non-empty fp-offset states into blocks, which
+        # descale's straight-line code barely does.
+        descale = compile_benchmark("jpeg").functions["descale"]
+        bit_count = compile_benchmark("bitcount").functions["bit_count"]
+        implicit_cleanup(descale)
+        implicit_cleanup(bit_count)
+        flat_analysis.reset_flat_analysis_caches()
         previous = set_paranoid(True)
         try:
-            result = enumerate_space(func, EnumerationConfig())
+            result = enumerate_space(descale, EnumerationConfig())
+            bounded = enumerate_space(bit_count, EnumerationConfig(max_nodes=200))
         finally:
             set_paranoid(previous)
         assert result.completed
+        assert bounded.abort_reason == "max_nodes"
+        assert any(state for _, _, state in flat_analysis._BLOCK_FRAMES)
+
+    @pytest.mark.parametrize("memo", ["block use/def", "frame effects"])
+    def test_paranoid_mode_recomputes_block_memo_hits(self, memo, monkeypatch):
+        # The per-block memos outlive every function: a wrong entry
+        # would be reused by the fresh computation paranoid mode
+        # compares against, unless paranoid mode recomputes the hit.
+        func = compile_benchmark("jpeg").functions["descale"]
+        implicit_cleanup(func)
+        enumerate_space(func, EnumerationConfig())
+        entry = to_flat(func)
+        bid = block_id(tuple(entry.blocks[0]))
+        if memo == "block use/def":
+            memo_dict = flat_analysis._BLOCK_USE_DEF
+            key = (bid, entry.returns_value)
+            assert memo_dict[key] != (0, 0)
+            wrong = (0, 0)
+        else:
+            memo_dict = flat_analysis._BLOCK_FRAMES
+            key = (entry.scalar_slot_offsets(), bid, frozenset())
+            wrong = memo_dict[key]._replace(defs=frozenset())
+            assert wrong != memo_dict[key]
+        monkeypatch.setitem(memo_dict, key, wrong)
+        previous = set_paranoid(True)
+        try:
+            with pytest.raises(RuntimeError, match=f"stale cached flat {memo}"):
+                enumerate_space(func, EnumerationConfig())
+        finally:
+            set_paranoid(previous)
+
+    def test_block_memos_stay_within_their_bound(self, monkeypatch):
+        func = compile_benchmark("bitcount").functions["bit_count"]
+        implicit_cleanup(func)
+        config = EnumerationConfig(max_nodes=150)
+        flat_analysis.reset_flat_analysis_caches()
+        reference = dag_digest(enumerate_space(func, config).dag)
+        memos = (flat_analysis._BLOCK_USE_DEF, flat_analysis._BLOCK_FRAMES)
+        bound = 16
+        # unbounded, the run fills both memos past the bound
+        assert min(len(memo) for memo in memos) > bound
+
+        monkeypatch.setattr(flat_analysis, "_BLOCK_MEMO_MAX", bound)
+        flat_analysis.reset_flat_analysis_caches()
+        peaks = [0, 0]
+
+        def watch(i, real):
+            def watched(*args):
+                result = real(*args)
+                peaks[i] = max(peaks[i], len(memos[i]))
+                return result
+
+            return watched
+
+        monkeypatch.setattr(
+            flat_analysis, "_block_use_def", watch(0, flat_analysis._block_use_def)
+        )
+        monkeypatch.setattr(
+            flat_analysis, "_block_frame", watch(1, flat_analysis._block_frame)
+        )
+        try:
+            bounded = dag_digest(enumerate_space(func, config).dag)
+        finally:
+            flat_analysis.reset_flat_analysis_caches()
+        assert bounded == reference
+        assert peaks == [bound, bound]
 
     def test_paranoid_mode_catches_a_kernel_keeping_stale_analyses(
         self, monkeypatch

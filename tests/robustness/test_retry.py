@@ -1,4 +1,4 @@
-"""The shared retry vocabulary: backoff math, loops, budgets.
+"""The shared retry vocabulary: backoff math and the retry loop.
 
 All timing is injected (fake sleep, fake clock, seeded RNG) so every
 assertion is exact — no wall-clock flakiness.
@@ -9,7 +9,6 @@ import random
 import pytest
 
 from repro.robustness.retry import (
-    RetryBudget,
     RetryError,
     RetryPolicy,
     retry_call,
@@ -173,29 +172,3 @@ class TestRetryCall:
 
         assert delays(123) == delays(123)
 
-
-class TestRetryBudget:
-    def test_allows_exactly_max_retries_failures(self):
-        budget = RetryBudget(max_retries=2)
-        assert budget.record_failure("shard-1")
-        assert budget.record_failure("shard-1")
-        assert not budget.record_failure("shard-1")
-        assert budget.exhausted("shard-1")
-        assert budget.failures("shard-1") == 3
-
-    def test_keys_are_independent(self):
-        budget = RetryBudget(max_retries=1)
-        assert budget.record_failure("a")
-        assert not budget.record_failure("a")
-        assert budget.record_failure("b")
-
-    def test_reset_restores_the_budget(self):
-        budget = RetryBudget(max_retries=1)
-        assert budget.record_failure("a")
-        budget.reset("a")
-        assert budget.failures("a") == 0
-        assert budget.record_failure("a")
-
-    def test_zero_budget_never_retries(self):
-        budget = RetryBudget(max_retries=0)
-        assert not budget.record_failure("a")
