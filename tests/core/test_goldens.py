@@ -10,8 +10,13 @@ against a second live code path; these goldens are the anchor instead.
   included) at ``max_nodes=120`` — loop phases g and l are active in
   these spaces;
 - every function of ``fuzz_source(0, 0..9)`` at ``max_nodes=100``;
-- sha.rol and the loop function sha.word_sum under each enumeration
-  mode that drives phases differently: exact, ``remap=False``,
+- the loop functions bitcount.bit_count, dijkstra.enqueue_min,
+  stringsearch.bmh_init, stringsearch.plant_pattern and sha.word_sum
+  at bounds of 1500-3000 nodes, where g and l are active on hundreds
+  of edges;
+- sha.rol and the loop functions sha.word_sum and bitcount.bit_count
+  under each enumeration mode that drives phases differently: exact,
+  ``remap=False``,
   ``share_prefixes=False``, semantic collapse, ``sanitize="fast"``,
   and ``validate`` with seeded fault injection (quarantine log and the
   journaled ``phase_stats`` included);
@@ -61,7 +66,19 @@ PROGRAM_MAX_NODES = 120
 FUZZ_MAX_NODES = 100
 FUZZ_INDICES = range(10)
 #: (program, function, max_nodes) enumerated under every MODES entry
-MODE_FUNCTIONS = (("sha", "rol", None), ("sha", "word_sum", 120))
+MODE_FUNCTIONS = (
+    ("sha", "rol", None),
+    ("sha", "word_sum", 120),
+    ("bitcount", "bit_count", 500),
+)
+#: (program, function, max_nodes) of the loop spaces
+LOOP_FUNCTIONS = (
+    ("bitcount", "bit_count", 3000),
+    ("dijkstra", "enqueue_min", 3000),
+    ("stringsearch", "bmh_init", 2000),
+    ("stringsearch", "plant_pattern", 2000),
+    ("sha", "word_sum", 1500),
+)
 #: mode name -> EnumerationConfig overrides (faults are added per run)
 MODES: Dict[str, Dict[str, object]] = {
     "exact": {"exact": True},
@@ -146,6 +163,17 @@ def fuzz_cases() -> Dict[str, object]:
     return spaces
 
 
+def loop_cases() -> Dict[str, object]:
+    spaces = {}
+    for benchmark, name, max_nodes in LOOP_FUNCTIONS:
+        func = compile_benchmark(benchmark).functions[name]
+        result = _enumerate(func, max_nodes=max_nodes)
+        entry = enumeration_entry(result)
+        entry["loop_edges"] = loop_edges(result)
+        spaces[f"{benchmark}.{name}"] = entry
+    return spaces
+
+
 def mode_case(mode: str) -> Dict[str, object]:
     cases = {}
     for benchmark, name, max_nodes in MODE_FUNCTIONS:
@@ -204,6 +232,7 @@ def compute_goldens() -> Dict[str, object]:
         "seeds": seed_cases(),
         "programs": program_cases(),
         "fuzz": fuzz_cases(),
+        "loops": loop_cases(),
         "modes": {mode: mode_case(mode) for mode in MODES},
         "compilers": compiler_cases(),
     }
@@ -232,6 +261,12 @@ def test_program_spaces(goldens):
 
 def test_fuzz_spaces(goldens):
     assert fuzz_cases() == goldens["fuzz"]
+
+
+def test_loop_spaces(goldens):
+    # every loop space must exercise g or l, or their drift goes unseen
+    assert all(entry["loop_edges"] > 0 for entry in goldens["loops"].values())
+    assert loop_cases() == goldens["loops"]
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
