@@ -1,10 +1,11 @@
-"""Per-function dataflow analysis cache with dirty-bit invalidation.
+"""Object-IR CFG and liveness cache with dirty-bit invalidation.
 
-Phases rebuild the CFG, liveness, dominators, and loop nest from
-scratch on every query, which dominates the per-edge cost of the
-enumeration hot path.  This module memoizes those analyses on the
-function itself (``Function._analyses``) so a fixpoint that queries
-liveness five times between mutations computes it once.
+The phases run on the flat IR and its analyses
+(:mod:`repro.analysis.flat`).  The object-IR readers — the sanitizer,
+the canonicalizer, translation validation and the CLI — query the CFG
+and register liveness of a :class:`Function`, often several times
+between mutations.  This module memoizes both on the function itself
+(``Function._analyses``).
 
 The contract (documented on :meth:`Function.invalidate_analyses`):
 
@@ -15,11 +16,11 @@ The contract (documented on :meth:`Function.invalidate_analyses`):
   content-equal to its source at that moment, so the cached analyses
   describe it too; the rebinding discipline means neither side can
   clobber the other's view.
-- :class:`Liveness`/:class:`SlotLiveness` hold a back-reference to the
-  function they were computed over (their per-instruction iterators
-  re-walk ``self.func``).  When a cached view is requested for a
-  *different* (cloned) function object, the getter rebinds a view onto
-  the current function — same dataflow dicts, correct back-reference.
+- :class:`Liveness` holds a back-reference to the function it was
+  computed over (its per-instruction iterators re-walk ``self.func``).
+  When a cached view is requested for a *different* (cloned) function
+  object, the getter rebinds a view onto the current function — same
+  dataflow dicts, correct back-reference.
 
 ``REPRO_PARANOID_ANALYSIS=1`` (or :func:`set_paranoid(True)`)
 recomputes on every hit and raises if a cached analysis disagrees with
@@ -32,14 +33,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.analysis.dominators import DominatorTree, compute_dominators
-from repro.analysis.liveness import (
-    Liveness,
-    SlotLiveness,
-    compute_liveness,
-    compute_slot_liveness,
-)
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.liveness import Liveness, compute_liveness
 from repro.ir.cfg import CFG, build_cfg
 from repro.ir.function import Function
 from repro.observability import tracer as _obs
@@ -67,14 +61,11 @@ class AnalysisCache:
     """Lazily-filled analyses for one function *content* (shared by
     content-equal clones)."""
 
-    __slots__ = ("cfg", "liveness", "slot_liveness", "dominators", "loops")
+    __slots__ = ("cfg", "liveness")
 
     def __init__(self) -> None:
         self.cfg: Optional[CFG] = None
         self.liveness: Optional[Liveness] = None
-        self.slot_liveness: Optional[SlotLiveness] = None
-        self.dominators: Optional[DominatorTree] = None
-        self.loops = None
 
 
 def _cache_of(func: Function) -> AnalysisCache:
@@ -111,61 +102,6 @@ def liveness_of(func: Function) -> Liveness:
             cache.liveness.live_in, cache.liveness.live_out, func
         )
     return cache.liveness
-
-
-def slot_liveness_of(func: Function) -> SlotLiveness:
-    """Frame-slot liveness, cached; rebound to *func* on clone sharing."""
-    cache = _cache_of(func)
-    _note(cache.slot_liveness is not None)
-    if cache.slot_liveness is None:
-        cache.slot_liveness = compute_slot_liveness(func, cfg_of(func))
-    elif _PARANOID:
-        _compare_dicts(
-            func,
-            "slot_liveness",
-            cache.slot_liveness.live_in,
-            compute_slot_liveness(func).live_in,
-        )
-    if cache.slot_liveness.func is not func:
-        old = cache.slot_liveness
-        cache.slot_liveness = SlotLiveness(
-            old.live_in, old.live_out, func, old.tracked, old.frame_refs
-        )
-    return cache.slot_liveness
-
-
-def dominators_of(func: Function) -> DominatorTree:
-    """The dominator tree, cached until the next invalidation."""
-    cache = _cache_of(func)
-    _note(cache.dominators is not None)
-    if cache.dominators is None:
-        cache.dominators = compute_dominators(func, cfg_of(func))
-    elif _PARANOID:
-        _compare_dicts(
-            func,
-            "dominators",
-            cache.dominators.idom,
-            compute_dominators(func).idom,
-        )
-    return cache.dominators
-
-
-def loops_of(func: Function):
-    """The natural-loop nest (innermost first), cached."""
-    cache = _cache_of(func)
-    _note(cache.loops is not None)
-    if cache.loops is None:
-        cache.loops = find_natural_loops(func, cfg_of(func), dominators_of(func))
-    elif _PARANOID:
-        fresh = find_natural_loops(func)
-        got = [(l.header, frozenset(l.body)) for l in cache.loops]
-        want = [(l.header, frozenset(l.body)) for l in fresh]
-        if got != want:
-            raise RuntimeError(
-                f"{func.name}: stale cached loops {got} != fresh {want} "
-                "(a phase mutated without invalidate_analyses())"
-            )
-    return cache.loops
 
 
 def _compare_cfg(func: Function, cached: CFG) -> None:

@@ -2,28 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict
 
-from repro.ir.function import Function
-from repro.ir.instructions import (
-    Assign,
-    Compare,
-    Instruction,
-)
+from repro.ir.instructions import Assign, Compare, Instruction
 from repro.ir.operands import Expr, Mem, Reg, substitute
-
-
-def defined_reg(inst: Instruction) -> Optional[Reg]:
-    """The single register defined by a plain register assignment."""
-    if isinstance(inst, Assign) and isinstance(inst.dst, Reg):
-        return inst.dst
-    return None
-
-
-def instruction_registers(inst: Instruction) -> Iterator[Reg]:
-    """All registers mentioned by *inst* (defs and uses)."""
-    yield from inst.uses()
-    yield from inst.defs()
 
 
 def rewrite_uses(inst: Instruction, mapping: Dict[Expr, Expr]) -> Instruction:
@@ -73,29 +55,3 @@ def rewrite_registers(inst: Instruction, regmap: Dict[Reg, Reg]) -> Instruction:
             return inst
         return Compare(left, right)
     return inst
-
-
-def single_def_registers(func: Function) -> Dict[Reg, Instruction]:
-    """Registers whose value has exactly one source in the function.
-
-    Returns a map from each such register to its defining instruction.
-    Registers defined by calls (the caller-saved set) are excluded, and
-    registers that are live into the entry block (function arguments)
-    carry an *implicit* definition at entry, so a textual single def
-    does not make them single-source.
-    """
-    from repro.analysis.liveness import compute_liveness
-
-    counts: Dict[Reg, int] = {}
-    definer: Dict[Reg, Instruction] = {}
-    for reg in compute_liveness(func).live_in[func.entry.label]:
-        counts[reg] = 1  # implicit definition at function entry
-    for inst in func.instructions():
-        for reg in inst.defs():
-            counts[reg] = counts.get(reg, 0) + 1
-            definer[reg] = inst
-    return {
-        reg: inst
-        for reg, inst in definer.items()
-        if counts[reg] == 1 and isinstance(inst, Assign)
-    }

@@ -1,10 +1,12 @@
 """Dataflow analyses over the flat IR (bitmask registers, int blocks).
 
-Mirrors of :mod:`repro.analysis` for :class:`~repro.ir.flat.FlatFunction`:
-the same fixpoints compute the same facts — liveness as int bitmasks
-over interned register ids, CFGs and dominators over positional block
-indices — so the phases decide on the same facts the object-IR
-verifiers see, without touching instruction objects.
+The analyses the phases decide on, over
+:class:`~repro.ir.flat.FlatFunction`: liveness as int bitmasks over
+interned register ids; CFGs, dominators and natural loops over
+positional block indices.  Liveness and the frame facts compute the
+same fixpoints as their object-IR counterparts in :mod:`repro.analysis`,
+so the phases decide on the same facts the object-IR verifiers see,
+without touching instruction objects.
 
 Caching follows the exact discipline of :mod:`repro.analysis.cache`:
 analyses live on ``FlatFunction._analyses``, clones share the cache
@@ -613,6 +615,16 @@ class FlatLoop:
         self.latches = latches
         self.depth = 1
 
+    def exit_edges(self, cfg: FlatCFG) -> List[Tuple[int, int]]:
+        """(exiting block, exit block) of every CFG edge leaving the
+        loop, in block order."""
+        return [
+            (block, succ)
+            for block in sorted(self.body)
+            for succ in cfg.succs[block]
+            if succ not in self.body
+        ]
+
 
 def find_flat_loops(
     flat: FlatFunction,
@@ -626,7 +638,9 @@ def find_flat_loops(
 
     reachable = cfg.reachable(0)
     loops_by_header: Dict[int, FlatLoop] = {}
-    # Positional order, mirroring find_natural_loops' cfg.order walk.
+    # Positional order, not set order: the discovery order decides how
+    # same-depth loops tie-break after the sort below, and phases act on
+    # the first candidate loop.
     for block in sorted(reachable):
         for succ in cfg.succs[block]:
             if succ in reachable and dom.dominates(succ, block):
@@ -712,8 +726,11 @@ def _paranoid_memo_check(what: str, key, cached, fresh) -> None:
         )
 
 
-def _loop_shape(loops: List[FlatLoop]) -> List[Tuple[int, frozenset]]:
-    return [(loop.header, frozenset(loop.body)) for loop in loops]
+def _loop_shape(loops: List[FlatLoop]) -> List[Tuple[int, frozenset, frozenset, int]]:
+    return [
+        (loop.header, frozenset(loop.body), frozenset(loop.latches), loop.depth)
+        for loop in loops
+    ]
 
 
 def flat_cfg_of(flat: FlatFunction) -> FlatCFG:
@@ -808,12 +825,13 @@ def flat_loops_of(flat: FlatFunction) -> List[FlatLoop]:
 
 
 def flat_single_defs_of(flat: FlatFunction) -> Dict[int, int]:
-    """``single_def_registers`` over the flat IR: rid -> defining iid.
+    """Registers whose value has exactly one source: rid -> defining iid.
 
     A register counts as multiply-defined when it is live into the
     entry block (implicit definition by the caller or a predecessor
-    incarnation).  Only ``Assign``-defined registers are returned —
-    the CSE kernel's propagation sources.
+    incarnation).  Only ``Assign``-defined registers are returned, so
+    call-clobbered registers are excluded — the CSE kernel's
+    propagation sources.
     """
     cache = _cache_of(flat)
     _note(cache.single_defs is not None)

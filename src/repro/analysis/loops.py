@@ -1,100 +1,38 @@
-"""Natural loop detection from back edges."""
+"""Natural loops of an object-IR function, keyed by block label.
+
+A label-keyed view of :func:`repro.analysis.flat.find_flat_loops`, the
+one loop detection, for callers holding a
+:class:`~repro.ir.function.Function`.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, NamedTuple, Set
 
-from repro.analysis.dominators import DominatorTree, compute_dominators
-from repro.ir.cfg import CFG, build_cfg
+from repro.analysis.flat import find_flat_loops
+from repro.ir.flat import LABEL_STRS, to_flat
 from repro.ir.function import Function
 
 
-class Loop:
+class Loop(NamedTuple):
     """A natural loop: header plus the body of its back edges."""
 
-    __slots__ = ("header", "body", "latches", "depth")
-
-    def __init__(self, header: str, body: Set[str], latches: Set[str]):
-        self.header = header
-        self.body = body
-        self.latches = latches
-        self.depth = 1  # filled in by find_natural_loops
-
-    def exits(self, cfg: CFG) -> List[str]:
-        """Blocks outside the loop reachable directly from inside it."""
-        result = []
-        for label in self.body:
-            for succ in cfg.succs.get(label, ()):
-                if succ not in self.body and succ not in result:
-                    result.append(succ)
-        return result
-
-    def exiting_blocks(self, cfg: CFG) -> List[str]:
-        """Blocks inside the loop with a successor outside it."""
-        result = []
-        for label in self.body:
-            if any(succ not in self.body for succ in cfg.succs.get(label, ())):
-                result.append(label)
-        return result
-
-    def __repr__(self):
-        return f"<Loop header={self.header} body={sorted(self.body)}>"
+    header: str
+    body: Set[str]
+    latches: Set[str]
+    depth: int
 
 
-def find_natural_loops(
-    func: Function,
-    cfg: Optional[CFG] = None,
-    dom: Optional[DominatorTree] = None,
-) -> List[Loop]:
-    """Find natural loops; loops sharing a header are merged.
-
-    Returned loops are sorted innermost-first (deepest nesting level
-    first), matching the order VPO processes loops in its loop phases.
-    """
-    if cfg is None:
-        cfg = build_cfg(func)
-    if dom is None:
-        dom = compute_dominators(func, cfg)
-
-    reachable = cfg.reachable(func.entry.label)
-    loops_by_header: Dict[str, Loop] = {}
-    # Iterate in positional block order, not set order: the discovery
-    # order decides how same-depth loops tie-break after the sort below,
-    # and phases act on the first candidate loop.
-    for label in cfg.order:
-        if label not in reachable:
-            continue
-        for succ in cfg.succs.get(label, ()):
-            if succ in reachable and dom.dominates(succ, label):
-                # Back edge label -> succ.
-                header = succ
-                body = {header, label}
-                stack = [label]
-                while stack:
-                    current = stack.pop()
-                    if current == header:
-                        continue
-                    for pred in cfg.preds.get(current, ()):
-                        if pred in reachable and pred not in body:
-                            body.add(pred)
-                            stack.append(pred)
-                loop = loops_by_header.get(header)
-                if loop is None:
-                    loops_by_header[header] = Loop(header, body, {label})
-                else:
-                    loop.body |= body
-                    loop.latches.add(label)
-
-    loops = list(loops_by_header.values())
-    # Nesting depth: loop A contains loop B when B's header is in A's
-    # body and B's body is a subset of A's.
-    for loop in loops:
-        loop.depth = 1 + sum(
-            1
-            for other in loops
-            if other is not loop
-            and loop.header in other.body
-            and loop.body <= other.body
+def find_natural_loops(func: Function) -> List[Loop]:
+    """Natural loops, loops sharing a header merged, innermost first."""
+    flat = to_flat(func)
+    names = [LABEL_STRS[lid] for lid in flat.labels]
+    return [
+        Loop(
+            names[loop.header],
+            {names[bi] for bi in loop.body},
+            {names[bi] for bi in loop.latches},
+            loop.depth,
         )
-    loops.sort(key=lambda loop: -loop.depth)
-    return loops
+        for loop in find_flat_loops(flat)
+    ]

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.analysis.loops import find_natural_loops
+from repro.analysis.flat import find_flat_loops
 from repro.core.enumeration import (
     EnumerationConfig,
     EnumerationResult,
     enumerate_space,
 )
+from repro.ir.flat import to_flat
 from repro.ir.function import Function
 from repro.ir.instructions import CondBranch, Jump
 
@@ -117,7 +118,7 @@ def static_function_facts(func: Function):
         func.num_instructions(),
         len(func.blocks),
         branches,
-        len(find_natural_loops(func)),
+        len(find_flat_loops(to_flat(func))),
     )
 
 

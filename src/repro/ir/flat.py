@@ -33,9 +33,8 @@ and adds a flat, integer-keyed view for *speed*:
 
 Converters are lossless both ways.  ``from_flat`` is intentionally
 trivial (the intern pool holds the real instruction objects), which
-is what makes object views cheap: the verifiers, the VM and the two
-loop phases' transforms see a flat instance at the cost of two list
-comprehensions, not a parse.
+is what makes object views cheap: the verifiers and the VM see a flat
+instance at the cost of two list comprehensions, not a parse.
 
 The pools are process-global and append-only.  They never shrink
 during enumeration; :func:`reset_flat_caches` exists for tests and
@@ -154,8 +153,8 @@ KIND: List[int] = []
 FLAGS: List[int] = []
 DEF_MASK: List[int] = []
 USE_MASK: List[int] = []
-#: rid of the single register defined by a plain register assignment
-#: (defuse.defined_reg), or -1.
+#: rid of the register a register assignment (``K_ASSIGN``) defines,
+#: or -1.
 DEF_RID: List[int] = []
 #: branch target label id for Jump/CondBranch, or -1.
 TARGET_LID: List[int] = []

@@ -1,9 +1,7 @@
 """The fifteen candidate optimization phases (Table 1 of the paper).
 
 Each phase has one implementation, over the flat IR: the kernels in
-:mod:`repro.opt.flat`, and the loop phases g and l (object-IR
-transforms behind the flat :class:`~repro.opt.base.LoopPhase`
-interface).
+:mod:`repro.opt.flat`.
 
 ======  ================================  ==============================
 Letter  Phase                             Ordering restrictions
@@ -28,7 +26,6 @@ u       remove useless jumps
 """
 
 from repro.opt.base import (
-    LoopPhase,
     Phase,
     apply_phase,
     attempt_phase_on_flat,
@@ -44,14 +41,14 @@ from repro.opt.flat.cflow import (
 )
 from repro.opt.flat.cse import CommonSubexpressionElimination
 from repro.opt.flat.deadassign import DeadAssignmentElimination
+from repro.opt.flat.unrolling import LoopUnrolling
 from repro.opt.flat.loopjumps import MinimizeLoopJumps
+from repro.opt.flat.looptransforms import LoopTransformations
 from repro.opt.flat.regalloc import RegisterAllocation
 from repro.opt.flat.abstraction import CodeAbstraction
 from repro.opt.flat.evalorder import EvaluationOrderDetermination
 from repro.opt.flat.strength import StrengthReduction
 from repro.opt.flat.selection import InstructionSelection
-from repro.opt.loop_unrolling import LoopUnrolling
-from repro.opt.loop_transforms import LoopTransformations
 
 #: all candidate phases in the paper's Table 1 order
 PHASES = (
@@ -83,7 +80,6 @@ def phase_by_id(phase_id: str) -> Phase:
 
 
 __all__ = [
-    "LoopPhase",
     "Phase",
     "apply_phase",
     "attempt_phase_on_flat",

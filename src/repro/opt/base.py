@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.flat import flat_loops_of
 from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
@@ -67,29 +66,6 @@ class Phase:
 
     def __repr__(self):
         return f"<Phase {self.id}: {self.name}>"
-
-
-class LoopPhase(Phase):
-    """A loop-restructuring phase whose transform is written over the
-    object IR (g and l: they fire rarely and mutate heavily).
-
-    ``run`` keeps the flat interface: a loop-free function is dormant
-    without ever being converted, otherwise the transform runs on the
-    object view and an active result is written back in place.
-    """
-
-    def run(self, flat: FlatFunction, target: Target) -> bool:
-        if not flat_loops_of(flat):
-            return False
-        func = from_flat(flat)
-        if not self.transform(func, target):
-            return False
-        to_flat(func, into=flat)
-        return True
-
-    def transform(self, func: Function, target: Target) -> bool:
-        """Apply the transform to *func* in place; True when changed."""
-        raise NotImplementedError
 
 
 def attempt_phase_on_flat(

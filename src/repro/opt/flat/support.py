@@ -28,9 +28,11 @@ from repro.ir.flat import (
     K_ASSIGN,
     K_CALL,
     K_COMPARE,
+    K_JUMP,
     K_STORE,
     NUM_SEEDED_HW,
     REG_OBJS,
+    RELOP,
     USE_MASK,
     intern_inst,
     iter_rids,
@@ -94,6 +96,11 @@ def condbr_iid(relop: str, lid: int) -> int:
         iid = intern_inst(CondBranch(relop, LABEL_STRS[lid]))
         _CONDBRS[key] = iid
     return iid
+
+
+def retarget_iid(iid: int, lid: int) -> int:
+    """The jump or conditional branch *iid* aimed at label *lid*."""
+    return jump_iid(lid) if KIND[iid] == K_JUMP else condbr_iid(RELOP[iid], lid)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,25 @@
-"""Unit tests for the def/use rewriting helpers."""
+"""Unit tests for the def/use rewriting helpers and the def facts the
+phases read off the flat IR (``DEF_RID``, ``flat_single_defs_of``)."""
 
-from repro.analysis.defuse import (
-    defined_reg,
-    rewrite_registers,
-    rewrite_uses,
-    single_def_registers,
-)
+from repro.analysis.defuse import rewrite_registers, rewrite_uses
+from repro.analysis.flat import flat_single_defs_of
+from repro.ir.flat import DEF_RID, INST_OBJS, REG_OBJS, intern_inst, to_flat
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Call, Compare, Jump, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import RV
+
+
+def defined_reg(inst):
+    """The register a register assignment defines, read off DEF_RID."""
+    rid = DEF_RID[intern_inst(inst)]
+    return None if rid < 0 else REG_OBJS[rid]
+
+
+def single_def_registers(func):
+    """flat_single_defs_of over *func*, keyed and valued by objects."""
+    singles = flat_single_defs_of(to_flat(func))
+    return {REG_OBJS[rid]: INST_OBJS[iid] for rid, iid in singles.items()}
 
 
 class TestDefinedReg:

@@ -1,7 +1,8 @@
-"""Unit tests for dominator computation."""
+"""Unit tests for dominator computation (over flat block indices)."""
 
-from repro.analysis.dominators import compute_dominators
-from repro.ir.function import BasicBlock, Function
+from repro.analysis.flat import compute_flat_dominators
+from repro.ir.flat import to_flat
+from repro.ir.function import Function
 from repro.ir.instructions import Compare, CondBranch, Jump, Return
 from repro.ir.operands import Const, Reg
 
@@ -28,13 +29,19 @@ def build(edges_spec):
     return func
 
 
+def dominators(func):
+    """The flat dominator tree of *func* and its label -> index map."""
+    index = {block.label: i for i, block in enumerate(func.blocks)}
+    return compute_flat_dominators(to_flat(func)), index
+
+
 class TestDominators:
     def test_straight_line(self):
         func = build({"a": ("jump", "b"), "b": ("jump", "c"), "c": ("ret",)})
-        dom = compute_dominators(func)
-        assert dom.idom["a"] is None
-        assert dom.idom["b"] == "a"
-        assert dom.idom["c"] == "b"
+        dom, ix = dominators(func)
+        assert dom.idom[ix["a"]] is None
+        assert dom.idom[ix["b"]] == ix["a"]
+        assert dom.idom[ix["c"]] == ix["b"]
 
     def test_diamond(self):
         func = build(
@@ -45,14 +52,14 @@ class TestDominators:
                 "join": ("ret",),
             }
         )
-        dom = compute_dominators(func)
-        assert dom.idom["left"] == "entry"
-        assert dom.idom["right"] == "entry"
-        assert dom.idom["join"] == "entry"
-        assert dom.dominates("entry", "join")
-        assert not dom.dominates("left", "join")
-        assert dom.dominates("join", "join")
-        assert not dom.strictly_dominates("join", "join")
+        dom, ix = dominators(func)
+        assert dom.idom[ix["left"]] == ix["entry"]
+        assert dom.idom[ix["right"]] == ix["entry"]
+        assert dom.idom[ix["join"]] == ix["entry"]
+        assert dom.dominates(ix["entry"], ix["join"])
+        assert not dom.dominates(ix["left"], ix["join"])
+        assert dom.dominates(ix["join"], ix["join"])
+        assert not dom.strictly_dominates(ix["join"], ix["join"])
 
     def test_loop(self):
         func = build(
@@ -63,19 +70,19 @@ class TestDominators:
                 "exit": ("ret",),
             }
         )
-        dom = compute_dominators(func)
-        assert dom.idom["head"] == "entry"
-        assert dom.idom["body"] == "head"
-        assert dom.idom["exit"] == "head"
-        assert dom.dominates("head", "body")
+        dom, ix = dominators(func)
+        assert dom.idom[ix["head"]] == ix["entry"]
+        assert dom.idom[ix["body"]] == ix["head"]
+        assert dom.idom[ix["exit"]] == ix["head"]
+        assert dom.dominates(ix["head"], ix["body"])
 
     def test_unreachable_blocks_excluded(self):
         func = build(
             {"entry": ("jump", "exit"), "island": ("jump", "exit"), "exit": ("ret",)}
         )
-        dom = compute_dominators(func)
-        assert "island" not in dom.idom
-        assert dom.idom["exit"] == "entry"
+        dom, ix = dominators(func)
+        assert ix["island"] not in dom.idom
+        assert dom.idom[ix["exit"]] == ix["entry"]
 
     def test_depths(self):
         func = build(
@@ -86,10 +93,10 @@ class TestDominators:
                 "d": ("ret",),
             }
         )
-        dom = compute_dominators(func)
-        assert dom.depth("entry") == 0
-        assert dom.depth("b") == 1
-        assert dom.depth("d") == 1
+        dom, ix = dominators(func)
+        assert dom.depth(ix["entry"]) == 0
+        assert dom.depth(ix["b"]) == 1
+        assert dom.depth(ix["d"]) == 1
 
     def test_children(self):
         func = build(
@@ -100,5 +107,6 @@ class TestDominators:
                 "d": ("ret",),
             }
         )
-        dom = compute_dominators(func)
-        assert sorted(dom.children()["entry"]) == ["b", "c", "d"]
+        dom, ix = dominators(func)
+        children = [block for block, parent in dom.idom.items() if parent == ix["entry"]]
+        assert sorted(children) == [ix["b"], ix["c"], ix["d"]]

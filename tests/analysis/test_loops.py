@@ -1,7 +1,8 @@
 """Unit tests for natural loop detection."""
 
+from repro.analysis.flat import build_flat_cfg, find_flat_loops
 from repro.analysis.loops import find_natural_loops
-from repro.ir.cfg import build_cfg
+from repro.ir.flat import to_flat
 from tests.analysis.test_dominators import build
 from tests.conftest import compile_fn
 
@@ -24,9 +25,11 @@ class TestFindNaturalLoops:
         assert loop.header == "head"
         assert loop.body == {"head", "body"}
         assert loop.latches == {"body"}
-        cfg = build_cfg(func)
-        assert loop.exits(cfg) == ["exit"]
-        assert loop.exiting_blocks(cfg) == ["head"]
+        # the flat loop's exit edges: exiting block "head" (1) to "exit" (3)
+        flat = to_flat(func)
+        (flat_loop,) = find_flat_loops(flat)
+        assert flat_loop.header == 1
+        assert flat_loop.exit_edges(build_flat_cfg(flat)) == [(1, 3)]
 
     def test_nested_loops_sorted_innermost_first(self):
         func = build(

@@ -164,11 +164,23 @@ def test_reference_crc_matches_zlib_with_seed(data, seed):
 # ----------------------------------------------------------------------
 
 
+def active_phases(result):
+    """Ids of the phases active on some edge of the space."""
+    return {pid for node in result.dag.nodes.values() for pid in node.active}
+
+
 class TestAnalysisCache:
     def test_cache_off_is_bit_identical(self, monkeypatch):
-        func = compile_benchmark("sha").functions["rol"]
-        implicit_cleanup(func)
-        cached = enumerate_space(func, EnumerationConfig())
+        # sha.rol is loop-free; the bounded word_sum space has active
+        # g and l edges, whose kernels read the flat loop analyses
+        sha = compile_benchmark("sha").functions
+        inputs = [(sha["rol"], None), (sha["word_sum"], 300)]
+        for func, _ in inputs:
+            implicit_cleanup(func)
+        cached = [
+            enumerate_space(func, EnumerationConfig(max_nodes=bound))
+            for func, bound in inputs
+        ]
         # every getter gets a fresh, empty cache: nothing is reused
         monkeypatch.setattr(
             analysis_cache, "_cache_of", lambda f: analysis_cache.AnalysisCache()
@@ -176,8 +188,13 @@ class TestAnalysisCache:
         fresh = lambda f: flat_analysis.FlatAnalyses()  # noqa: E731
         monkeypatch.setattr(flat_analysis, "_cache_of", fresh)
         monkeypatch.setattr(selection, "_cache_of", fresh)
-        uncached = enumerate_space(func, EnumerationConfig())
-        assert result_signature(cached) == result_signature(uncached)
+        uncached = [
+            enumerate_space(func, EnumerationConfig(max_nodes=bound))
+            for func, bound in inputs
+        ]
+        assert active_phases(cached[1]) >= {"g", "l"}
+        for before, after in zip(cached, uncached):
+            assert result_signature(before) == result_signature(after)
 
     def test_paranoid_mode_finds_no_stale_analyses(self):
         # Paranoid mode recomputes every analysis and raises if a
@@ -193,11 +210,13 @@ class TestAnalysisCache:
         previous = set_paranoid(True)
         try:
             result = enumerate_space(descale, EnumerationConfig())
-            bounded = enumerate_space(bit_count, EnumerationConfig(max_nodes=200))
+            bounded = enumerate_space(bit_count, EnumerationConfig(max_nodes=500))
         finally:
             set_paranoid(previous)
         assert result.completed
         assert bounded.abort_reason == "max_nodes"
+        # the sweep covers the loop kernels' invalidation discipline too
+        assert active_phases(bounded) >= {"g", "l"}
         assert any(state for _, _, state in flat_analysis._BLOCK_FRAMES)
 
     @pytest.mark.parametrize("memo", ["block use/def", "frame effects"])
@@ -286,6 +305,23 @@ class TestAnalysisCache:
         try:
             with pytest.raises(RuntimeError, match="stale cached flat"):
                 enumerate_space(func, EnumerationConfig())
+        finally:
+            set_paranoid(previous)
+
+    @pytest.mark.parametrize("field", ["latches", "depth"])
+    def test_paranoid_mode_checks_loop_latches_and_depth(self, field):
+        # the loop kernels read latches and nesting depth, not only the
+        # header and body, so a stale value of either must be caught
+        flat = to_flat(compile_benchmark("bitcount").functions["bit_count"])
+        (loop,) = flat_analysis.flat_loops_of(flat)
+        if field == "latches":
+            loop.latches = set()
+        else:
+            loop.depth += 1
+        previous = set_paranoid(True)
+        try:
+            with pytest.raises(RuntimeError, match="stale cached flat loops"):
+                flat_analysis.flat_loops_of(flat)
         finally:
             set_paranoid(previous)
 

@@ -6,7 +6,8 @@ from repro.analysis.loops import find_natural_loops
 from repro.ir.instructions import Assign, Compare
 from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import DEFAULT_TARGET
-from repro.opt import apply_phase, phase_by_id
+from repro.ir.flat import to_flat
+from repro.opt import apply_phase, attempt_phase_on_flat, phase_by_id
 from repro.vm import Interpreter
 from tests.conftest import SUM_ARRAY_SRC, ObjectPhase, apply_sequence, compile_prog
 
@@ -173,3 +174,11 @@ class TestLoopUnrolling:
         apply_phase(func, G.phase)
         clone = func.clone()
         assert clone.unrolled == func.unrolled
+
+    def test_attempt_leaves_the_parent_marker_alone(self):
+        # clones share the unrolled set, so g must rebind it, not add
+        program, func = prepared(SUM_ARRAY_SRC, "sum_array")
+        flat = to_flat(func)
+        candidate = attempt_phase_on_flat(flat, G.phase)
+        assert candidate is not None and candidate.unrolled
+        assert not flat.unrolled

@@ -1,12 +1,14 @@
 """Focused unit tests for loop transformation internals (phase l)."""
 
+from repro.analysis.flat import find_flat_loops
 from repro.analysis.loops import find_natural_loops
+from repro.ir.flat import LABEL_STRS, from_flat, to_flat
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import DEFAULT_TARGET, RV
 from repro.opt import phase_by_id
-from repro.opt.loop_transforms import ensure_preheader
+from repro.opt.flat.looptransforms import ensure_preheader
 from repro.vm import Interpreter
 from tests.conftest import ObjectPhase
 
@@ -43,25 +45,26 @@ def execute(func):
 
 class TestEnsurePreheader:
     def test_existing_sole_predecessor_reused(self):
-        func = counting_loop()
-        (loop,) = find_natural_loops(func)
-        preheader = ensure_preheader(func, loop)
-        assert preheader.label == "entry"
-        assert len(func.blocks) == 4  # nothing created
+        flat = to_flat(counting_loop())
+        (loop,) = find_flat_loops(flat)
+        preheader = ensure_preheader(flat, loop)
+        assert LABEL_STRS[flat.labels[preheader]] == "entry"
+        assert len(flat.blocks) == 4  # nothing created
 
     def test_created_when_entry_has_other_successors(self):
         func = counting_loop()
         # make entry conditional: it may skip the loop entirely
         entry = func.block("entry")
         entry.insts += [Compare(R(1), Const(0)), CondBranch("lt", "exit")]
-        (loop,) = find_natural_loops(func)
-        before = len(func.blocks)
-        preheader = ensure_preheader(func, loop)
-        assert len(func.blocks) == before + 1
+        flat = to_flat(func)
+        (loop,) = find_flat_loops(flat)
+        before = len(flat.blocks)
+        preheader = ensure_preheader(flat, loop)
+        assert len(flat.blocks) == before + 1
+        assert flat.blocks[preheader] == []
         # the preheader falls through to the header
-        index = func.block_index(preheader.label)
-        assert func.blocks[index + 1].label == "head"
-        assert execute(func) == sum(range(10))
+        assert LABEL_STRS[flat.labels[preheader + 1]] == "head"
+        assert execute(from_flat(flat)) == sum(range(10))
 
 
 class TestLicm:
