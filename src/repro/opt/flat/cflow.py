@@ -26,7 +26,12 @@ from repro.ir.flat import (
 from repro.ir.instructions import INVERTED_RELOP
 from repro.machine.target import Target
 from repro.opt.base import Phase
-from repro.opt.flat.support import condbr_iid, jump_iid, terminator_iid
+from repro.opt.flat.support import (
+    condbr_iid,
+    jump_iid,
+    retarget_iid,
+    terminator_iid,
+)
 
 
 def _final_target(start: int, trivial: Dict[int, int]) -> int:
@@ -66,16 +71,10 @@ class BranchChaining(Phase):
             term = terminator_iid(block)
             if term < 0:
                 continue
-            kind = KIND[term]
-            if kind == K_JUMP:
+            if KIND[term] in (K_JUMP, K_CONDBR):
                 final = _final_target(TARGET_LID[term], trivial)
                 if final != TARGET_LID[term]:
-                    block[-1] = jump_iid(final)
-                    changed = True
-            elif kind == K_CONDBR:
-                final = _final_target(TARGET_LID[term], trivial)
-                if final != TARGET_LID[term]:
-                    block[-1] = condbr_iid(RELOP[term], final)
+                    block[-1] = retarget_iid(term, final)
                     changed = True
 
         if changed:

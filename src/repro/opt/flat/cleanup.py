@@ -23,11 +23,10 @@ from repro.ir.flat import (
     KIND,
     K_CONDBR,
     K_JUMP,
-    RELOP,
     TARGET_LID,
     FlatFunction,
 )
-from repro.opt.flat.support import condbr_iid, jump_iid
+from repro.opt.flat.support import retarget_iid
 
 #: phase contract (one of the two implicit phases): cleanup requires
 #: nothing, establishes nothing, and must preserve every monotone
@@ -47,15 +46,10 @@ def _retarget(flat: FlatFunction, mapping: Dict[int, int]) -> None:
         if not block:
             continue
         last = block[-1]
-        kind = KIND[last]
-        if kind == K_JUMP:
+        if KIND[last] in (K_JUMP, K_CONDBR):
             target = TARGET_LID[last]
             if target in mapping:
-                block[-1] = jump_iid(mapping[target])
-        elif kind == K_CONDBR:
-            target = TARGET_LID[last]
-            if target in mapping:
-                block[-1] = condbr_iid(RELOP[last], mapping[target])
+                block[-1] = retarget_iid(last, mapping[target])
 
 
 def flat_remove_empty_blocks(flat: FlatFunction) -> bool:
