@@ -18,8 +18,9 @@ against a second live code path; these goldens are the anchor instead.
   under each enumeration mode that drives phases differently: exact,
   ``remap=False``,
   ``share_prefixes=False``, semantic collapse, ``sanitize="fast"``,
-  and ``validate`` with seeded fault injection (quarantine log and the
-  journaled ``phase_stats`` included);
+  and ``validate`` (alone, and with ``sanitize="fast"``) under seeded
+  fault injection (quarantine log and the journaled ``phase_stats``
+  included);
 - the batch and probabilistic compilers over every program function.
 
 An enumeration entry is (nodes, attempted, applied, abort reason,
@@ -87,7 +88,10 @@ MODES: Dict[str, Dict[str, object]] = {
     "semantic": {"collapse": "semantic"},
     "sanitize-fast": {"sanitize": "fast"},
     "validate-faults": {"validate": True},
+    "guarded-faults": {"validate": True, "sanitize": "fast"},
 }
+#: modes run with seeded fault injection
+FAULT_MODES = ("validate-faults", "guarded-faults")
 
 
 def sha256(text: str) -> str:
@@ -179,7 +183,7 @@ def mode_case(mode: str) -> Dict[str, object]:
     for benchmark, name, max_nodes in MODE_FUNCTIONS:
         program = compile_benchmark(benchmark)
         config = dict(MODES[mode], max_nodes=max_nodes, program=program)
-        if mode == "validate-faults":
+        if mode in FAULT_MODES:
             config["fault_injector"] = FaultInjector(seed=7, rate=0.2)
         events: List[Dict[str, object]] = []
         tracer = obs.Tracer()
@@ -274,9 +278,10 @@ def test_enumeration_modes(goldens, mode):
     assert mode_case(mode) == goldens["modes"][mode]
 
 
-def test_fault_injection_quarantines(goldens):
-    # the fault case must actually exercise the guard's failure paths
-    for entry in goldens["modes"]["validate-faults"].values():
+@pytest.mark.parametrize("mode", FAULT_MODES)
+def test_fault_injection_quarantines(goldens, mode):
+    # the fault cases must actually exercise the guard's failure paths
+    for entry in goldens["modes"][mode].values():
         assert entry["quarantined"] > 0
         assert any(row.get("quarantined") for row in entry["phase_stats"].values())
 
