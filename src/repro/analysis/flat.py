@@ -149,6 +149,10 @@ def build_flat_cfg(flat: FlatFunction) -> FlatCFG:
 #: it is cleared.
 _BLOCK_MEMO_MAX = 1 << 16
 
+#: Block memos kept by other modules (the sanitizer's fact tables) that
+#: :func:`reset_flat_analysis_caches` clears too.
+SHARED_MEMOS: List[dict] = []
+
 #: (block content id, returns_value) -> (use mask, def mask)
 _BLOCK_USE_DEF: Dict[Tuple[int, bool], Tuple[int, int]] = {}
 
@@ -876,3 +880,5 @@ def reset_flat_analysis_caches() -> None:
     _BLOCK_USE_DEF.clear()
     _BLOCK_FRAMES.clear()
     _INTERNED.clear()
+    for memo in SHARED_MEMOS:
+        memo.clear()

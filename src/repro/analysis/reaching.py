@@ -36,21 +36,33 @@ from repro.machine.target import ARG_REGS, FP, RV, SP
 ENTRY_DEFINED: FrozenSet[Reg] = frozenset(ARG_REGS) | {FP, SP}
 
 
-def entry_defined_for(func: Function) -> FrozenSet[Reg]:
-    """Registers actually defined on entry to *func*.
+def declared_arity(func) -> int:
+    """Parameter count of *func* (a :class:`Function` or a flat one).
+
+    The frontend does not populate ``params``; each parameter instead
+    owns an ``is_param`` frame slot (its home after the entry spill),
+    and no phase ever removes frame slots — so the slot count is the
+    declared arity wherever it exceeds the ``params`` list.
+    """
+    slots = sum(1 for slot in func.frame.values() if slot.is_param)
+    return max(len(func.params), slots)
+
+
+def entry_defined(arity: int) -> FrozenSet[Reg]:
+    """Registers defined on entry to a function of *arity* parameters.
 
     The convention guarantees only as many argument registers as the
     function declares parameters; seeding all four would make the
     return-value register (= the first argument register) look defined
-    in zero-argument functions and mask uninitialized returns.  The
-    frontend does not populate ``Function.params`` — parameters own
-    ``is_param`` frame slots instead, which no phase removes.
+    in zero-argument functions and mask uninitialized returns.
     """
-    arity = max(
-        len(func.params),
-        sum(1 for slot in func.frame.values() if slot.is_param),
-    )
     return frozenset(ARG_REGS[:arity]) | {FP, SP}
+
+
+def entry_defined_for(func) -> FrozenSet[Reg]:
+    """Registers actually defined on entry to *func*."""
+    return entry_defined(declared_arity(func))
+
 
 _MAX_ITERATIONS = 10_000
 

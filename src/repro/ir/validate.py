@@ -22,20 +22,28 @@ and the checks cover:
 - **Frame consistency** — stack slots must not overlap and must lie
   inside ``frame_size`` (FRAME001/FRAME002).
 
-The guarded phase runner (:mod:`repro.robustness.guard`) calls
-:func:`validate_ir` after every phase application when validation is
-enabled; tests and debugging sessions can call it directly.  The
-deeper dataflow checks (use-before-def, frame-reference bounds) run
-only in the sanitizer's ``full`` mode — see
+The checks run on the flat IR (:func:`repro.staticanalysis.sanitize.fast_findings`);
+:func:`check_ir` and :func:`validate_ir` accept an object function
+(converted with ``to_flat``) or a flat one.  The guarded phase runner
+(:mod:`repro.robustness.guard`) validates every active application's
+flat candidate when validation is enabled — through
+:meth:`repro.staticanalysis.checker.EdgeChecker.check_edge` when a
+sanitizer rides along, so one battery serves both; tests and debugging
+sessions can call :func:`validate_ir` directly.  The deeper dataflow
+checks (use-before-def, frame-reference bounds) run only in the
+sanitizer's ``full`` mode — see
 :func:`repro.staticanalysis.sanitize.sanitize_function`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.ir.function import Function, Program
 from repro.machine.target import Target
+
+if TYPE_CHECKING:
+    from repro.ir.flat import FlatFunction
 
 
 class IRValidationError(ValueError):
@@ -50,7 +58,7 @@ class IRValidationError(ValueError):
 
 
 def check_ir(
-    func: Function,
+    func: Union[Function, "FlatFunction"],
     target: Optional[Target] = None,
     program: Optional[Program] = None,
 ) -> List[str]:
@@ -60,29 +68,28 @@ def check_ir(
     *program*, branches are checked against the whole program's label
     namespace (a branch resolving into another function is an error).
     """
-    # Imported lazily: the sanitizer builds on repro.ir and
-    # repro.analysis, so a module-level import would be circular.
-    from repro.staticanalysis import sanitize as sanitize_mod
+    # Imported lazily: the flat IR and the sanitizer build on this
+    # package, so module-level imports would be circular.
+    from repro.ir.flat import FlatFunction, to_flat
+    from repro.staticanalysis.sanitize import fast_findings
 
-    structural = sanitize_mod.structural_findings(func, program)
-    if structural:
-        # Structural breakage makes the later passes meaningless.
-        return [f"{structural[0].where}: {structural[0].detail}"]
+    flat = func if isinstance(func, FlatFunction) else to_flat(func)
+    return problems_of(fast_findings(flat, target, program))
 
-    findings = []
-    if target is not None:
-        findings.extend(sanitize_mod.machine_findings(func, target))
-    else:
-        findings.extend(sanitize_mod.register_discipline_findings(func))
-    findings.extend(sanitize_mod.frame_layout_findings(func))
-    findings.extend(sanitize_mod.dangling_entry_findings(func))
-    if program is not None:
-        findings.extend(sanitize_mod.call_findings(func, program))
+
+def problems_of(findings) -> List[str]:
+    """:func:`check_ir`'s problem lines for a fast-battery result: a
+    structural failure reports its first finding only (the later
+    passes are meaningless on broken structure)."""
+    from repro.staticanalysis.sanitize import structural_failure
+
+    if structural_failure(findings):
+        findings = findings[:1]
     return [f"{finding.where}: {finding.detail}" for finding in findings]
 
 
 def validate_ir(
-    func: Function,
+    func: Union[Function, "FlatFunction"],
     target: Optional[Target] = None,
     program: Optional[Program] = None,
 ) -> None:

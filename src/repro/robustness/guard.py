@@ -3,14 +3,18 @@
 :class:`GuardedPhaseRunner` wraps :func:`repro.opt.attempt_phase_on_flat`
 with a set of runtime defenses so one buggy (or sabotaged) phase
 application cannot abort a long enumeration or poison the space DAG.
-The phase runs on a clone of the flat parent; every check reads object
-views (``from_flat``) of the parent and the candidate:
+The phase runs on a clone of the flat parent, and the checks read the
+flat parent and candidate; object views (``from_flat``) are built only
+for a rejected edge's quarantine excerpt, the VM difftester, an
+injected fault and (inside the checker) full mode's object-IR checks:
 
 1. **Exception containment** — a phase that raises is caught and the
    attempt is recorded.
 2. **IR validation** — the output of an active phase must pass
    :func:`repro.ir.validate.validate_ir` (structure, machine legality,
-   register discipline, frame consistency).
+   register discipline, frame consistency); with a static checker
+   attached, its :meth:`~repro.staticanalysis.checker.EdgeChecker.check_edge`
+   delivers the same verdict from the one battery run it makes.
 3. **Differential semantics testing** — optionally, the candidate is
    executed in the VM interpreter against recorded input vectors and
    its observable results compared with the unoptimized reference
@@ -33,9 +37,10 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.reaching import declared_arity
 from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.ir.function import Function, Program
 from repro.ir.validate import IRValidationError, validate_ir
@@ -86,9 +91,15 @@ def _phase_alarm(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
+#: the watchdog of a runner without a timeout (reusable; skips building
+#: a generator context per application)
+_NO_ALARM = nullcontext()
+
+
 def default_vectors(func: Function) -> Tuple[Tuple[int, ...], ...]:
-    """Small deterministic argument vectors for differential testing."""
-    arity = len(func.params)
+    """Small deterministic argument vectors for differential testing,
+    one argument per declared parameter."""
+    arity = declared_arity(func)
     if arity == 0:
         return ((),)
     primes = (2, 3, 5, 7)
@@ -190,7 +201,8 @@ class GuardedPhaseRunner:
         self.phase_timeout = phase_timeout
         self.fault_injector = fault_injector
         #: optional :class:`repro.staticanalysis.checker.EdgeChecker`;
-        #: runs after validation on every active application
+        #: checks every active application (validating it too, in the
+        #: same battery run, when validation is on)
         self.sanitizer = sanitizer
         self.quarantine = quarantine if quarantine is not None else QuarantineLog()
         #: applications that went through the guard (Table-3 "Attempt"
@@ -225,7 +237,9 @@ class GuardedPhaseRunner:
         started = time.monotonic()
         after: Optional[Function] = None
         try:
-            with _phase_alarm(self.phase_timeout):
+            with _NO_ALARM if self.phase_timeout is None else _phase_alarm(
+                self.phase_timeout
+            ):
                 if injected:
                     # Sabotage instead of the real application: either
                     # raises, hangs into the alarm, or corrupts a fresh
@@ -278,57 +292,54 @@ class GuardedPhaseRunner:
             )
             return None
 
-        if after is None:
-            if candidate is None:
-                return None
-            if not self.validate and self.sanitizer is None and self.difftest is None:
-                return candidate
-            after = from_flat(candidate)
-        # The checks below read object views; the parent is never
-        # mutated, so a rejected candidate is simply dropped.
-        before = from_flat(flat)
+        if after is not None:
+            candidate = to_flat(after)
+        elif candidate is None:
+            return None
+        elif not self.validate and self.sanitizer is None and self.difftest is None:
+            return candidate
 
-        # An injected corruption must never survive even with
-        # validation switched off — the injection harness depends on
-        # the validator catching it.
-        if self.validate or injected:
-            try:
-                validate_ir(after, target)
-            except IRValidationError as error:
-                diff = self._excerpt(before, after)
-                self._record(
-                    phase, "validation", str(error), node_key, level, diff
-                )
-                return None
-
+        # The checks read the flat candidate; the parent is never
+        # mutated, so a rejected candidate is simply dropped.  An
+        # injected corruption must never survive even with validation
+        # switched off — the injection harness depends on the validator
+        # catching it.
+        validate = self.validate or injected
+        failure: Optional[Tuple[str, str]] = None
         if self.sanitizer is not None:
+            # one battery serves validation and the sanitizer
             try:
-                failure = self.sanitizer.check_edge(before, after, phase)
+                failure = self.sanitizer.check_edge(flat, candidate, phase, validate)
             except MemoryError:
                 raise
             except Exception as error:  # checker bug — still contain
                 failure = ("sanitizer", f"static checker crashed: {error}")
-            if failure is not None:
-                kind, detail = failure
-                diff = self._excerpt(before, after)
-                self._record(phase, kind, detail, node_key, level, diff)
-                return None
-
-        if self.difftest is not None and after.name == self.difftest.entry:
+        elif validate:
             try:
-                mismatch = self.difftest.check(after)
+                validate_ir(candidate, target)
+            except IRValidationError as error:
+                failure = ("validation", str(error))
+
+        if (
+            failure is None
+            and self.difftest is not None
+            and candidate.name == self.difftest.entry
+        ):
+            try:
+                mismatch = self.difftest.check(from_flat(candidate))
             except MemoryError:
                 raise
             except Exception as error:  # interpreter bug — still contain
                 mismatch = f"differential test crashed: {error}"
             if mismatch is not None:
-                diff = self._excerpt(before, after)
-                self._record(
-                    phase, "semantics", mismatch, node_key, level, diff
-                )
-                return None
+                failure = ("semantics", mismatch)
 
-        return candidate if candidate is not None else to_flat(after)
+        if failure is not None:
+            kind, detail = failure
+            diff = self._excerpt(flat, candidate)
+            self._record(phase, kind, detail, node_key, level, diff)
+            return None
+        return candidate
 
     # ------------------------------------------------------------------
 
@@ -367,12 +378,12 @@ class GuardedPhaseRunner:
             )
 
     @staticmethod
-    def _excerpt(before: Function, after: Function, limit: int = 12) -> str:
+    def _excerpt(before: FlatFunction, after: FlatFunction, limit: int = 12) -> str:
         """A short pre/post RTL excerpt for the quarantine record."""
         from repro.ir.printer import format_function
 
-        before_lines = format_function(before).splitlines()[:limit]
-        after_lines = format_function(after).splitlines()[:limit]
+        before_lines = format_function(from_flat(before)).splitlines()[:limit]
+        after_lines = format_function(from_flat(after)).splitlines()[:limit]
         return "--- before\n{}\n--- after\n{}".format(
             "\n".join(before_lines), "\n".join(after_lines)
         )

@@ -2,27 +2,38 @@
 
 One instance rides inside a :class:`GuardedPhaseRunner` for a whole
 enumeration.  After every *active* phase application the guard hands
-it the pre-phase snapshot and the transformed function;
-:meth:`check_edge` runs, in order:
+it the flat parent and the flat candidate; :meth:`check_edge` runs, in
+order:
 
-1. the IR sanitizer over the transformed function (quarantine kind
+0. when the guard validates too (``--validate``), the IR validation
+   verdict, taken from the same battery run (quarantine kind
+   ``validation``, with :func:`repro.ir.validate.check_ir`'s text);
+1. the IR sanitizer over the candidate (quarantine kind
    ``sanitizer``);
 2. the phase contract across the edge (kind ``contract``);
 3. in ``full`` mode, the translation validator — a ``refuted`` verdict
    quarantines under the existing ``semantics`` kind, the same bucket
    the VM difftester uses.
 
+The fast checks and the contract read the flat IR: memoized
+per-instruction and per-block facts plus the candidate's cached flat
+CFG and liveness, so a clean fast-mode edge builds no object view.
+Full mode's dataflow checks and the translation validator read object
+views (``from_flat``).
+
 The checker is purely observational on healthy code: it never mutates
-the function, so enumerated DAGs are bit-identical with it on or off.
-Per-check counters accumulate on the instance and surface through the
-``sanitize_stats`` observability event.
+either function, so enumerated DAGs are bit-identical with it on or
+off.  Per-check counters accumulate on the instance and surface through
+the ``sanitize_stats`` observability event.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.ir.function import Function, Program
+from repro.ir.flat import FlatFunction, from_flat
+from repro.ir.function import Program
+from repro.ir.validate import IRValidationError, problems_of
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.staticanalysis import contracts as contracts_mod
 from repro.staticanalysis import sanitize as sanitize_mod
@@ -77,15 +88,39 @@ class EdgeChecker:
     # ------------------------------------------------------------------
 
     def check_edge(
-        self, before: Function, after: Function, phase
+        self,
+        before: FlatFunction,
+        after: FlatFunction,
+        phase,
+        validate: bool = False,
     ) -> Optional[Tuple[str, str]]:
         """Verify one applied edge; return ``(quarantine_kind,
-        detail)`` on failure, None when the edge is clean."""
+        detail)`` on failure, None when the edge is clean.
+
+        With *validate* the battery first runs without program context,
+        as :func:`repro.ir.validate.check_ir` would, and a finding
+        rejects the edge as a ``validation`` failure (not counted as a
+        checked edge); the program-context call checks follow on a
+        clean result.
+        """
+        program = self.program
+        if validate:
+            findings = sanitize_mod.fast_findings(after, self.target)
+            if findings:
+                detail = str(IRValidationError(after.name, problems_of(findings)))
+                return "validation", detail
+            if program is not None:
+                findings = sanitize_mod.flat_call_findings(after, self.target, program)
+        else:
+            findings = sanitize_mod.fast_findings(after, self.target, program)
         self.counters["edges"] += 1
         self.last_verdict = None
-        findings = sanitize_mod.sanitize_function(
-            after, self.target, self.program, self.mode
-        )
+        after_func = None
+        if self.mode == sanitize_mod.FULL and not sanitize_mod.structural_failure(
+            findings
+        ):
+            after_func = from_flat(after)
+            findings.extend(sanitize_mod.full_findings(after_func, program))
         if findings:
             self.counters["findings"] += len(findings)
             return "sanitizer", _summary(findings)
@@ -94,7 +129,7 @@ class EdgeChecker:
             self.counters["contract_violations"] += len(violations)
             return "contract", _summary(violations)
         if self.transval is not None:
-            verdict = self.transval.classify(before, after)
+            verdict = self.transval.classify(from_flat(before), after_func)
             self.counters[verdict.status] += 1
             self.last_verdict = verdict.status
             if verdict.status == REFUTED:

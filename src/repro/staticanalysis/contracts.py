@@ -32,32 +32,24 @@ CON003  a preserved monotone invariant was broken by the phase
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
+from repro.ir.flat import FlatFunction, to_flat
 from repro.ir.function import Function
-from repro.staticanalysis.sanitize import Finding
+from repro.staticanalysis.sanitize import Finding, has_pseudo_registers
 
 #: synthetic phase ids for the two implicit phases
 REGISTER_ASSIGNMENT_ID = "assign"
 CLEANUP_ID = "cleanup"
 
-
-def _has_pseudo(func: Function) -> bool:
-    for block in func.blocks:
-        for inst in block.insts:
-            for reg in inst.defs() | inst.uses():
-                if reg.pseudo:
-                    return True
-    return False
-
-
-#: invariant name -> predicate over a function
-INVARIANTS: Dict[str, Callable[[Function], bool]] = {
-    "registers-assigned": lambda func: func.reg_assigned,
-    "no-pseudo-registers": lambda func: not _has_pseudo(func),
-    "selection-done": lambda func: func.sel_applied,
-    "allocation-done": lambda func: func.alloc_applied,
-    "pre-assignment": lambda func: not func.reg_assigned,
+#: invariant name -> predicate over a flat function (the legality
+#: flags, and the sanitizer's per-block pseudo-register fact)
+INVARIANTS: Dict[str, Callable[[FlatFunction], bool]] = {
+    "registers-assigned": lambda flat: flat.reg_assigned,
+    "no-pseudo-registers": lambda flat: not has_pseudo_registers(flat),
+    "selection-done": lambda flat: flat.sel_applied,
+    "allocation-done": lambda flat: flat.alloc_applied,
+    "pre-assignment": lambda flat: not flat.reg_assigned,
 }
 
 #: invariants that, once established, no phase may silently destroy
@@ -153,23 +145,34 @@ def validate_contracts() -> List[str]:
 
 
 def check_contract(
-    phase_id: str, before: Function, after: Function
+    phase_id: str,
+    before: Union[Function, FlatFunction],
+    after: Union[Function, FlatFunction],
 ) -> List[Finding]:
     """Check one applied edge ``before --phase--> after``.
 
     *before* is the pre-phase snapshot, *after* the function the phase
-    (plus any triggered assignment and implicit cleanup) produced.
+    (plus any triggered assignment and implicit cleanup) produced;
+    object functions are converted with ``to_flat``.
     """
+    if not isinstance(before, FlatFunction):
+        before = to_flat(before)
+    if not isinstance(after, FlatFunction):
+        after = to_flat(after)
     contract = contract_for(phase_id)
     findings: List[Finding] = []
-    held_before: Dict[str, bool] = {}
-    for invariant in MONOTONE:
-        held_before[invariant] = INVARIANTS[invariant](before)
+    held: Dict[Tuple[bool, str], bool] = {}
+
+    def holds(when_after: bool, invariant: str) -> bool:
+        key = (when_after, invariant)
+        value = held.get(key)
+        if value is None:
+            flat = after if when_after else before
+            value = held[key] = INVARIANTS[invariant](flat)
+        return value
+
     for invariant in contract.requires:
-        holds = held_before.get(invariant)
-        if holds is None:
-            holds = INVARIANTS[invariant](before)
-        if not holds:
+        if not holds(False, invariant):
             findings.append(
                 Finding(
                     "CON001",
@@ -180,7 +183,7 @@ def check_contract(
                 )
             )
     for invariant in contract.establishes:
-        if not INVARIANTS[invariant](after):
+        if not holds(True, invariant):
             findings.append(
                 Finding(
                     "CON002",
@@ -193,7 +196,7 @@ def check_contract(
     for invariant in MONOTONE:
         if invariant in contract.breaks:
             continue
-        if held_before[invariant] and not INVARIANTS[invariant](after):
+        if not holds(True, invariant) and holds(False, invariant):
             findings.append(
                 Finding(
                     "CON003",

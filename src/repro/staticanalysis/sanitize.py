@@ -43,12 +43,24 @@ targets.  **full** adds the definedness dataflow (DFA001/DFA002,
 CC002), frame-reference bounds (FRAME003) and the memory-access
 checks (MEM001-MEM004, see :mod:`.memcheck`).  Structural findings
 short-circuit: dataflow over a malformed CFG would be meaningless.
+
+The fast passes run on the flat IR (:func:`fast_findings`): an
+instruction's legality and register facts are memoized per target by
+interned instruction id, a block's merged facts by block content id,
+and the function-level checks read the function's cached flat CFG and
+liveness — so the guard checks a clean edge without building object
+views.  The object-IR entry points convert with ``to_flat``; full
+mode's checks read the object view.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.analysis import cache as _object_cache
+from repro.analysis import flat as _flat_analysis
+from repro.analysis.cache import cfg_of
+from repro.analysis.flat import flat_cfg_of, flat_liveness_of
 from repro.analysis.framerefs import (
     _OTHER,
     _eval_abstract,
@@ -56,13 +68,34 @@ from repro.analysis.framerefs import (
     _mem_exprs,
     _transfer as _frame_transfer,
 )
-from repro.analysis.cache import cfg_of, liveness_of
-from repro.analysis.reaching import entry_defined_for, uninitialized_uses
+from repro.analysis.reaching import (
+    declared_arity,
+    entry_defined,
+    uninitialized_uses,
+)
 from repro.ir.cfg import CFG, build_cfg
+from repro.ir.flat import (
+    DEF_MASK,
+    FLAGS,
+    F_TRANSFER,
+    INST_OBJS,
+    KIND,
+    K_CALL,
+    K_RET,
+    LABEL_STRS,
+    REG_OBJS,
+    TARGET_LID,
+    USE_MASK,
+    FlatFunction,
+    iter_rids,
+    mask_of,
+    regs_of_mask,
+    to_flat,
+)
 from repro.ir.function import Function, Program
-from repro.ir.instructions import Call, CondBranch, Jump, Return
+from repro.ir.instructions import Return
 from repro.ir.operands import Reg
-from repro.machine.target import DEFAULT_TARGET, NUM_HW_REGS, RV, Target
+from repro.machine.target import ARG_REGS, DEFAULT_TARGET, NUM_HW_REGS, RV, Target
 
 #: sanitizer modes, in increasing strength/cost order
 FAST = "fast"
@@ -112,121 +145,278 @@ def _program_labels(program: Program) -> Dict[str, str]:
     return owners
 
 
-def structural_findings(
-    func: Function, program: Optional[Program] = None
+# ----------------------------------------------------------------------
+# Per-instruction and per-block facts
+# ----------------------------------------------------------------------
+#
+# An instruction's legality and register facts depend only on its
+# interned id (and the target), and a block's merged facts only on its
+# content id, so both are memoized process-wide like the flat analyses'
+# per-block memos: filled lazily here (unguarded runs pay nothing),
+# cleared when full, recomputed on every hit in paranoid mode.
+
+
+class _InstFacts(NamedTuple):
+    legal: bool  # legal on the target (always True without one)
+    max_pseudo: int  # highest pseudo register index; -1: no pseudo register
+    bad_hw: bool  # a hardware register outside 0..NUM_HW_REGS-1
+
+
+class _BlockFacts(NamedTuple):
+    legal: bool
+    max_pseudo: int
+    bad_hw: bool
+    mid_transfer: bool  # a transfer before the last instruction
+    has_call: bool
+
+
+#: target (None: register discipline only) ->
+#: (iid -> _InstFacts, block content id -> _BlockFacts)
+_FACTS: Dict[
+    Optional[Target], Tuple[Dict[int, _InstFacts], Dict[int, _BlockFacts]]
+] = {}
+_flat_analysis.SHARED_MEMOS.append(_FACTS)
+
+
+def _eval_inst_facts(target: Optional[Target], iid: int) -> _InstFacts:
+    max_pseudo = -1
+    bad_hw = False
+    for rid in iter_rids(DEF_MASK[iid] | USE_MASK[iid]):
+        reg = REG_OBJS[rid]
+        if reg.pseudo:
+            if reg.index > max_pseudo:
+                max_pseudo = reg.index
+        elif not 0 <= reg.index < NUM_HW_REGS:
+            bad_hw = True
+    legal = target is None or target.is_legal(INST_OBJS[iid])
+    return _InstFacts(legal, max_pseudo, bad_hw)
+
+
+def _inst_facts(
+    target: Optional[Target], table: Dict[int, _InstFacts], iid: int
+) -> _InstFacts:
+    facts = table.get(iid)
+    if facts is None:
+        if len(table) >= _flat_analysis._BLOCK_MEMO_MAX:
+            table.clear()
+        facts = table[iid] = _eval_inst_facts(target, iid)
+    elif _object_cache._PARANOID:
+        _paranoid_check("instruction facts", iid, facts, _eval_inst_facts(target, iid))
+    return facts
+
+
+def _eval_block_facts(
+    target: Optional[Target],
+    table: Optional[Dict[int, _InstFacts]],
+    block: List[int],
+) -> _BlockFacts:
+    """Merge a block's instruction facts; *table* None recomputes them."""
+    legal = True
+    max_pseudo = -1
+    bad_hw = False
+    mid_transfer = False
+    has_call = False
+    last = len(block) - 1
+    for index, iid in enumerate(block):
+        facts = (
+            _eval_inst_facts(target, iid)
+            if table is None
+            else _inst_facts(target, table, iid)
+        )
+        legal = legal and facts.legal
+        max_pseudo = max(max_pseudo, facts.max_pseudo)
+        bad_hw = bad_hw or facts.bad_hw
+        if FLAGS[iid] & F_TRANSFER and index != last:
+            mid_transfer = True
+        if KIND[iid] == K_CALL:
+            has_call = True
+    return _BlockFacts(legal, max_pseudo, bad_hw, mid_transfer, has_call)
+
+
+def _tables(
+    target: Optional[Target],
+) -> Tuple[Dict[int, _InstFacts], Dict[int, _BlockFacts]]:
+    tables = _FACTS.get(target)
+    if tables is None:
+        tables = _FACTS[target] = ({}, {})
+    return tables
+
+
+def _block_facts(flat: FlatFunction, target: Optional[Target]) -> List[_BlockFacts]:
+    """The facts of each block of *flat*, in block order."""
+    inst_table, table = _tables(target)
+    result = []
+    for bid, block in zip(flat.content_key()[1], flat.blocks):
+        facts = table.get(bid)
+        if facts is None:
+            if len(table) >= _flat_analysis._BLOCK_MEMO_MAX:
+                table.clear()
+            facts = table[bid] = _eval_block_facts(target, inst_table, block)
+        elif _object_cache._PARANOID:
+            _paranoid_check(
+                "block facts", bid, facts, _eval_block_facts(target, None, block)
+            )
+        result.append(facts)
+    return result
+
+
+def _paranoid_check(what: str, key: int, cached, fresh) -> None:
+    if cached != fresh:
+        raise RuntimeError(
+            f"stale cached sanitizer {what} for id {key} "
+            "(a memo entry disagrees with the code it describes)"
+        )
+
+
+def has_pseudo_registers(flat: FlatFunction) -> bool:
+    """Whether any instruction of *flat* names a pseudo register."""
+    return any(facts.max_pseudo >= 0 for facts in _block_facts(flat, None))
+
+
+# ----------------------------------------------------------------------
+# The fast passes, over the flat IR
+# ----------------------------------------------------------------------
+
+
+def _structural(
+    flat: FlatFunction, facts: List[_BlockFacts], program: Optional[Program]
 ) -> List[Finding]:
-    """CFG well-formedness: the checks that must pass before any
-    dataflow over the function makes sense."""
-    name = func.name
-    if not func.blocks:
+    name = flat.name
+    blocks = flat.blocks
+    if not blocks:
         return [Finding("CFG001", name, "-", "function has no blocks")]
     findings: List[Finding] = []
-    seen: Dict[str, bool] = {}
-    for block in func.blocks:
-        if block.label in seen:
-            findings.append(
-                Finding(
-                    "CFG002",
-                    name,
-                    block.label,
-                    f"duplicate block labels: {block.label!r}",
-                )
-            )
-        seen[block.label] = True
-    labels = set(seen)
-    owners = _program_labels(program) if program is not None else {}
-    for block in func.blocks:
-        for index, inst in enumerate(block.insts):
-            if inst.is_transfer and index != len(block.insts) - 1:
+    labels = flat.labels
+    known = set(labels)
+    if len(known) != len(labels):
+        seen = set()
+        for lid in labels:
+            if lid in seen:
+                label = LABEL_STRS[lid]
                 findings.append(
-                    Finding(
-                        "CFG003",
-                        name,
-                        block.label,
-                        f"transfer not at block end (instruction {index})",
-                    )
+                    Finding("CFG002", name, label, f"duplicate block labels: {label!r}")
                 )
-            if isinstance(inst, (Jump, CondBranch)) and inst.target not in labels:
-                owner = owners.get(inst.target)
-                if owner is not None and owner != name:
+            seen.add(lid)
+    # (program label owners, built on the first missing target)
+    owners: List[Dict[str, str]] = []
+    for lid, block, block_facts in zip(labels, blocks, facts):
+        if block_facts.mid_transfer:
+            last = len(block) - 1
+            for index, iid in enumerate(block):
+                if index != last and FLAGS[iid] & F_TRANSFER:
                     findings.append(
                         Finding(
-                            "CFG008",
+                            "CFG003",
                             name,
-                            block.label,
-                            f"branch to label {inst.target} defined in "
-                            f"function {owner!r}",
+                            LABEL_STRS[lid],
+                            f"transfer not at block end (instruction {index})",
                         )
                     )
-                else:
-                    findings.append(
-                        Finding(
-                            "CFG004",
-                            name,
-                            block.label,
-                            f"branch to unknown label {inst.target}",
-                        )
-                    )
-    last = func.blocks[-1]
-    terminator = last.terminator()
-    if terminator is None or not terminator.is_transfer:
+                target_lid = TARGET_LID[iid]
+                if target_lid >= 0 and target_lid not in known:
+                    findings.append(_missing_target(name, lid, target_lid, program, owners))
+        elif block:
+            # only the last instruction of the block can branch
+            target_lid = TARGET_LID[block[-1]]
+            if target_lid >= 0 and target_lid not in known:
+                findings.append(_missing_target(name, lid, target_lid, program, owners))
+    last_block = blocks[-1]
+    if not last_block or not FLAGS[last_block[-1]] & F_TRANSFER:
         findings.append(
             Finding(
-                "CFG005", name, last.label, "last block falls off the function"
+                "CFG005",
+                name,
+                LABEL_STRS[labels[-1]],
+                "last block falls off the function",
             )
         )
     if findings:
         return findings
 
-    # Structure is sound; reachability checks need the CFG.
-    cfg = cfg_of(func)
-    entry = func.entry.label
-    reachable = cfg.reachable(entry)
-    exits = {
-        block.label
-        for block in func.blocks
-        if isinstance(block.terminator(), Return) and block.label in reachable
-    }
+    # Structure is sound (every branch target exists); reachability
+    # checks need the CFG.
+    cfg = flat_cfg_of(flat)
+    reachable = cfg.reachable(0)
+    exits = [
+        index for index in reachable if blocks[index] and KIND[blocks[index][-1]] == K_RET
+    ]
     if not exits:
-        findings.append(
+        return [
             Finding(
-                "CFG006", name, entry, "no Return is reachable from the entry block"
+                "CFG006",
+                name,
+                LABEL_STRS[labels[0]],
+                "no Return is reachable from the entry block",
             )
-        )
-        return findings
+        ]
     # Backward reachability from the exits: a reachable block outside
     # this set is an inescapable loop.
     can_exit = set(exits)
-    stack = list(exits)
+    stack = exits
+    preds = cfg.preds
     while stack:
-        label = stack.pop()
-        for pred in cfg.preds.get(label, ()):
+        for pred in preds[stack.pop()]:
             if pred not in can_exit:
                 can_exit.add(pred)
                 stack.append(pred)
-    for label in cfg.order:
-        if label in reachable and label not in can_exit:
-            findings.append(
-                Finding(
-                    "CFG007", name, label, "block cannot reach any function exit"
-                )
-            )
-    return findings
+    return [
+        Finding(
+            "CFG007", name, LABEL_STRS[labels[index]], "block cannot reach any function exit"
+        )
+        for index in sorted(reachable - can_exit)
+    ]
 
 
-def machine_findings(func: Function, target: Target) -> List[Finding]:
-    """Target legality, operand widths and register discipline."""
+def _missing_target(
+    name: str,
+    lid: int,
+    target_lid: int,
+    program: Optional[Program],
+    owners: List[Dict[str, str]],
+) -> Finding:
+    """CFG008 for a label another function of *program* defines, else
+    CFG004; *owners* caches the program's label owners."""
+    target = LABEL_STRS[target_lid]
+    if not owners:
+        owners.append(_program_labels(program) if program is not None else {})
+    owner = owners[0].get(target)
+    if owner is not None and owner != name:
+        return Finding(
+            "CFG008",
+            name,
+            LABEL_STRS[lid],
+            f"branch to label {target} defined in function {owner!r}",
+        )
+    return Finding("CFG004", name, LABEL_STRS[lid], f"branch to unknown label {target}")
+
+
+def _machine(
+    flat: FlatFunction, target: Optional[Target], facts: List[_BlockFacts]
+) -> List[Finding]:
+    """Target legality (skipped without a target) and register discipline."""
     findings: List[Finding] = []
-    name = func.name
-    for block in func.blocks:
-        for inst in block.insts:
-            if not target.is_legal(inst):
+    assigned = flat.reg_assigned
+    next_pseudo = flat.next_pseudo
+    inst_table = _tables(target)[0]
+    for lid, block, block_facts in zip(flat.labels, flat.blocks, facts):
+        max_pseudo = block_facts.max_pseudo
+        if (
+            block_facts.legal
+            and not block_facts.bad_hw
+            and (max_pseudo < 0 or (not assigned and max_pseudo < next_pseudo))
+        ):
+            continue
+        label = LABEL_STRS[lid]
+        for iid in block:
+            inst_facts = _inst_facts(target, inst_table, iid)
+            inst = INST_OBJS[iid]
+            if not inst_facts.legal:
                 if _WIDE_TARGET.is_legal(inst):
                     findings.append(
                         Finding(
                             "MACH002",
-                            name,
-                            block.label,
+                            flat.name,
+                            label,
                             f"immediate operand exceeds the target's width "
                             f"limits: {inst}",
                         )
@@ -235,28 +425,23 @@ def machine_findings(func: Function, target: Target) -> List[Finding]:
                     findings.append(
                         Finding(
                             "MACH001",
-                            name,
-                            block.label,
+                            flat.name,
+                            label,
                             f"illegal instruction for the target: {inst}",
                         )
                     )
-            for reg in inst.defs() | inst.uses():
-                findings.extend(_register_findings(func, block.label, reg))
+            max_pseudo = inst_facts.max_pseudo
+            if inst_facts.bad_hw or (
+                max_pseudo >= 0 and (assigned or max_pseudo >= next_pseudo)
+            ):
+                # The object IR's register order (a set's iteration
+                # order), so finding lists match what it reported.
+                for reg in inst.defs() | inst.uses():
+                    findings.extend(_register_findings(flat, label, reg))
     return findings
 
 
-def register_discipline_findings(func: Function) -> List[Finding]:
-    """The register-discipline subset of :func:`machine_findings`,
-    usable without a target (legacy ``check_ir(func)`` callers)."""
-    findings: List[Finding] = []
-    for block in func.blocks:
-        for inst in block.insts:
-            for reg in inst.defs() | inst.uses():
-                findings.extend(_register_findings(func, block.label, reg))
-    return findings
-
-
-def _register_findings(func: Function, where: str, reg: Reg) -> List[Finding]:
+def _register_findings(func, where: str, reg: Reg) -> List[Finding]:
     if reg.pseudo:
         if func.reg_assigned:
             return [
@@ -289,8 +474,9 @@ def _register_findings(func: Function, where: str, reg: Reg) -> List[Finding]:
     return []
 
 
-def frame_layout_findings(func: Function) -> List[Finding]:
-    """Slot bounds and overlaps in the declared frame layout."""
+def frame_layout_findings(func) -> List[Finding]:
+    """Slot bounds and overlaps in the declared frame layout of *func*
+    (a :class:`Function` or a flat one)."""
     findings: List[Finding] = []
     slots = sorted(func.frame.values(), key=lambda slot: slot.offset)
     for slot in slots:
@@ -318,19 +504,24 @@ def frame_layout_findings(func: Function) -> List[Finding]:
     return findings
 
 
-def dangling_entry_findings(func: Function) -> List[Finding]:
-    """CC001: registers live into entry beyond the calling convention."""
-    liveness = liveness_of(func)
-    entry = func.entry.label
-    dangling = liveness.live_in.get(entry, frozenset()) - entry_defined_for(func)
+#: register mask of :func:`entry_defined` by declared arity (arities
+#: past the argument registers define no more)
+_ENTRY_MASKS = tuple(
+    mask_of(entry_defined(arity)) for arity in range(len(ARG_REGS) + 1)
+)
+
+
+def _dangling_entry(flat: FlatFunction) -> List[Finding]:
+    entry_mask = _ENTRY_MASKS[min(declared_arity(flat), len(ARG_REGS))]
+    dangling = flat_liveness_of(flat).live_in[0] & ~entry_mask
     if not dangling:
         return []
-    regs = ", ".join(str(reg) for reg in sorted(dangling, key=_reg_key))
+    regs = ", ".join(str(reg) for reg in sorted(regs_of_mask(dangling), key=_reg_key))
     return [
         Finding(
             "CC001",
-            func.name,
-            entry,
+            flat.name,
+            LABEL_STRS[flat.labels[0]],
             f"dangling registers live into the entry block: {regs}",
         )
     ]
@@ -340,32 +531,24 @@ def _reg_key(reg: Reg):
     return (reg.pseudo, reg.index)
 
 
-def declared_arity(func: Function) -> int:
-    """Parameter count of *func*.
-
-    The frontend does not populate ``Function.params``; each parameter
-    instead owns an ``is_param`` frame slot (its home after the entry
-    spill), and no phase ever removes frame slots — so the slot count
-    is the declared arity wherever it exceeds the ``params`` list.
-    """
-    slots = sum(1 for slot in func.frame.values() if slot.is_param)
-    return max(len(func.params), slots)
-
-
-def call_findings(func: Function, program: Program) -> List[Finding]:
-    """CC003/CC004: calls resolved against the whole program."""
+def _calls(
+    flat: FlatFunction, facts: List[_BlockFacts], program: Program
+) -> List[Finding]:
     findings: List[Finding] = []
-    for block in func.blocks:
-        for inst in block.insts:
-            if not isinstance(inst, Call):
+    for lid, block, block_facts in zip(flat.labels, flat.blocks, facts):
+        if not block_facts.has_call:
+            continue
+        for iid in block:
+            if KIND[iid] != K_CALL:
                 continue
+            inst = INST_OBJS[iid]
             callee = program.functions.get(inst.name)
             if callee is None:
                 findings.append(
                     Finding(
                         "CC003",
-                        func.name,
-                        block.label,
+                        flat.name,
+                        LABEL_STRS[lid],
                         f"call to unknown function {inst.name!r}",
                     )
                 )
@@ -373,14 +556,93 @@ def call_findings(func: Function, program: Program) -> List[Finding]:
                 findings.append(
                     Finding(
                         "CC004",
-                        func.name,
-                        block.label,
+                        flat.name,
+                        LABEL_STRS[lid],
                         f"call passes {inst.nargs} arguments but "
                         f"{inst.name!r} declares "
                         f"{declared_arity(callee)} parameters",
                     )
                 )
     return findings
+
+
+def fast_findings(
+    flat: FlatFunction,
+    target: Optional[Target] = None,
+    program: Optional[Program] = None,
+) -> List[Finding]:
+    """The fast battery over a flat function.
+
+    Structural findings (CFG*) short-circuit everything else; with a
+    clean structure, machine legality (register discipline alone
+    without a *target*), frame layout, entry liveness and — with a
+    *program* — the call checks all run and accumulate.
+    """
+    facts = _block_facts(flat, target)
+    findings = _structural(flat, facts, program)
+    if findings:
+        return findings
+    findings = _machine(flat, target, facts)
+    findings.extend(frame_layout_findings(flat))
+    findings.extend(_dangling_entry(flat))
+    if program is not None:
+        findings.extend(_calls(flat, facts, program))
+    return findings
+
+
+def structural_failure(findings: List[Finding]) -> bool:
+    """Whether a :func:`fast_findings` result is a structural failure
+    (which carries structural findings only)."""
+    return bool(findings) and findings[0].code.startswith("CFG")
+
+
+def flat_call_findings(
+    flat: FlatFunction, target: Optional[Target], program: Program
+) -> List[Finding]:
+    """CC003/CC004 over a flat function (facts of *target*'s table)."""
+    return _calls(flat, _block_facts(flat, target), program)
+
+
+# ----------------------------------------------------------------------
+# Object-IR entry points (each converts with to_flat)
+# ----------------------------------------------------------------------
+
+
+def structural_findings(
+    func: Function, program: Optional[Program] = None
+) -> List[Finding]:
+    """CFG well-formedness: the checks that must pass before any
+    dataflow over the function makes sense."""
+    flat = to_flat(func)
+    return _structural(flat, _block_facts(flat, None), program)
+
+
+def machine_findings(func: Function, target: Target) -> List[Finding]:
+    """Target legality, operand widths and register discipline."""
+    flat = to_flat(func)
+    return _machine(flat, target, _block_facts(flat, target))
+
+
+def register_discipline_findings(func: Function) -> List[Finding]:
+    """The register-discipline subset of :func:`machine_findings`,
+    usable without a target (legacy ``check_ir(func)`` callers)."""
+    flat = to_flat(func)
+    return _machine(flat, None, _block_facts(flat, None))
+
+
+def dangling_entry_findings(func: Function) -> List[Finding]:
+    """CC001: registers live into entry beyond the calling convention."""
+    return _dangling_entry(to_flat(func))
+
+
+def call_findings(func: Function, program: Program) -> List[Finding]:
+    """CC003/CC004: calls resolved against the whole program."""
+    return flat_call_findings(to_flat(func), None, program)
+
+
+# ----------------------------------------------------------------------
+# Full mode: dataflow checks over the object view
+# ----------------------------------------------------------------------
 
 
 def definedness_findings(func: Function, cfg: Optional[CFG] = None) -> List[Finding]:
@@ -486,6 +748,19 @@ def frame_bounds_findings(func: Function, cfg: Optional[CFG] = None) -> List[Fin
     return findings
 
 
+def full_findings(func: Function, program: Optional[Program] = None) -> List[Finding]:
+    """The checks full mode adds, over a structurally sound object
+    function: definedness (DFA001/DFA002/CC002), frame-reference bounds
+    (FRAME003) and memory accesses (MEM001-MEM004)."""
+    from repro.staticanalysis.memcheck import memory_findings
+
+    cfg = cfg_of(func)
+    findings = definedness_findings(func, cfg)
+    findings.extend(frame_bounds_findings(func, cfg))
+    findings.extend(memory_findings(func, cfg, program))
+    return findings
+
+
 def sanitize_function(
     func: Function,
     target: Optional[Target] = None,
@@ -501,23 +776,9 @@ def sanitize_function(
     """
     if mode not in MODES:
         raise ValueError(f"unknown sanitizer mode {mode!r} (expected fast|full)")
-    if target is None:
-        target = DEFAULT_TARGET
-    findings = structural_findings(func, program)
-    if findings:
-        return findings
-    findings.extend(machine_findings(func, target))
-    findings.extend(frame_layout_findings(func))
-    findings.extend(dangling_entry_findings(func))
-    if program is not None:
-        findings.extend(call_findings(func, program))
-    if mode == FULL:
-        from repro.staticanalysis.memcheck import memory_findings
-
-        cfg = cfg_of(func)
-        findings.extend(definedness_findings(func, cfg))
-        findings.extend(frame_bounds_findings(func, cfg))
-        findings.extend(memory_findings(func, cfg, program))
+    findings = fast_findings(to_flat(func), target or DEFAULT_TARGET, program)
+    if mode == FULL and not structural_failure(findings):
+        findings.extend(full_findings(func, program))
     return findings
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.cache import cfg_of, liveness_of
+from repro.analysis.reaching import declared_arity
 from repro.ir.function import Function, Program
 from repro.ir.instructions import (
     Assign,
@@ -415,8 +416,6 @@ class TranslationValidator:
     # ------------------------------------------------------------------
 
     def _vectors(self, func: Function) -> Tuple[Tuple[int, ...], ...]:
-        from repro.staticanalysis.sanitize import declared_arity
-
         arity = declared_arity(func)
         if arity == 0:
             return ((),)

@@ -10,9 +10,10 @@ The resilience contract these tests pin down:
   same run dir resumes it bit-identically.
 
 Workloads are chosen by measured timing: ``sha/byte_reverse`` reaches a
-``max_nodes`` budget of 1200 in ~4s of steady, validated and sanitized
-expansion, which leaves a wide window to kill or drain mid-flight,
-while the budget cutoff keeps the final DAG deterministic.
+``max_nodes`` budget of 3000 in ~2s of steady, validated and sanitized
+in-process expansion (a few seconds through the service), which leaves
+a wide window to kill or drain mid-flight, while the budget cutoff
+keeps the final DAG deterministic.
 """
 
 import os
@@ -30,16 +31,20 @@ from repro.service.client import ServiceError, TransientServiceError
 from tests.parallel.conftest import bench_function
 from tests.service.conftest import wait_for
 
-#: steady ~4s workload; checkpoints land every 0.2s so a kill or drain
-#: at any point loses almost nothing.  Validation plus fast sanitizing
-#: of every edge keeps it slow enough to leave a kill window (the
-#: unguarded run, with warm process caches, finishes too fast), and
-#: changes nothing about the space.
+#: the SLOW budget, and the instances its DAG holds when the budget
+#: stops it (the node being expanded completes)
+SLOW_NODES = 3000
+SLOW_INSTANCES = 3001
+#: steady multi-second workload; checkpoints land every 0.2s so a kill
+#: or drain at any point loses almost nothing.  Validation plus fast
+#: sanitizing of every edge keeps it slow enough to leave a kill window
+#: (the unguarded run, with warm process caches, finishes too fast),
+#: and changes nothing about the space.
 SLOW = {
     "benchmark": "sha",
     "function": "byte_reverse",
     "config": {
-        "max_nodes": 1200,
+        "max_nodes": SLOW_NODES,
         "checkpoint_interval": 0.2,
         "validate": True,
         "sanitize": "fast",
@@ -52,7 +57,7 @@ ONCE = RetryPolicy(max_attempts=1)
 def serial_slow_fingerprint():
     result = enumerate_space(
         bench_function("sha", "byte_reverse"),
-        EnumerationConfig(max_nodes=1200),
+        EnumerationConfig(max_nodes=SLOW_NODES),
     )
     assert result.abort_reason == "max_nodes"
     return dag_digest(result.dag)
@@ -111,7 +116,7 @@ class TestExecutorCrash:
         response, error = request.outcome()
         assert error is None, error
         assert response["dag_fingerprint"] == serial_slow_fingerprint()
-        assert response["instances"] == 1201
+        assert response["instances"] == SLOW_INSTANCES
         events = [record["event"] for record in server.journal()]
         assert "request_retry" in events
         done = [
@@ -237,7 +242,7 @@ class TestOverload:
             lambda: server.status()["in_flight"] == 1,
             message="first request executing",
         )
-        other = dict(SLOW, config=dict(SLOW["config"], max_nodes=1100))
+        other = dict(SLOW, config=dict(SLOW["config"], max_nodes=SLOW_NODES - 100))
         second = Request(client, deadline=6.0, **other)
         wait_for(
             lambda: server.status()["queued"] == 1,
@@ -322,7 +327,7 @@ class TestDrainAndRestart:
         restarted = service(run_dir=run_dir)
         response = restarted.client().enumerate(**SLOW)
         assert response["resumed_from"]
-        assert response["instances"] == 1201
+        assert response["instances"] == SLOW_INSTANCES
         assert response["dag_fingerprint"] == serial_slow_fingerprint()
 
         # one journal tells the whole story across both incarnations
