@@ -110,7 +110,7 @@ class EdgeChecker:
                 detail = str(IRValidationError(after.name, problems_of(findings)))
                 return "validation", detail
             if program is not None:
-                findings = sanitize_mod.flat_call_findings(after, self.target, program)
+                findings = sanitize_mod.call_findings(after, program)
         else:
             findings = sanitize_mod.fast_findings(after, self.target, program)
         self.counters["edges"] += 1

@@ -55,7 +55,7 @@ mode's checks read the object view.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.analysis import cache as _object_cache
 from repro.analysis import flat as _flat_analysis
@@ -434,29 +434,29 @@ def _machine(
             if inst_facts.bad_hw or (
                 max_pseudo >= 0 and (assigned or max_pseudo >= next_pseudo)
             ):
-                # The object IR's register order (a set's iteration
-                # order), so finding lists match what it reported.
+                # in ``defs() | uses()`` set order: a quarantine detail
+                # quotes the first findings, so their order is output
                 for reg in inst.defs() | inst.uses():
                     findings.extend(_register_findings(flat, label, reg))
     return findings
 
 
-def _register_findings(func, where: str, reg: Reg) -> List[Finding]:
+def _register_findings(flat: FlatFunction, where: str, reg: Reg) -> List[Finding]:
     if reg.pseudo:
-        if func.reg_assigned:
+        if flat.reg_assigned:
             return [
                 Finding(
                     "MACH004",
-                    func.name,
+                    flat.name,
                     where,
                     f"pseudo register {reg} present after register assignment",
                 )
             ]
-        if reg.index >= func.next_pseudo:
+        if reg.index >= flat.next_pseudo:
             return [
                 Finding(
                     "MACH005",
-                    func.name,
+                    flat.name,
                     where,
                     f"pseudo register {reg} was never allocated",
                 )
@@ -465,7 +465,7 @@ def _register_findings(func, where: str, reg: Reg) -> List[Finding]:
         return [
             Finding(
                 "MACH003",
-                func.name,
+                flat.name,
                 where,
                 f"hardware register {reg} outside the register file "
                 f"(0..{NUM_HW_REGS - 1})",
@@ -596,13 +596,6 @@ def structural_failure(findings: List[Finding]) -> bool:
     return bool(findings) and findings[0].code.startswith("CFG")
 
 
-def flat_call_findings(
-    flat: FlatFunction, target: Optional[Target], program: Program
-) -> List[Finding]:
-    """CC003/CC004 over a flat function (facts of *target*'s table)."""
-    return _calls(flat, _block_facts(flat, target), program)
-
-
 # ----------------------------------------------------------------------
 # Object-IR entry points (each converts with to_flat)
 # ----------------------------------------------------------------------
@@ -635,9 +628,13 @@ def dangling_entry_findings(func: Function) -> List[Finding]:
     return _dangling_entry(to_flat(func))
 
 
-def call_findings(func: Function, program: Program) -> List[Finding]:
-    """CC003/CC004: calls resolved against the whole program."""
-    return flat_call_findings(to_flat(func), None, program)
+def call_findings(
+    func: Union[Function, FlatFunction], program: Program
+) -> List[Finding]:
+    """CC003/CC004: calls resolved against the whole program (*func*
+    may already be flat)."""
+    flat = func if isinstance(func, FlatFunction) else to_flat(func)
+    return _calls(flat, _block_facts(flat, None), program)
 
 
 # ----------------------------------------------------------------------
