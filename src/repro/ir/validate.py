@@ -22,9 +22,10 @@ and the checks cover:
 - **Frame consistency** — stack slots must not overlap and must lie
   inside ``frame_size`` (FRAME001/FRAME002).
 
-The checks run on the flat IR (:func:`repro.staticanalysis.sanitize.fast_findings`);
-:func:`check_ir` and :func:`validate_ir` accept an object function
-(converted with ``to_flat``) or a flat one.  The guarded phase runner
+The checks run on the flat IR
+(:func:`repro.staticanalysis.sanitize.fast_findings`); :func:`check_ir`
+and :func:`validate_ir` accept an object function (converted with
+``to_flat``) or a flat one.  The guarded phase runner
 (:mod:`repro.robustness.guard`) validates every active application's
 flat candidate when validation is enabled — through
 :meth:`repro.staticanalysis.checker.EdgeChecker.check_edge` when a

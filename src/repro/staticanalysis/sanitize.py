@@ -314,7 +314,9 @@ def _structural(
                     )
                 target_lid = TARGET_LID[iid]
                 if target_lid >= 0 and target_lid not in known:
-                    findings.append(_missing_target(name, lid, target_lid, program, owners))
+                    findings.append(
+                        _missing_target(name, lid, target_lid, program, owners)
+                    )
         elif block:
             # only the last instruction of the block can branch
             target_lid = TARGET_LID[block[-1]]
@@ -338,7 +340,9 @@ def _structural(
     cfg = flat_cfg_of(flat)
     reachable = cfg.reachable(0)
     exits = [
-        index for index in reachable if blocks[index] and KIND[blocks[index][-1]] == K_RET
+        index
+        for index in reachable
+        if blocks[index] and KIND[blocks[index][-1]] == K_RET
     ]
     if not exits:
         return [
@@ -361,7 +365,10 @@ def _structural(
                 stack.append(pred)
     return [
         Finding(
-            "CFG007", name, LABEL_STRS[labels[index]], "block cannot reach any function exit"
+            "CFG007",
+            name,
+            LABEL_STRS[labels[index]],
+            "block cannot reach any function exit",
         )
         for index in sorted(reachable - can_exit)
     ]
