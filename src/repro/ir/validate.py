@@ -29,11 +29,10 @@ and :func:`validate_ir` accept an object function (converted with
 (:mod:`repro.robustness.guard`) validates every active application's
 flat candidate when validation is enabled — through
 :meth:`repro.staticanalysis.checker.EdgeChecker.check_edge` when a
-sanitizer rides along, so one battery serves both; tests and debugging
-sessions can call :func:`validate_ir` directly.  The deeper dataflow
-checks (use-before-def, frame-reference bounds) run only in the
-sanitizer's ``full`` mode — see
-:func:`repro.staticanalysis.sanitize.sanitize_function`.
+sanitizer rides along, so one battery serves both; tests can call
+:func:`validate_ir` directly.  The deeper dataflow checks
+(use-before-def, frame-reference bounds) run only in the sanitizer's
+``full`` mode — see :func:`repro.staticanalysis.sanitize.sanitize_function`.
 """
 
 from __future__ import annotations
