@@ -37,7 +37,7 @@ from __future__ import annotations
 import signal
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.reaching import declared_arity
@@ -89,11 +89,6 @@ def _phase_alarm(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-#: the watchdog of a runner without a timeout (reusable; skips building
-#: a generator context per application)
-_NO_ALARM = nullcontext()
 
 
 def default_vectors(func: Function) -> Tuple[Tuple[int, ...], ...]:
@@ -237,9 +232,7 @@ class GuardedPhaseRunner:
         started = time.monotonic()
         after: Optional[Function] = None
         try:
-            with _NO_ALARM if self.phase_timeout is None else _phase_alarm(
-                self.phase_timeout
-            ):
+            with _phase_alarm(self.phase_timeout):
                 if injected:
                     # Sabotage instead of the real application: either
                     # raises, hangs into the alarm, or corrupts a fresh
