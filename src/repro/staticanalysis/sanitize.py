@@ -55,7 +55,7 @@ mode's checks read the object view.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analysis import cache as _object_cache
 from repro.analysis import flat as _flat_analysis
@@ -481,9 +481,8 @@ def _register_findings(flat: FlatFunction, where: str, reg: Reg) -> List[Finding
     return []
 
 
-def frame_layout_findings(func) -> List[Finding]:
-    """Slot bounds and overlaps in the declared frame layout of *func*
-    (a :class:`Function` or a flat one)."""
+def frame_layout_findings(func: FlatFunction) -> List[Finding]:
+    """Slot bounds and overlaps in the declared frame layout."""
     findings: List[Finding] = []
     slots = sorted(func.frame.values(), key=lambda slot: slot.offset)
     for slot in slots:
@@ -603,8 +602,13 @@ def structural_failure(findings: List[Finding]) -> bool:
     return bool(findings) and findings[0].code.startswith("CFG")
 
 
+def call_findings(flat: FlatFunction, program: Program) -> List[Finding]:
+    """CC003/CC004: calls resolved against the whole program."""
+    return _calls(flat, _block_facts(flat, None), program)
+
+
 # ----------------------------------------------------------------------
-# Object-IR entry points (each converts with to_flat)
+# Object-IR structural check (converts with to_flat)
 # ----------------------------------------------------------------------
 
 
@@ -615,33 +619,6 @@ def structural_findings(
     dataflow over the function makes sense."""
     flat = to_flat(func)
     return _structural(flat, _block_facts(flat, None), program)
-
-
-def machine_findings(func: Function, target: Target) -> List[Finding]:
-    """Target legality, operand widths and register discipline."""
-    flat = to_flat(func)
-    return _machine(flat, target, _block_facts(flat, target))
-
-
-def register_discipline_findings(func: Function) -> List[Finding]:
-    """The register-discipline subset of :func:`machine_findings`,
-    usable without a target (legacy ``check_ir(func)`` callers)."""
-    flat = to_flat(func)
-    return _machine(flat, None, _block_facts(flat, None))
-
-
-def dangling_entry_findings(func: Function) -> List[Finding]:
-    """CC001: registers live into entry beyond the calling convention."""
-    return _dangling_entry(to_flat(func))
-
-
-def call_findings(
-    func: Union[Function, FlatFunction], program: Program
-) -> List[Finding]:
-    """CC003/CC004: calls resolved against the whole program (*func*
-    may already be flat)."""
-    flat = func if isinstance(func, FlatFunction) else to_flat(func)
-    return _calls(flat, _block_facts(flat, None), program)
 
 
 # ----------------------------------------------------------------------
