@@ -373,7 +373,9 @@ def save_checkpoint(path: str, state: Dict[str, object]) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(state, handle)
+            # json.dumps, not json.dump: dumping to a file takes the
+            # pure-Python encoder, several times slower on big states.
+            handle.write(json.dumps(state))
         os.replace(temp_path, path)
     except BaseException:
         try:

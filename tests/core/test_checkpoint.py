@@ -73,6 +73,15 @@ class TestFileIO:
         assert state["x"] == [1, 2]
         assert state["version"] == ckpt.CHECKPOINT_VERSION
 
+    def test_file_is_the_stamped_state_in_one_json_text(self, tmp_path):
+        path = str(tmp_path / "state.json")
+        state = {"function_name": "f", "x": [1, 2.5, "\u00e9"], "y": {"b": None}}
+        ckpt.save_checkpoint(path, state)
+        stamped = dict(state, version=ckpt.CHECKPOINT_VERSION)
+        stamped["digest"] = ckpt._payload_digest(stamped)
+        with open(path, "rb") as handle:
+            assert handle.read() == json.dumps(stamped).encode()
+
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"version": 999}))
