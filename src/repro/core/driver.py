@@ -9,9 +9,11 @@ about persisted state therefore exists once, here:
 - **store** — a completed space is looked up by the function's
   canonical root key before enumerating and written back after a
   completed run (aborted and fault-injected runs are never stored);
-- **memo** — the store's cross-run transition memo is loaded only for
+- **memo** — the store's cross-run transition memo of this function
+  (its file is keyed by the canonical root key) is loaded only for
   unguarded, non-exact, cacheable configs, and saved after any such
-  run (memo entries stay valid facts even when the run aborted);
+  run that recorded a new entry (memo entries stay valid facts even
+  when the run aborted);
 - **checkpoint** — the serial checkpoint at *checkpoint_path* is
   written periodically and on abort, resumed from when *resume* is set,
   and deleted on completion;
@@ -78,7 +80,8 @@ def run_function(
         and not config.guards_enabled()
         and cacheable(config)
     ):
-        run_config.memo = store.load_memo(config)
+        run_config.memo = store.load_memo(config, root_key)
+        loaded = len(run_config.memo)
     run_config.checkpoint_path = checkpoint_path
     run_config.resume = resume
     degraded = None
@@ -94,8 +97,8 @@ def run_function(
             pass
         run_config.resume = False
         result = _enumerate(func, run_config, on_start)
-    if run_config.memo is not None:
-        store.save_memo(config, run_config.memo)
+    if run_config.memo is not None and len(run_config.memo) > loaded:
+        store.save_memo(config, run_config.memo, root_key)
     if store is not None and result.completed:
         store.put(func.name, root_key, config, result)
     return FunctionRun(result, degraded)

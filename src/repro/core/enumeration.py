@@ -835,22 +835,24 @@ class SpaceEnumerator:
                     self.dag.add_edge(node, phase.id, existing)
                     added_edges.append((node, phase.id, existing))
                     continue
-                materialized = TransitionMemo.materialize(entry)
+                candidate = TransitionMemo.materialize(entry)
                 digest = None
+                candidate_obj = None
                 if self.collapser is not None:
                     # Warm memo runs start with an empty alias table,
                     # so the fast path must make its own merge decision
                     # — in the same order the cold path would.
-                    digest, rep = collapse_target(materialized)
+                    candidate_obj = from_flat(candidate)
+                    digest, rep = collapse_target(candidate_obj)
                     if rep is not None:
                         merge(key, phase.id, rep, None)
                         continue
                 child = self.dag.add_node(
                     key, self.level + 1, entry.num_insts, entry.cf_crc
                 )
-                child.function = to_flat(materialized)
+                child.function = candidate
                 if self.collapser is not None and self.collapser.register(
-                    digest, child.node_id, materialized
+                    digest, child.node_id, candidate_obj
                 ):
                     added_digests.append((digest, child.node_id))
                 self.recipes[child.node_id] = self.recipes[node.node_id] + (
@@ -912,7 +914,7 @@ class SpaceEnumerator:
                     key,
                     fingerprint.num_insts,
                     fingerprint.cf_crc,
-                    from_flat(candidate),
+                    candidate,
                 )
             existing = self.dag.lookup(key)
             if existing is not None:

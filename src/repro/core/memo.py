@@ -20,15 +20,20 @@ during a run that later aborted is still a valid fact.
 
 An entry is either *dormant* (the phase made no change) or *active*,
 in which case it carries the child's node key, fingerprint metadata,
-and the child instance itself — as a live :class:`Function` when
-recorded in-process, or as a serialized checkpoint dict when loaded
-from the merged-space store.  :meth:`TransitionMemo.materialize`
-returns a fresh ``Function`` either way.
+and the child instance itself — as the :class:`FlatFunction` candidate
+the enumerator produced when recorded in-process, or as a serialized
+checkpoint dict when loaded from the merged-space store, parsed into
+a flat on first use.  :meth:`TransitionMemo.materialize` returns that
+flat, which the memo and every DAG node built from it share: no flat
+is mutated after the phase attempt that produced it (each attempt
+clones its parent first), so sharing is safe.  Intern ids are local
+to a process, so a flat leaves it only as :meth:`TransitionMemo.to_dict`
+text.
 
 Exact mode never takes the memo fast path: it performs the real
 application and *verifies* the memo entry against it, raising on any
 divergence — that is how the bit-identity guarantee survives memo
-reuse (ISSUE 3 tentpole requirement).
+reuse.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core import checkpoint as ckpt
-from repro.ir.function import Function
+from repro.ir.flat import FlatFunction, from_flat, to_flat
 
 MEMO_VERSION = 1
 
@@ -59,8 +64,9 @@ class MemoEntry:
         self.key = key
         self.num_insts = num_insts
         self.cf_crc = cf_crc
-        #: child instance: a Function (in-run) or a serialized dict
-        #: (loaded from the store); None for dormant entries
+        #: child instance: a FlatFunction (recorded in-run, or parsed)
+        #: or a serialized dict (loaded from the store, not yet used);
+        #: None for dormant entries
         self.function = function
 
 
@@ -98,7 +104,8 @@ class TransitionMemo:
         self, parent_key, phase_id: str, key, num_insts: int, cf_crc: int, function
     ) -> None:
         """Record an active transition; *function* is the child instance
-        (a Function or an already-serialized dict)."""
+        (a FlatFunction, shared and never mutated, or an
+        already-serialized dict)."""
         self.entries.setdefault(
             (parent_key, phase_id),
             MemoEntry(
@@ -111,14 +118,18 @@ class TransitionMemo:
         )
 
     @staticmethod
-    def materialize(entry: MemoEntry) -> Function:
-        """A fresh Function for *entry*'s child instance."""
-        if isinstance(entry.function, Function):
-            return entry.function.clone()
-        return ckpt.function_from_dict(entry.function)
+    def materialize(entry: MemoEntry) -> FlatFunction:
+        """*entry*'s child instance, shared: callers must not mutate it.
+
+        A serialized entry is parsed here, once, and keeps the flat.
+        """
+        function = entry.function
+        if not isinstance(function, FlatFunction):
+            function = entry.function = to_flat(ckpt.function_from_dict(function))
+        return function
 
     # ------------------------------------------------------------------
-    # Persistence (the merged-space store's memo-<digest>.json)
+    # Persistence (one store file per function: memo-<config>/<root>.json)
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -131,8 +142,8 @@ class TransitionMemo:
             }
             if not entry.dormant:
                 function = entry.function
-                if isinstance(function, Function):
-                    function = ckpt.function_to_dict(function)
+                if isinstance(function, FlatFunction):
+                    function = ckpt.function_to_dict(from_flat(function))
                 record.update(
                     key=ckpt.key_to_json(entry.key),
                     num_insts=entry.num_insts,

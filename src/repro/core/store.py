@@ -22,6 +22,14 @@ Entries are single JSON files written atomically through
 can never corrupt the store.  Unreadable or incompatible entries are
 treated as misses (and reported through the telemetry layer), never as
 errors.
+
+The store also keeps the phase-transition memo
+(:mod:`repro.core.memo`), one file per function under a directory per
+config: ``memo-<config digest>/<root key digest>.json``.  A run loads
+and rewrites only its own function's file, so its memo cost does not
+grow with the functions enumerated before it.  Anything at the store
+root whose name starts with ``memo-`` is memo, not a space entry; an
+older layout's whole-table ``memo-<config digest>.json`` is never read.
 """
 
 from __future__ import annotations
@@ -96,16 +104,13 @@ class SpaceStore:
     # ------------------------------------------------------------------
 
     def entry_path(self, function_name: str, root_key, config: EnumerationConfig) -> str:
-        digest = hashlib.sha256(
-            json.dumps(
-                {
-                    "function": function_name,
-                    "root_key": ckpt.key_to_json(root_key),
-                    "config": store_signature(config),
-                },
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()[:16]
+        digest = _digest(
+            {
+                "function": function_name,
+                "root_key": ckpt.key_to_json(root_key),
+                "config": store_signature(config),
+            }
+        )
         safe_name = re.sub(r"[^A-Za-z0-9_.-]", "_", function_name)
         return os.path.join(self.root, f"{safe_name}-{digest}.json")
 
@@ -205,33 +210,45 @@ class SpaceStore:
     # Phase-transition memo (the warm cross-run expansion cache)
     # ------------------------------------------------------------------
 
-    def memo_path(self, config: EnumerationConfig) -> str:
-        """One memo file per space-shaping config.
+    def memo_path(self, config: EnumerationConfig, root_key=None) -> str:
+        """The memo file of the function whose canonical root key is
+        *root_key*; without one, the directory of every function's file
+        under *config*.
 
-        Memo entries are keyed by content-based node keys, so a single
-        table is shared by every function enumerated under the same
-        phase set and switches — that is what makes cross-function and
-        cross-run hits sound.
+        Memo entries are content-keyed, so one function's entries could
+        serve another's; but such hits are rare (docs/PERFORMANCE.md),
+        while one table per config made every run load and rewrite all
+        earlier functions' entries.
         """
-        digest = hashlib.sha256(
-            json.dumps(store_signature(config), sort_keys=True).encode()
-        ).hexdigest()[:16]
-        return os.path.join(self.root, f"memo-{digest}.json")
+        digest = _digest(store_signature(config))
+        directory = os.path.join(self.root, f"memo-{digest}")
+        if root_key is None:
+            return directory
+        return os.path.join(directory, f"{_digest(ckpt.key_to_json(root_key))}.json")
 
-    def load_memo(self, config: EnumerationConfig) -> TransitionMemo:
-        """The persisted memo for *config*; empty on miss/corruption."""
-        path = self.memo_path(config)
-        if not os.path.exists(path):
-            return TransitionMemo()
+    def load_memo(self, config: EnumerationConfig, root_key=None) -> TransitionMemo:
+        """The persisted memo of the function with *root_key*, or
+        without one every function's entries under *config*; empty on
+        miss or corruption."""
+        if root_key is not None:
+            return _read_memo(self.memo_path(config, root_key))
+        memo = TransitionMemo()
+        directory = self.memo_path(config)
         try:
-            state = ckpt.load_checkpoint(path)
-            return TransitionMemo.from_dict(state)
-        except (ckpt.CheckpointError, KeyError, TypeError, ValueError):
-            # An unreadable memo is a cold cache, never an error.
-            return TransitionMemo()
+            names = sorted(os.listdir(directory))
+        except OSError:
+            return memo
+        for name in names:
+            if name.endswith(".json"):
+                path = os.path.join(directory, name)
+                memo.entries.update(_read_memo(path).entries)
+        return memo
 
-    def save_memo(self, config: EnumerationConfig, memo: TransitionMemo) -> Optional[str]:
-        """Persist *memo* (atomic write); None when not cacheable.
+    def save_memo(
+        self, config: EnumerationConfig, memo: TransitionMemo, root_key
+    ) -> Optional[str]:
+        """Persist *memo* as the memo file of the function with
+        *root_key* (atomic write); None when not cacheable.
 
         Unlike full space entries, memo entries from an aborted run are
         still valid facts (each records one deterministic transition),
@@ -239,7 +256,8 @@ class SpaceStore:
         """
         if not cacheable(config):
             return None
-        path = self.memo_path(config)
+        path = self.memo_path(config, root_key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         ckpt.save_checkpoint(path, memo.to_dict())
         return path
 
@@ -252,3 +270,16 @@ class SpaceStore:
 
     def __repr__(self):
         return f"<SpaceStore {self.root}: {len(self)} entries>"
+
+
+def _digest(value) -> str:
+    """Short file-name digest of a JSON-ready value."""
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _read_memo(path: str) -> TransitionMemo:
+    try:
+        return TransitionMemo.from_dict(ckpt.load_checkpoint(path))
+    except (ckpt.CheckpointError, KeyError, TypeError, ValueError):
+        # An unreadable memo is a cold cache, never an error.
+        return TransitionMemo()

@@ -436,6 +436,25 @@ class TestTransitionMemo:
         assert guarded.completed
         assert memo.hits == hits_before
 
+    def test_memo_runs_never_build_object_functions(self, rol, monkeypatch):
+        # memo entries hold the flat candidates the enumerator already
+        # has: recording and serving them converts nothing back
+        baseline = enumerate_space(rol, EnumerationConfig())
+
+        def refuse(flat):
+            raise AssertionError("from_flat called on the memo path")
+
+        monkeypatch.setattr("repro.core.enumeration.from_flat", refuse)
+        memo = TransitionMemo()
+        cold = enumerate_space(rol, EnumerationConfig(memo=memo))
+        warm = enumerate_space(rol, EnumerationConfig(memo=memo))
+        assert memo.hits == baseline.attempted_phases
+        assert (
+            result_signature(baseline)
+            == result_signature(cold)
+            == result_signature(warm)
+        )
+
     def test_memo_shared_across_functions(self):
         # Content-keyed entries: enumerating f twice under one memo via
         # two *different* Function objects still hits.
