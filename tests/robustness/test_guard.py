@@ -13,7 +13,7 @@ from repro.core.batch import BatchCompiler
 from repro.core.fingerprint import fingerprint_function
 from repro.frontend import compile_source
 from repro.ir.flat import INST_OBJS, KIND, K_ASSIGN, from_flat, intern_inst, to_flat
-from repro.ir.instructions import Assign
+from repro.ir.instructions import Assign, Jump
 from repro.ir.operands import Const
 from repro.opt.base import Phase
 from repro.robustness.faults import FaultInjector
@@ -211,6 +211,19 @@ class TestDifferentialTesting:
         tweaked = func.clone()
         assert on_object(_ConstTweakPhase().run)(tweaked, None)
         assert "expected" in tester.check(tweaked)
+
+    def test_dangling_branch_is_a_candidate_crash(self):
+        # a branch to a label the function lacks is a VMError, so the
+        # tester reports a crash instead of letting a KeyError escape
+        program = compile_source(MAXI_SRC)
+        func = program.functions["maxi"]
+        tester = DifferentialTester(program, "maxi", default_vectors(func))
+        dangling = func.clone()
+        block = next(b for b in dangling.blocks if b.insts and b.insts[-1].is_transfer)
+        block.insts[-1] = Jump("Lnowhere")
+        mismatch = tester.check(dangling)
+        assert "candidate crashed" in mismatch
+        assert "branch to unknown label 'Lnowhere'" in mismatch
 
     def test_default_vectors_cover_arity(self, maxi_func):
         # the frontend leaves params empty; the arity is the declared
