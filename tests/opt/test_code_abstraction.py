@@ -60,7 +60,6 @@ class TestCrossJumping:
     def test_semantics_preserved(self):
         from repro.ir.function import Program
         from repro.vm import Interpreter
-        from repro.vm.interpreter import _Frame
 
         shared = [Assign(R(2), BinOp("add", R(3), Const(10)))]
         for transform in (False, True):
@@ -73,11 +72,10 @@ class TestCrossJumping:
             program = Program()
             program.add_function(func)
             for r1 in (0, 1):
-                vm = Interpreter(program)
-                frame = _Frame(0x40000)
-                frame.regs[1] = r1
+                # the second argument arrives in r1, the register the
+                # diamond branches on
                 expected = 12 if r1 == 0 else 11
-                assert vm._execute(func, frame) == expected
+                assert Interpreter(program).run("f", (0, r1)).value == expected
 
 
 class TestHoisting:

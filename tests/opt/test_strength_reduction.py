@@ -28,16 +28,8 @@ def multiply_function(constant):
 def run_multiply(func, x):
     program = Program()
     program.add_function(func)
-    vm = Interpreter(program)
-    # Seed the register the function reads.
-    result = None
-
-    # direct frame poke: execute with r1 preloaded via a wrapper frame
-    from repro.vm.interpreter import _Frame
-
-    frame = _Frame(0x40000)
-    frame.regs[1] = x
-    return vm._execute(func, frame)
+    # the second argument arrives in r1, the register the function reads
+    return Interpreter(program).run(func.name, (0, x)).value
 
 
 class TestExpansion:
