@@ -1,16 +1,13 @@
-"""Hot-path benchmark: enumeration edge throughput, cold and memo-warm.
+"""Hot-path benchmark: enumeration edge throughput, plain and sanitized.
 
 Measures enumeration **edge throughput** (attempted phase transitions
-per second) in three configurations of the one phase engine:
+per second) in two configurations of the one phase engine:
 
 ``flat_cold``
     Phases attempted over the packed array-of-tables IR
-    (``repro.ir.flat``) with no memo, so every phase executes for real.
-    The enumeration process's kernel caches warm across repeats;
-    best-of-N measures that steady state.
-``memo_warm``
-    The same sweep re-run against a warm transition memo: every
-    transition is served from the table, the ceiling of memoization.
+    (``repro.ir.flat``), every phase executed for real.  The
+    enumeration process's kernel caches warm across repeats; best-of-N
+    measures that steady state.
 ``sanitize_fast``
     Cold, with ``--sanitize=fast`` vetting every edge through the
     guard (docs/STATIC_ANALYSIS.md); ``sanitize_fast_overhead`` is its
@@ -24,8 +21,10 @@ re-run at the same revision replaces its predecessor, and each sweep
 keeps its first entry (the baseline) plus the most recent
 ``TRAJECTORY_CAP - 1`` measurements.  Entries of the retired
 ``quick``/``full`` sweeps (which compared against deleted legacy
-paths) stay as history.  ``--check`` fails when the cold engine falls
-below the absolute edges/s floor (far under typical hardware).
+paths) and the ``memo_warm_*`` fields of older entries (a transition
+memo, since removed) stay as history.  ``--check`` fails when the cold
+engine falls below the absolute edges/s floor (far under typical
+hardware).
 
 CLI::
 
@@ -42,7 +41,6 @@ import sys
 import time
 
 from repro.core.enumeration import EnumerationConfig, enumerate_space
-from repro.core.memo import TransitionMemo
 from repro.opt import implicit_cleanup
 from repro.programs import compile_benchmark
 
@@ -86,7 +84,7 @@ def _functions(sweep):
     return functions
 
 
-def _measure(functions, memo=None, sanitize=None, repeats=3):
+def _measure(functions, sanitize=None, repeats=3):
     """Best-of-N wall and total edges for one configuration."""
     best_wall = None
     edges = 0
@@ -94,9 +92,7 @@ def _measure(functions, memo=None, sanitize=None, repeats=3):
         start = time.perf_counter()
         edges = 0
         for _label, func in functions:
-            result = enumerate_space(
-                func, EnumerationConfig(memo=memo, sanitize=sanitize)
-            )
+            result = enumerate_space(func, EnumerationConfig(sanitize=sanitize))
             assert result.completed
             edges += result.attempted_phases
         wall = time.perf_counter() - start
@@ -124,15 +120,7 @@ def _git_describe():
 def run_benchmark(quick: bool = False) -> dict:
     functions = _functions(QUICK_SWEEP if quick else SWEEP)
 
-    # no memo at all, so repeats measure the same cold work rather
-    # than warming themselves up
     flat_wall, edges = _measure(functions)
-
-    memo = TransitionMemo()
-    for _label, func in functions:  # fill the memo (untimed)
-        enumerate_space(func, EnumerationConfig(memo=memo))
-    warm_wall, _ = _measure(functions, memo=memo)
-
     san_wall, san_edges = _measure(functions, sanitize="fast")
     assert san_edges == edges, "sanitized edge count diverged"
 
@@ -144,9 +132,7 @@ def run_benchmark(quick: bool = False) -> dict:
         "cpu_count": os.cpu_count(),
         "edges": edges,
         "flat_cold_wall_seconds": round(flat_wall, 4),
-        "memo_warm_wall_seconds": round(warm_wall, 4),
         "flat_cold_edges_per_second": round(edges / flat_wall, 1),
-        "memo_warm_edges_per_second": round(edges / warm_wall, 1),
         "sanitize_fast_wall_seconds": round(san_wall, 4),
         "sanitize_fast_edges_per_second": round(edges / san_wall, 1),
         "sanitize_fast_overhead": round(san_wall / flat_wall, 2),
@@ -206,13 +192,11 @@ def check_floor(entry: dict) -> None:
 
 
 def test_hotpath_throughput():
-    """Full sweep: cold throughput above the floor, and the memo is a
-    gain over real phase executions."""
+    """Full sweep: cold throughput above the floor."""
     entry = run_benchmark(quick=False)
     append_entry(entry)
     print(f"\n{json.dumps(entry, indent=2)}\n[recorded in {RESULTS_PATH}]")
     assert entry["flat_cold_edges_per_second"] >= FLAT_COLD_EDGES_FLOOR
-    assert entry["memo_warm_edges_per_second"] > entry["flat_cold_edges_per_second"]
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,7 @@ enumerate
     ``--difftest`` (VM differential semantics testing), ``--checkpoint``
     / ``--resume`` (crash-safe persistence), ``--inject-faults`` (the
     deterministic fault harness) — see docs/ROBUSTNESS.md.
-profile
-    Run one enumeration under cProfile and print where the time goes —
-    the drill-down companion to ``benchmarks/bench_hotpath.py``.
+    ``--profile`` runs it under cProfile and writes where the time went.
 interactions
     Enumerate several functions and print the Table 4/5/6 matrices.
 report
@@ -386,63 +384,6 @@ def cmd_enumerate(args) -> int:
         with open(args.dot, "w") as handle:
             handle.write(result.dag.to_dot())
         print(f"space DAG written to {args.dot}")
-    return 0
-
-
-
-def cmd_profile(args) -> int:
-    """One enumeration under cProfile, with an edge-throughput summary.
-
-    The profiling companion to ``benchmarks/bench_hotpath.py``: the
-    benchmark tells you *whether* the phases regressed, this command
-    tells you *where* the time went.  ``--cold`` resets the flat-kernel
-    caches first so the run measures what a fresh process would pay.
-    """
-    import cProfile
-    import time
-
-    source = _load_source(args.file)
-    program = _compile_spec(args.file, source)
-    func = _select_function(program, args.function)
-    implicit_cleanup(func)
-    config = EnumerationConfig(max_nodes=args.max_nodes, time_limit=args.time_limit)
-    if args.cold:
-        from repro.opt.flat import reset_flat_kernel_caches
-
-        reset_flat_kernel_caches()
-    tracer = _build_tracer(args, "repro.profile") if args.run_dir else None
-    ok = False
-    profiler = cProfile.Profile()
-    try:
-        start = time.perf_counter()
-        profiler.enable()
-        result = enumerate_space(func, config)
-        profiler.disable()
-        wall = time.perf_counter() - start
-        edges = result.attempted_phases
-        if tracer is not None:
-            tracer.emit(
-                "profile_run",
-                function=args.function,
-                wall=round(wall, 4),
-                edges=edges,
-            )
-        ok = True
-    finally:
-        if not ok:
-            profiler.disable()
-        _close_tracer(tracer, ok)
-    status = "complete" if result.completed else f"aborted: {result.abort_reason}"
-    print(
-        f"{args.function}: {edges} edges in {wall:.3f}s "
-        f"({edges / wall:,.0f} edges/s, {status})"
-    )
-    import pstats
-
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort).print_stats(args.top)
-    if args.run_dir:
-        _dump_profile(profiler, args.run_dir)
     return 0
 
 
@@ -1140,43 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(or the working directory)",
     )
     p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser(
-        "profile",
-        help="profile one enumeration with cProfile and print where "
-        "the time goes",
-    )
-    p.add_argument("file", help="mini-C file or bench:NAME")
-    p.add_argument("--function", required=True)
-    p.add_argument("--max-nodes", type=int, default=20_000)
-    p.add_argument("--time-limit", type=float, default=300.0)
-    p.add_argument(
-        "--cold",
-        action="store_true",
-        help="reset the flat-kernel caches first, so the run measures "
-        "a fresh process instead of this one's warm state",
-    )
-    p.add_argument(
-        "--sort",
-        default="cumulative",
-        metavar="KEY",
-        help="pstats sort key for the printed table "
-        "(default: cumulative; try tottime, ncalls)",
-    )
-    p.add_argument(
-        "--top",
-        type=int,
-        default=25,
-        metavar="N",
-        help="rows of the stats table to print (default: 25)",
-    )
-    p.add_argument(
-        "--run-dir",
-        metavar="DIR",
-        help="also write profile.pstats/profile.txt and a journal with "
-        "a profile_run event here",
-    )
-    p.set_defaults(handler=cmd_profile)
 
     p = sub.add_parser(
         "lint", help="statically check IR (sanitizer + dataflow checks)"

@@ -11,7 +11,7 @@
   conventional and probabilistic batch compilers (section 6, Figure 8);
 - :mod:`repro.core.stats` — per-function search statistics (Table 3);
 - :mod:`repro.core.driver` / :mod:`repro.core.store` — the one
-  execution driver (store, memo and checkpoint rules) and the
+  execution driver (store and checkpoint rules) and the
   completed-space store it consults.
 """
 

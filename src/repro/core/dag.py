@@ -89,8 +89,8 @@ class SpaceDAG:
 
     def add_alias(self, key, node_id: int) -> None:
         """Record that the instance with syntactic *key* was merged
-        into node *node_id*; later lookups (repeat discoveries, warm
-        memo hits, ``find_instance``) resolve to the representative."""
+        into node *node_id*; later lookups (repeat discoveries,
+        ``find_instance``) resolve to the representative."""
         self.aliases[key] = node_id
 
     def add_edge(self, parent: SpaceNode, phase_id: str, child: SpaceNode) -> None:

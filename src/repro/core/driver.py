@@ -1,4 +1,4 @@
-"""One function's enumeration, with the store, memo and checkpoint rules.
+"""One function's enumeration, with the store and checkpoint rules.
 
 :func:`run_function` is the single execution driver: the worker pool's
 tasks for ``--jobs N`` (:mod:`repro.parallel.worker`) and for the
@@ -9,14 +9,10 @@ about persisted state therefore exists once, here:
 - **store** — a completed space is looked up by the function's
   canonical root key before enumerating and written back after a
   completed run (aborted and fault-injected runs are never stored);
-- **memo** — the store's cross-run transition memo of this function
-  (its file is keyed by the canonical root key) is loaded only for
-  unguarded, non-exact, cacheable configs, and saved after any such
-  run that recorded a new entry (memo entries stay valid facts even
-  when the run aborted);
-- **checkpoint** — the serial checkpoint at *checkpoint_path* is
-  written periodically and on abort, resumed from when *resume* is set,
-  and deleted on completion;
+- **checkpoint** — a partial space is persisted at *checkpoint_path*
+  periodically and on abort, resumed from when *resume* is set (under
+  any budget: budgets are not in the checkpoint signature), and
+  deleted on completion;
 - **CKP001** — a corrupt or mismatched checkpoint raises
   :class:`~repro.core.checkpoint.CheckpointError`, or, with
   *discard_corrupt*, is deleted and the enumeration restarts fresh with
@@ -36,7 +32,7 @@ from repro.core.enumeration import (
     SpaceEnumerator,
     canonical_root,
 )
-from repro.core.store import SpaceStore, cacheable
+from repro.core.store import SpaceStore
 from repro.ir.function import Function
 
 
@@ -60,8 +56,8 @@ def run_function(
 ) -> FunctionRun:
     """Enumerate *func* (unmodified) under *config*.
 
-    *config*'s own ``checkpoint_path``, ``resume`` and ``memo`` are
-    replaced by the arguments here.  *on_start* is called with the
+    *config*'s own ``checkpoint_path`` and ``resume`` are replaced by
+    the arguments here.  *on_start* is called with the
     enumerator before it runs (the pool worker's heartbeat hook).
     """
     root_key = None
@@ -71,17 +67,6 @@ def run_function(
         if cached is not None:
             return FunctionRun(cached)
     run_config = copy.copy(config)
-    run_config.memo = None
-    # Exact mode verifies rather than trusts memo entries, and guarded
-    # runs must actually execute every phase, so both stay cold.
-    if (
-        store is not None
-        and not config.exact
-        and not config.guards_enabled()
-        and cacheable(config)
-    ):
-        run_config.memo = store.load_memo(config, root_key)
-        loaded = len(run_config.memo)
     run_config.checkpoint_path = checkpoint_path
     run_config.resume = resume
     degraded = None
@@ -97,8 +82,6 @@ def run_function(
             pass
         run_config.resume = False
         result = _enumerate(func, run_config, on_start)
-    if run_config.memo is not None and len(run_config.memo) > loaded:
-        store.save_memo(config, run_config.memo, root_key)
     if store is not None and result.completed:
         store.put(func.name, root_key, config, result)
     return FunctionRun(result, degraded)

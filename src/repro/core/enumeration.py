@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import checkpoint as ckpt
 from repro.core.dag import SpaceDAG, SpaceNode
 from repro.core.fingerprint import Fingerprint, fingerprint_function
-from repro.core.memo import TransitionMemo
 from repro.ir.flat import FlatFunction, flat_fingerprint, from_flat, to_flat
 from repro.ir.function import Function, Program
 from repro.machine.target import DEFAULT_TARGET, Target
@@ -97,7 +96,6 @@ class EnumerationConfig:
         checkpoint_path: Optional[str] = None,
         checkpoint_interval: Optional[float] = 30.0,
         resume: bool = False,
-        memo: Optional[TransitionMemo] = None,
         sanitize: Optional[str] = None,
         collapse: str = "syntactic",
     ):
@@ -142,14 +140,6 @@ class EnumerationConfig:
         self.checkpoint_interval = checkpoint_interval
         #: continue from ``checkpoint_path`` when it exists
         self.resume = resume
-        #: opt-in phase-transition memo table (see repro.core.memo).
-        #: Shared across enumerations: memo keys are content-based
-        #: node keys, so hits are sound across functions and runs.
-        #: Only consulted on the unguarded prefix-sharing hot path;
-        #: in exact mode entries are verified, never trusted.
-        #: Deliberately excluded from ``signature()``: the memo changes
-        #: how results are computed, not what they are.
-        self.memo = memo
         #: static-analysis mode applied to every active phase output:
         #: None (off), "fast" (structural/machine/frame/call checks +
         #: phase contracts) or "full" (adds dataflow definedness and
@@ -166,8 +156,8 @@ class EnumerationConfig:
         #: canonical symbolic summaries collide *and* are proved (or
         #: co-execution-tested) equivalent — never on the hash alone
         #: (see staticanalysis/canon.py and docs/COLLAPSE.md).  Unlike
-        #: the guards and the memo, collapse changes which space is
-        #: enumerated, so it participates in ``signature()``.
+        #: the guards, collapse changes which space is enumerated, so
+        #: it participates in ``signature()``.
         if collapse not in ("syntactic", "semantic"):
             raise ValueError(
                 f"bad collapse mode {collapse!r}; "
@@ -209,8 +199,8 @@ class EnumerationConfig:
         """The picklable settings :meth:`from_dict` rebuilds this config
         from.  Phases travel by id; the fault injector travels as its
         settings, so each rebuilt config draws a fresh injector's
-        stream.  The program, target, checkpoint and memo are the
-        caller's to supply."""
+        stream.  The program, target and checkpoint are the caller's to
+        supply."""
         spec: Dict[str, object] = {
             name: getattr(self, name) for name in self.PLAIN_FIELDS
         }
@@ -345,19 +335,6 @@ class SpaceEnumerator:
         self.quarantine = (
             self.guard.quarantine if self.guard is not None else QuarantineLog()
         )
-        # The memo shortcut only replaces the plain prefix-sharing
-        # transition; guarded runs must actually execute every phase
-        # (the guard's whole point), and replay mode re-applies the
-        # entire sequence anyway.
-        self.memo = (
-            self.config.memo
-            if (
-                self.config.memo is not None
-                and self.config.share_prefixes
-                and self.guard is None
-            )
-            else None
-        )
         # Semantic collapse (docs/COLLAPSE.md): merge decisions live in
         # a SemanticCollapser, whose state rides checkpoints.  A program
         # context (config.program) enables the VM co-execution
@@ -425,8 +402,6 @@ class SpaceEnumerator:
                 resumed=self.resumed_from is not None,
             )
             phase_snapshot = tracer.snapshot_phases()
-            memo_hits0 = self.memo.hits if self.memo is not None else 0
-            memo_misses0 = self.memo.misses if self.memo is not None else 0
         self.budget = _Budget(config, consumed=consumed)
         self._last_checkpoint = time.monotonic()
 
@@ -465,14 +440,6 @@ class SpaceEnumerator:
                 tracer.emit(
                     "phase_stats",
                     phases=delta,
-                    function=self.input_func.name,
-                )
-            if self.memo is not None:
-                tracer.emit(
-                    "memo_stats",
-                    hits=self.memo.hits - memo_hits0,
-                    misses=self.memo.misses - memo_misses0,
-                    entries=len(self.memo),
                     function=self.input_func.name,
                 )
             if self.guard is not None and self.guard.sanitizer is not None:
@@ -766,10 +733,6 @@ class SpaceEnumerator:
             self.attempted = attempted_before
             self.applied = applied_before
 
-        def collapse_target(candidate_func: Function):
-            """(digest, representative-or-None) for a fresh instance."""
-            return self.collapser.merge_target(self.dag, node, candidate_func)
-
         def alias_guarded(key, existing):
             """Veto a syntactic hit that resolved through an alias onto
             this node's own root path: the edge would close a cycle.
@@ -789,16 +752,6 @@ class SpaceEnumerator:
                 return None
             return existing
 
-        def merge(key, phase_id: str, rep: SpaceNode, text) -> None:
-            self.dag.add_alias(key, rep.node_id)
-            added_aliases.append(key)
-            if config.exact:
-                # Later syntactic rediscoveries of this instance resolve
-                # through the alias; the collision check needs its text.
-                self.texts[key] = text
-            self.dag.add_edge(node, phase_id, rep)
-            added_edges.append((node, phase_id, rep))
-
         for phase in config.phases:
             if phase.id in arrival:
                 # An active phase is never attempted on its own result
@@ -812,57 +765,6 @@ class SpaceEnumerator:
                 rollback()
                 return False
             self.attempted += 1
-            entry = (
-                self.memo.lookup(node.key, phase.id)
-                if self.memo is not None
-                else None
-            )
-            if entry is not None and not config.exact:
-                # Memo fast path: the transition outcome is a recorded
-                # content-keyed fact — skip clone + apply + fingerprint.
-                # Counters advance exactly as the cold path would.
-                self.applied += 1
-                if tracer is not None:
-                    tracer.phase_outcome(
-                        phase.id, "dormant" if entry.dormant else "active"
-                    )
-                if entry.dormant:
-                    node.dormant.add(phase.id)
-                    continue
-                key = entry.key
-                existing = alias_guarded(key, self.dag.lookup(key))
-                if existing is not None:
-                    self.dag.add_edge(node, phase.id, existing)
-                    added_edges.append((node, phase.id, existing))
-                    continue
-                candidate = TransitionMemo.materialize(entry)
-                digest = None
-                candidate_obj = None
-                if self.collapser is not None:
-                    # Warm memo runs start with an empty alias table,
-                    # so the fast path must make its own merge decision
-                    # — in the same order the cold path would.
-                    candidate_obj = from_flat(candidate)
-                    digest, rep = collapse_target(candidate_obj)
-                    if rep is not None:
-                        merge(key, phase.id, rep, None)
-                        continue
-                child = self.dag.add_node(
-                    key, self.level + 1, entry.num_insts, entry.cf_crc
-                )
-                child.function = candidate
-                if self.collapser is not None and self.collapser.register(
-                    digest, child.node_id, candidate_obj
-                ):
-                    added_digests.append((digest, child.node_id))
-                self.recipes[child.node_id] = self.recipes[node.node_id] + (
-                    phase.id,
-                )
-                self.dag.add_edge(node, phase.id, child)
-                added_nodes.append(child)
-                added_edges.append((node, phase.id, child))
-                self.next_frontier.append(child)
-                continue
             if config.share_prefixes:
                 parent = node.function
             else:
@@ -883,15 +785,6 @@ class SpaceEnumerator:
                     phase.id, "dormant" if candidate is None else "active"
                 )
             if candidate is None:
-                if entry is not None and not entry.dormant:
-                    raise RuntimeError(
-                        f"{self.input_func.name}: memo claims phase "
-                        f"{phase.id} is active on node#{node.node_id} but "
-                        "the real application was dormant (exact-mode "
-                        "memo verification)"
-                    )
-                if self.memo is not None:
-                    self.memo.record_dormant(node.key, phase.id)
                 node.dormant.add(phase.id)
                 continue
             if config.remap:
@@ -901,21 +794,6 @@ class SpaceEnumerator:
                     from_flat(candidate), keep_text=config.exact, remap=False
                 )
             key = _node_key(fingerprint, candidate)
-            if entry is not None and (entry.dormant or entry.key != key):
-                raise RuntimeError(
-                    f"{self.input_func.name}: memo entry for phase "
-                    f"{phase.id} on node#{node.node_id} diverges from the "
-                    "real application (exact-mode memo verification)"
-                )
-            if self.memo is not None and entry is None:
-                self.memo.record_active(
-                    node.key,
-                    phase.id,
-                    key,
-                    fingerprint.num_insts,
-                    fingerprint.cf_crc,
-                    candidate,
-                )
             existing = self.dag.lookup(key)
             if existing is not None:
                 if config.exact and self.texts.get(key) != fingerprint.text:
@@ -932,9 +810,19 @@ class SpaceEnumerator:
             candidate_obj = None
             if self.collapser is not None:
                 candidate_obj = from_flat(candidate)
-                digest, rep = collapse_target(candidate_obj)
+                digest, rep = self.collapser.merge_target(
+                    self.dag, node, candidate_obj
+                )
                 if rep is not None:
-                    merge(key, phase.id, rep, fingerprint.text)
+                    self.dag.add_alias(key, rep.node_id)
+                    added_aliases.append(key)
+                    if config.exact:
+                        # Later syntactic rediscoveries of this instance
+                        # resolve through the alias; the collision check
+                        # needs its text.
+                        self.texts[key] = fingerprint.text
+                    self.dag.add_edge(node, phase.id, rep)
+                    added_edges.append((node, phase.id, rep))
                     continue
             child = self.dag.add_node(
                 key, self.level + 1, fingerprint.num_insts, fingerprint.cf_crc

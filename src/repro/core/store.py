@@ -23,13 +23,9 @@ can never corrupt the store.  Unreadable or incompatible entries are
 treated as misses (and reported through the telemetry layer), never as
 errors.
 
-The store also keeps the phase-transition memo
-(:mod:`repro.core.memo`), one file per function under a directory per
-config: ``memo-<config digest>/<root key digest>.json``.  A run loads
-and rewrites only its own function's file, so its memo cost does not
-grow with the functions enumerated before it.  Anything at the store
-root whose name starts with ``memo-`` is memo, not a space entry; an
-older layout's whole-table ``memo-<config digest>.json`` is never read.
+Stores written by earlier builds may also hold files or directories
+whose names start with ``memo-`` (a cross-run transition memo, since
+removed).  They are never read and never counted as entries.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from typing import Dict, Optional
 
 from repro.core import checkpoint as ckpt
 from repro.core.enumeration import EnumerationConfig, EnumerationResult
-from repro.core.memo import TransitionMemo
 from repro.robustness.quarantine import QuarantineLog
 
 STORE_VERSION = 1
@@ -206,61 +201,6 @@ class SpaceStore:
         )
         return path
 
-    # ------------------------------------------------------------------
-    # Phase-transition memo (the warm cross-run expansion cache)
-    # ------------------------------------------------------------------
-
-    def memo_path(self, config: EnumerationConfig, root_key=None) -> str:
-        """The memo file of the function whose canonical root key is
-        *root_key*; without one, the directory of every function's file
-        under *config*.
-
-        Memo entries are content-keyed, so one function's entries could
-        serve another's; but such hits are rare (docs/PERFORMANCE.md),
-        while one table per config made every run load and rewrite all
-        earlier functions' entries.
-        """
-        digest = _digest(store_signature(config))
-        directory = os.path.join(self.root, f"memo-{digest}")
-        if root_key is None:
-            return directory
-        return os.path.join(directory, f"{_digest(ckpt.key_to_json(root_key))}.json")
-
-    def load_memo(self, config: EnumerationConfig, root_key=None) -> TransitionMemo:
-        """The persisted memo of the function with *root_key*, or
-        without one every function's entries under *config*; empty on
-        miss or corruption."""
-        if root_key is not None:
-            return _read_memo(self.memo_path(config, root_key))
-        memo = TransitionMemo()
-        directory = self.memo_path(config)
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError:
-            return memo
-        for name in names:
-            if name.endswith(".json"):
-                path = os.path.join(directory, name)
-                memo.entries.update(_read_memo(path).entries)
-        return memo
-
-    def save_memo(
-        self, config: EnumerationConfig, memo: TransitionMemo, root_key
-    ) -> Optional[str]:
-        """Persist *memo* as the memo file of the function with
-        *root_key* (atomic write); None when not cacheable.
-
-        Unlike full space entries, memo entries from an aborted run are
-        still valid facts (each records one deterministic transition),
-        so the caller may save after any unguarded, un-sabotaged run.
-        """
-        if not cacheable(config):
-            return None
-        path = self.memo_path(config, root_key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        ckpt.save_checkpoint(path, memo.to_dict())
-        return path
-
     def __len__(self) -> int:
         return sum(
             1
@@ -276,10 +216,3 @@ def _digest(value) -> str:
     """Short file-name digest of a JSON-ready value."""
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
 
-
-def _read_memo(path: str) -> TransitionMemo:
-    try:
-        return TransitionMemo.from_dict(ckpt.load_checkpoint(path))
-    except (ckpt.CheckpointError, KeyError, TypeError, ValueError):
-        # An unreadable memo is a cold cache, never an error.
-        return TransitionMemo()

@@ -32,7 +32,7 @@ import time
 from typing import Dict, FrozenSet, List, Optional, TextIO, Tuple
 
 #: bump when an event is removed, renamed, or a required field changes
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: event name -> required fields (extra fields are always allowed)
 EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
@@ -54,12 +54,9 @@ EVENT_SCHEMA: Dict[str, FrozenSet[str]] = {
     "enum_start": frozenset({"function"}),
     "level_done": frozenset({"function", "level"}),
     "enum_done": frozenset({"function", "instances", "completed"}),
-    # `repro profile`: one profiled enumeration's throughput summary
-    "profile_run": frozenset({"function", "wall", "edges"}),
     # attempted / active / dormant accounting
     "phase_stats": frozenset({"phases"}),
     # caches
-    "memo_stats": frozenset({"hits", "misses"}),
     "analysis_cache_stats": frozenset({"hits", "misses"}),
     # robustness
     "quarantine": frozenset({"phase", "kind"}),

@@ -3,9 +3,9 @@
 Reads the run dir's ``manifest.json`` and ``events.jsonl`` (serial or
 ``--jobs N`` — the journal vocabulary is shared), schema-validates
 every record, aggregates the accounting the paper cares about —
-attempted/active/dormant phase outcomes, memo and analysis-cache hit
-rates, quarantine counts, checkpoint/resume markers — and renders a
-compact text report (or the raw summary dict as JSON).
+attempted/active/dormant phase outcomes, analysis-cache hit rates,
+quarantine counts, checkpoint/resume markers — and renders a compact
+text report (or the raw summary dict as JSON).
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ def summarize_run(run_dir: str) -> Dict[str, object]:
         "shards_done": 0,
         "store_cache_hits": 0,
     }
-    memo = {"hits": 0, "misses": 0, "entries": None, "seen": False}
     analysis = {"hits": 0, "misses": 0, "seen": False}
     sanitize = {
         "edges": 0,
@@ -173,12 +172,6 @@ def summarize_run(run_dir: str) -> Dict[str, object]:
             totals["quarantine_total"] += 1
         elif name == "fault_injected":
             totals["faults_injected"] += 1
-        elif name == "memo_stats":
-            memo["hits"] += record.get("hits", 0)
-            memo["misses"] += record.get("misses", 0)
-            if record.get("entries") is not None:
-                memo["entries"] = record["entries"]
-            memo["seen"] = True
         elif name == "sanitize_stats":
             for key in (
                 "edges",
@@ -272,7 +265,6 @@ def summarize_run(run_dir: str) -> Dict[str, object]:
         "manifest": manifest,
         "functions": functions,
         "totals": totals,
-        "memo": memo if memo["seen"] else None,
         "analysis_cache": analysis if analysis["seen"] else None,
         "sanitize": sanitize if sanitize["seen"] else None,
         "collapse": collapse if collapse["seen"] else None,
@@ -406,14 +398,6 @@ def render_report(summary: Dict[str, object]) -> str:
                     f"{_fmt(result.get('attempted'))} attempted)"
                 )
     lines.append("")
-    memo = summary.get("memo")
-    if memo:
-        entries = memo["entries"]
-        lines.append(
-            f"  memo: {memo['hits']} hits / {memo['misses']} misses "
-            f"({_rate(memo['hits'], memo['misses'])} hit rate"
-            + (f", {entries} entries)" if entries is not None else ")")
-        )
     analysis = summary.get("analysis_cache")
     if analysis:
         lines.append(

@@ -352,19 +352,3 @@ def use_counts(iid: int) -> Tuple:
     _USE_COUNTS[iid] = counts
     return counts
 
-
-def reset_support_caches() -> None:
-    """Drop every derived cache (tests / long-lived worker recycling)."""
-    _JUMPS.clear()
-    _CONDBRS.clear()
-    _REWRITE_USES.clear()
-    _REWRITE_REGS.clear()
-    _FOLD.clear()
-    _SRC_INFO.clear()
-    _STORE_SLOT.clear()
-    _EXPR_MEM_SLOTS.clear()
-    _USE_COUNTS.clear()
-    for cache in list(_LEGAL.values()):
-        cache.clear()
-    for cache in list(_LEGALIZE.values()):
-        cache.clear()

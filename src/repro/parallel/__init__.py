@@ -12,7 +12,7 @@ reproducible at any ``--jobs`` level.  See ``docs/PARALLEL.md``.
   enumerator built on it;
 - :mod:`~repro.parallel.worker` — the worker process, and the
   ``--jobs`` task that runs :func:`repro.core.driver.run_function`
-  (the one driver owning the store, memo and checkpoint rules);
+  (the one driver owning the store and checkpoint rules);
 - :mod:`~repro.parallel.telemetry` — JSONL event log + live status.
 
 The completed-space store lives in :mod:`repro.core.store`.

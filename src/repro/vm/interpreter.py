@@ -206,16 +206,10 @@ class _Decoder:
 
     def __init__(self, syms: Dict[str, int]):
         self.syms = syms
-        #: a float zero constant was decoded: ``Const`` compares and
-        #: hashes 0.0 and -0.0 equal, so no table key built from the
-        #: instructions can tell such a block from its twin
-        self.float_zero = False
 
     def constant(self, expr: Expr):
         """``(value,)`` of a constant or a laid-out symbol half, else None."""
         if isinstance(expr, Const):
-            if expr.value == 0 and isinstance(expr.value, float):
-                self.float_zero = True
             return (expr.value,)
         if isinstance(expr, Sym) and expr.name in self.syms:
             address = self.syms[expr.name]
@@ -332,8 +326,7 @@ class _Decoder:
 #: (globals layout id, target, instructions) -> segments.  Reuse is
 #: local (a candidate shares all but a block or two with its parent),
 #: so a few hundred blocks buy the time a larger table does, at less
-#: memory; the table is cleared when full.  Blocks holding a float zero
-#: constant are never entered (see :class:`_Decoder`).
+#: memory; the table is cleared when full.
 _DECODED: Dict[Tuple[int, Target, tuple], Tuple[Segment, ...]] = {}
 _DECODED_MAX = 256
 
@@ -431,12 +424,10 @@ class Interpreter:
                 key = (self._layout, self.target, insts)
                 decoded = _DECODED.get(key)
                 if decoded is None:
-                    decoder = _Decoder(self._syms)
-                    decoded = decoder.block(insts, self.target)
-                    if not decoder.float_zero:
-                        if len(_DECODED) >= _DECODED_MAX:
-                            _DECODED.clear()
-                        _DECODED[key] = decoded
+                    decoded = _Decoder(self._syms).block(insts, self.target)
+                    if len(_DECODED) >= _DECODED_MAX:
+                        _DECODED.clear()
+                    _DECODED[key] = decoded
                 segments.append(decoded)
             index_of = {block.label: i for i, block in enumerate(func.blocks)}
             linked = self._linked[func.name] = (segments, index_of)

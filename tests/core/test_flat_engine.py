@@ -2,10 +2,9 @@
 
 Each phase has one implementation (``repro.opt.PHASES``, over the flat
 IR), and ``tests/core/test_goldens.py`` pins what the spaces are.  The
-enumerator still drives the phases along several paths — the unguarded
-prefix-sharing hot path, the guard (which checks object views of every
-candidate), and the transition memo — and these tests require whole
-serialized DAGs to match across them, along with every result
+enumerator still drives the phases along two paths — the unguarded
+prefix-sharing hot path and the guard (which checks every candidate) —
+and these tests require whole serialized DAGs to match across them, along with every result
 statistic a path could plausibly skew.  The companion round-trip tests
 live in ``tests/ir/test_flat.py``.
 """
@@ -18,7 +17,6 @@ import pytest
 
 from repro.core import checkpoint as ckpt
 from repro.core.enumeration import EnumerationConfig, enumerate_space
-from repro.core.memo import TransitionMemo
 from repro.opt import implicit_cleanup, phase_by_id
 from repro.programs import compile_benchmark
 from repro.search.harness import SEED_FUNCTIONS
@@ -80,18 +78,6 @@ class TestEngineParity:
         plain, guarded = both_paths(func, max_nodes=40)
         assert plain.abort_reason == "max_nodes"
         assert_results_identical(plain, guarded)
-
-    def test_memo_interop(self):
-        # a memo filled by an exact-mode run (text fingerprints) serves
-        # a plain run (streaming fingerprints) bit-identically
-        func = compile_fn(MAXI_SRC, "maxi")
-        reference = enumerate_space(func.clone(), EnumerationConfig())
-        memo = TransitionMemo()
-        enumerate_space(func.clone(), EnumerationConfig(exact=True, memo=memo))
-        assert len(memo)
-        warm = enumerate_space(func.clone(), EnumerationConfig(memo=memo))
-        assert memo.hits
-        assert dag_digest(warm.dag) == dag_digest(reference.dag)
 
 
 class TestCustomPhases:

@@ -21,9 +21,6 @@ against a second live code path; these goldens are the anchor instead.
   and ``validate`` (alone, and with ``sanitize="fast"``) under seeded
   fault injection (quarantine log and the journaled ``phase_stats``
   included);
-- the same three functions, syntactic and semantic, cold on a fresh
-  transition memo and then warm on its JSON round trip (memo hits and
-  misses included);
 - the batch and probabilistic compilers over every program function.
 
 An enumeration entry is (nodes, attempted, applied, abort reason,
@@ -51,7 +48,6 @@ from repro.core.batch import BatchCompiler
 from repro.core.checkpoint import dag_digest
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
-from repro.core.memo import TransitionMemo
 from repro.core.probabilistic import ProbabilisticCompiler
 from repro.frontend import compile_source
 from repro.frontend.fuzz import fuzz_source
@@ -96,8 +92,6 @@ MODES: Dict[str, Dict[str, object]] = {
 }
 #: modes run with seeded fault injection
 FAULT_MODES = ("validate-faults", "guarded-faults")
-#: collapse modes run cold and then memo-warm on every MODE_FUNCTIONS entry
-MEMO_COLLAPSE = ("syntactic", "semantic")
 
 
 def sha256(text: str) -> str:
@@ -212,26 +206,6 @@ def mode_case(mode: str) -> Dict[str, object]:
     return cases
 
 
-def memo_case(collapse: str) -> Dict[str, object]:
-    """Cold runs on a fresh memo, then warm runs on its JSON round trip."""
-    cases = {}
-    for benchmark, name, max_nodes in MODE_FUNCTIONS:
-        program = compile_benchmark(benchmark)
-        config = dict(collapse=collapse, max_nodes=max_nodes, program=program)
-        memo = TransitionMemo()
-        runs = {}
-        for run in ("cold", "warm"):
-            result = _enumerate(program.functions[name], memo=memo, **config)
-            entry = enumeration_entry(result)
-            entry["collapse_stats"] = result.collapse_stats
-            entry["memo_hits"] = memo.hits
-            entry["memo_misses"] = memo.misses
-            runs[run] = entry
-            memo = TransitionMemo.from_dict(json.loads(json.dumps(memo.to_dict())))
-        cases[f"{benchmark}.{name}"] = runs
-    return cases
-
-
 def compiler_cases(analysis=None) -> Dict[str, object]:
     if analysis is None:
         analysis = analyze_interactions(
@@ -264,7 +238,6 @@ def compute_goldens() -> Dict[str, object]:
         "fuzz": fuzz_cases(),
         "loops": loop_cases(),
         "modes": {mode: mode_case(mode) for mode in MODES},
-        "memo": {collapse: memo_case(collapse) for collapse in MEMO_COLLAPSE},
         "compilers": compiler_cases(),
     }
 
@@ -313,24 +286,6 @@ def test_fault_injection_quarantines(goldens):
             assert any(
                 row.get("quarantined") for row in entry["phase_stats"].values()
             )
-
-
-@pytest.mark.parametrize("collapse", MEMO_COLLAPSE)
-def test_memo_warm_spaces(goldens, collapse):
-    cases = memo_case(collapse)
-    assert cases == goldens["memo"][collapse]
-    for label, runs in cases.items():
-        cold, warm = runs["cold"], runs["warm"]
-        # a warm memo is a pure accelerator: every transition hits
-        assert warm["memo_misses"] == 0
-        assert warm["memo_hits"] == warm["attempted"]
-        for field in ("nodes", "attempted", "applied", "abort", "dag"):
-            assert warm[field] == cold[field]
-        assert warm["collapse_stats"] == cold["collapse_stats"]
-        if collapse == "semantic":
-            semantic = goldens["modes"]["semantic"][label]
-            assert warm["dag"] == semantic["dag"]
-            assert warm["collapse_stats"] == semantic["collapse_stats"]
 
 
 def test_compilers(goldens):

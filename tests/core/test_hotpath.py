@@ -1,16 +1,15 @@
 """Hot-path engine tests: streaming fingerprints, the analysis cache,
-the single-clone fast path, and the phase-transition memo.
+and the single-clone fast path.
 
 Every optimization here is only admissible because it is invisible:
 each test pins some piece of the ``bit-identical to the slow path``
 contract — streaming vs render-then-hash fingerprints, zlib vs
 from-scratch CRC, cached vs recomputed analyses, single-clone attempts
-vs clone-then-apply, memoized vs real phase transitions.
+vs clone-then-apply.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import zlib
 
@@ -29,7 +28,6 @@ from repro.core.fingerprint import (
     fingerprint_function,
     remap_function_text,
 )
-from repro.core.memo import MemoEntry, TransitionMemo
 from repro.ir.flat import block_id, flat_fingerprint, to_flat
 from repro.opt import (
     PHASES,
@@ -367,104 +365,3 @@ class TestSingleCloneFastPath:
             after = (flat_fingerprint(parent, keep_text=True), parent.content_key())
             assert after == before, phase.id
 
-
-# ----------------------------------------------------------------------
-# Phase-transition memo
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture()
-def rol():
-    func = compile_benchmark("sha").functions["rol"]
-    implicit_cleanup(func)
-    return func
-
-
-class TestTransitionMemo:
-    def test_cold_and_warm_runs_bit_identical(self, rol):
-        baseline = enumerate_space(rol, EnumerationConfig())
-        memo = TransitionMemo()
-        cold = enumerate_space(rol, EnumerationConfig(memo=memo))
-        assert len(memo) > 0
-        warm = enumerate_space(rol, EnumerationConfig(memo=memo))
-        assert (
-            result_signature(baseline)
-            == result_signature(cold)
-            == result_signature(warm)
-        )
-        # the warm run never executed a phase: every transition hit
-        assert memo.hits >= baseline.attempted_phases
-
-    def test_exact_mode_verifies_and_passes(self, rol):
-        memo = TransitionMemo()
-        enumerate_space(rol, EnumerationConfig(memo=memo))
-        exact = enumerate_space(rol, EnumerationConfig(memo=memo, exact=True))
-        baseline = enumerate_space(rol, EnumerationConfig(exact=True))
-        assert result_signature(exact) == result_signature(baseline)
-
-    def test_exact_mode_raises_on_poisoned_entry(self, rol):
-        memo = TransitionMemo()
-        enumerate_space(rol, EnumerationConfig(memo=memo))
-        # Flip one recorded dormancy: exact mode must notice.
-        parent_key, phase_id = next(
-            k for k, entry in memo.entries.items() if entry.dormant
-        )
-        memo.entries[(parent_key, phase_id)] = MemoEntry(
-            dormant=False, key=("poisoned",), num_insts=1, cf_crc=1
-        )
-        with pytest.raises(RuntimeError, match="memo"):
-            enumerate_space(rol, EnumerationConfig(memo=memo, exact=True))
-
-    def test_json_round_trip(self, rol):
-        memo = TransitionMemo()
-        baseline = enumerate_space(rol, EnumerationConfig(memo=memo))
-        restored = TransitionMemo.from_dict(
-            json.loads(json.dumps(memo.to_dict()))
-        )
-        assert len(restored) == len(memo)
-        warm = enumerate_space(rol, EnumerationConfig(memo=restored))
-        assert result_signature(warm) == result_signature(baseline)
-
-    def test_memo_ignored_under_guards(self, rol):
-        # A guarded run must execute every phase for real.
-        memo = TransitionMemo()
-        enumerate_space(rol, EnumerationConfig(memo=memo))
-        hits_before = memo.hits
-        guarded = enumerate_space(
-            rol, EnumerationConfig(memo=memo, validate=True)
-        )
-        assert guarded.completed
-        assert memo.hits == hits_before
-
-    def test_memo_runs_never_build_object_functions(self, rol, monkeypatch):
-        # memo entries hold the flat candidates the enumerator already
-        # has: recording and serving them converts nothing back
-        baseline = enumerate_space(rol, EnumerationConfig())
-
-        def refuse(flat):
-            raise AssertionError("from_flat called on the memo path")
-
-        monkeypatch.setattr("repro.core.enumeration.from_flat", refuse)
-        memo = TransitionMemo()
-        cold = enumerate_space(rol, EnumerationConfig(memo=memo))
-        warm = enumerate_space(rol, EnumerationConfig(memo=memo))
-        assert memo.hits == baseline.attempted_phases
-        assert (
-            result_signature(baseline)
-            == result_signature(cold)
-            == result_signature(warm)
-        )
-
-    def test_memo_shared_across_functions(self):
-        # Content-keyed entries: enumerating f twice under one memo via
-        # two *different* Function objects still hits.
-        a = compile_benchmark("fft").functions["fcos"]
-        b = compile_benchmark("fft").functions["fcos"]
-        implicit_cleanup(a)
-        implicit_cleanup(b)
-        memo = TransitionMemo()
-        first = enumerate_space(a, EnumerationConfig(memo=memo))
-        misses_after_first = memo.misses
-        second = enumerate_space(b, EnumerationConfig(memo=memo))
-        assert memo.misses == misses_after_first
-        assert result_signature(first) == result_signature(second)

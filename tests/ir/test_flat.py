@@ -10,10 +10,15 @@ including the remapped text exact mode compares.  What the phases
 compute is pinned by the goldens (``tests/core/test_goldens.py``).
 """
 
+import math
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.fingerprint import fingerprint_function
 from repro.ir.flat import flat_fingerprint, from_flat, to_flat
+from repro.ir.function import Function
+from repro.ir.instructions import Assign, Return
+from repro.ir.operands import Const, Reg
 from repro.ir.printer import format_function
 from repro.opt import PHASE_IDS, apply_phase, implicit_cleanup, phase_by_id
 from repro.programs import PROGRAMS, compile_benchmark
@@ -86,6 +91,23 @@ class TestRoundTrip:
                     flat_fingerprint(to_flat(func), keep_text=True).text
                     == fingerprint_function(func, keep_text=True).text
                 ), f"{name}.{func.name}"
+
+    def test_float_zeros_keep_their_sign(self):
+        # 0.0 == -0.0 in Python, but interning must keep the two
+        # constants apart whichever of them was interned first
+        def returning(value):
+            func = Function("f", returns_value=True)
+            func.add_block("L0").insts.extend(
+                [Assign(Reg(0, pseudo=False), Const(value)), Return()]
+            )
+            return func
+
+        positive, negative = returning(0.0), returning(-0.0)
+        positive_fp = flat_fingerprint(to_flat(positive))
+        back = from_flat(to_flat(negative))
+        assert format_function(back) == format_function(negative)
+        assert math.copysign(1.0, back.blocks[0].insts[0].src.value) == -1.0
+        assert flat_fingerprint(to_flat(negative)) != positive_fp
 
     def test_roundtrip_is_a_fresh_function(self):
         # from_flat builds new block lists: mutating the round-tripped

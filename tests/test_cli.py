@@ -100,6 +100,14 @@ class TestEnumerate:
         with pytest.raises(SystemExit, match="no function"):
             main(["enumerate", source_file, "--function", "nope"])
 
+    def test_profile_writes_stats(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        argv = ["enumerate", "bench:sha", "--function", "rol", "--profile"]
+        assert main(argv + ["--run-dir", str(run_dir)]) == 0
+        assert "rol" in capsys.readouterr().out
+        assert (run_dir / "profile.pstats").stat().st_size > 0
+        assert "cumulative" in (run_dir / "profile.txt").read_text()
+
 
 class TestEnumerateRobustness:
     def test_validate_flag(self, source_file, capsys):

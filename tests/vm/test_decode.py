@@ -108,11 +108,11 @@ def test_table_never_exceeds_its_bound():
 
 
 def test_float_zero_signs_stay_apart():
-    # Const(0.0) == Const(-0.0) and they hash alike, so the two blocks
-    # are equal tuples of equal instructions
+    # Const(0.0) and Const(-0.0) are distinct constants, so the two
+    # blocks are distinct table keys
     positive = function("f", Assign(R0, Const(0.0)), Return())
     negative = function("f", Assign(R0, Const(-0.0)), Return())
-    assert positive.blocks[0].insts == negative.blocks[0].insts
+    assert positive.blocks[0].insts != negative.blocks[0].insts
     for func, sign in ((positive, 1.0), (negative, -1.0), (positive, 1.0)):
         value = Interpreter(program_of(func)).run("f").value
         assert value == 0.0 and math.copysign(1.0, value) == sign
