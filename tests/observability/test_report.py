@@ -241,6 +241,27 @@ def test_unknown_event_kinds_warn_instead_of_erroring(tmp_path, capsys):
     assert summary["totals"]["unknown_events"] == 3
 
 
+def test_dropped_event_kinds_of_older_journals_warn(tmp_path, capsys):
+    # schema v3 dropped memo_stats and profile_run; a journal that an
+    # older build wrote still reads, with both counted as unknown
+    run_dir = tmp_path / "v2"
+    run_dir.mkdir()
+    records = [
+        {"t": 0.0, "event": "run_start", "tool": "repro.enumerate"},
+        {"t": 0.1, "event": "memo_stats", "hits": 0, "misses": 974},
+        {"t": 0.2, "event": "profile_run", "function": "rol", "wall": 0.1},
+        {"t": 0.3, "event": "run_end", "wall": 0.3},
+    ]
+    with open(run_dir / "events.jsonl", "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+    totals = summarize_run(str(run_dir))["totals"]
+    assert totals["schema_errors"] == 0
+    assert totals["unknown_event_names"] == ["memo_stats", "profile_run"]
+    assert main(["report", str(run_dir)]) == 0
+    assert "warning: 2 event(s) of unknown kind(s)" in capsys.readouterr().out
+
+
 def test_collapse_stats_render_in_report(tmp_path, capsys):
     run_dir = str(tmp_path / "collapse")
     assert (
