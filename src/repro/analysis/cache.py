@@ -16,11 +16,11 @@ The contract (documented on :meth:`Function.invalidate_analyses`):
   content-equal to its source at that moment, so the cached analyses
   describe it too; the rebinding discipline means neither side can
   clobber the other's view.
-- :class:`Liveness` holds a back-reference to the function it was
-  computed over (its per-instruction iterators re-walk ``self.func``).
-  When a cached view is requested for a *different* (cloned) function
-  object, the getter rebinds a view onto the current function — same
-  dataflow dicts, correct back-reference.
+- Analyses hold no reference to their function: the function holds
+  its cache, so a back-reference would make every function whose
+  analyses were read a reference cycle, freed only by the cyclic
+  garbage collector.  :class:`Liveness`'s per-instruction views take
+  the function as an argument instead.
 
 ``REPRO_PARANOID_ANALYSIS=1`` (or :func:`set_paranoid(True)`)
 recomputes on every hit and raises if a cached analysis disagrees with
@@ -88,7 +88,7 @@ def cfg_of(func: Function) -> CFG:
 
 
 def liveness_of(func: Function) -> Liveness:
-    """Register liveness, cached; rebound to *func* on clone sharing."""
+    """Register liveness, cached until the next invalidation."""
     cache = _cache_of(func)
     _note(cache.liveness is not None)
     if cache.liveness is None:
@@ -96,10 +96,6 @@ def liveness_of(func: Function) -> Liveness:
     elif _PARANOID:
         _compare_dicts(
             func, "liveness", cache.liveness.live_in, compute_liveness(func).live_in
-        )
-    if cache.liveness.func is not func:
-        cache.liveness = Liveness(
-            cache.liveness.live_in, cache.liveness.live_out, func
         )
     return cache.liveness
 

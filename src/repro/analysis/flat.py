@@ -10,16 +10,25 @@ without touching instruction objects.
 
 Caching follows the exact discipline of :mod:`repro.analysis.cache`:
 analyses live on ``FlatFunction._analyses``, clones share the cache
-object, and every mutation commit point rebinds it via
-``invalidate_analyses()``; paranoid mode (``set_paranoid``) checks
-every cache hit against a fresh computation here as well.
-Additionally, two per-block results are cached *globally* by interned
-block content, because the same few hundred distinct blocks recur
-across the whole enumeration space: register use/def masks (a pure
-function of the block's instruction ids and ``returns_value``) and
-frame effects (a pure function of the block, the function's scalar-slot
-offsets and the abstract fp-offset state flowing in).  Both memos
-clear when full; paranoid mode recomputes every hit in them too.
+object, every mutation commit point rebinds it via
+``invalidate_analyses()``, and no analysis holds a reference to its
+function (callers pass it), so a discarded candidate is freed by
+reference counting; paranoid mode (``set_paranoid``) checks every
+cache hit against a fresh computation here as well.
+
+The CFG (with its reachable set and reverse postorder), the dominator
+tree and the natural loops depend only on the labels and on each
+block's terminator, and a space holds few distinct control flows
+(Table 3's CF column), so they live in one bounded process-wide
+*shape table* keyed by exactly that; a function's analyses point at
+its shape's entry.  Entries are never mutated.  Two per-block results
+are likewise cached globally by interned block content, because the
+same few hundred distinct blocks recur across the whole enumeration
+space: register use/def masks (a pure function of the block's
+instruction ids and ``returns_value``) and frame effects (a pure
+function of the block, the function's scalar-slot offsets and the
+abstract fp-offset state flowing in).  The table and both memos clear
+when full; paranoid mode recomputes every hit in them too.
 """
 
 from __future__ import annotations
@@ -71,9 +80,12 @@ def _note(hit: bool) -> None:
 
 
 class FlatCFG:
-    """Successor/predecessor block-index lists (positional order)."""
+    """Successor/predecessor block-index lists (positional order), plus
+    the blocks reachable from the entry (block 0) and their reverse
+    postorder.  Shared through the shape table, so never mutated:
+    ``reachable`` is a frozenset and ``rpo`` a tuple."""
 
-    __slots__ = ("succs", "preds")
+    __slots__ = ("succs", "preds", "rpo", "reachable")
 
     def __init__(self, succs: List[List[int]]):
         self.succs = succs
@@ -81,41 +93,36 @@ class FlatCFG:
         for i, targets in enumerate(succs):
             for target in targets:
                 self.preds[target].append(i)
+        self.rpo: Tuple[int, ...] = _reverse_postorder(succs)
+        self.reachable: frozenset = frozenset(self.rpo)
 
-    def reachable(self, entry: int = 0) -> Set[int]:
-        seen = {entry}
-        stack = [entry]
-        while stack:
-            block = stack.pop()
-            for succ in self.succs[block]:
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        return seen
 
-    def reverse_postorder(self, entry: int = 0) -> List[int]:
-        seen = {entry}
-        postorder: List[int] = []
-        stack: List[Tuple[int, int]] = [(entry, 0)]
-        while stack:
-            current, pos = stack[-1]
-            succs = self.succs[current]
-            advanced = False
-            while pos < len(succs):
-                succ = succs[pos]
-                pos += 1
-                if succ not in seen:
-                    seen.add(succ)
-                    stack[-1] = (current, pos)
-                    stack.append((succ, 0))
-                    advanced = True
-                    break
-            if not advanced:
+def _reverse_postorder(all_succs: List[List[int]]) -> Tuple[int, ...]:
+    """Reverse postorder of the blocks reachable from block 0."""
+    if not all_succs:
+        return ()
+    seen = {0}
+    postorder: List[int] = []
+    stack: List[Tuple[int, int]] = [(0, 0)]
+    while stack:
+        current, pos = stack[-1]
+        succs = all_succs[current]
+        advanced = False
+        while pos < len(succs):
+            succ = succs[pos]
+            pos += 1
+            if succ not in seen:
+                seen.add(succ)
                 stack[-1] = (current, pos)
-                if pos >= len(succs):
-                    postorder.append(current)
-                    stack.pop()
-        return postorder[::-1]
+                stack.append((succ, 0))
+                advanced = True
+                break
+        if not advanced:
+            stack[-1] = (current, pos)
+            if pos >= len(succs):
+                postorder.append(current)
+                stack.pop()
+    return tuple(reversed(postorder))
 
 
 def build_flat_cfg(flat: FlatFunction) -> FlatCFG:
@@ -183,31 +190,28 @@ def _eval_block_use_def(block: List[int], returns_value: bool) -> Tuple[int, int
 
 
 class FlatLiveness:
-    """Per-block live-in/live-out register masks."""
+    """Per-block live-in/live-out register masks.
 
-    __slots__ = ("live_in", "live_out", "func", "after_memo")
+    Holds no reference to its function: a function's analyses hang off
+    the function, so a back-pointer would make every discarded candidate
+    a reference cycle.  Callers pass the function the liveness describes
+    (or a content-equal clone sharing its analyses)."""
 
-    def __init__(
-        self,
-        live_in: List[int],
-        live_out: List[int],
-        func: FlatFunction,
-        after_memo: Optional[Dict[int, List[int]]] = None,
-    ):
+    __slots__ = ("live_in", "live_out", "after_memo")
+
+    def __init__(self, live_in: List[int], live_out: List[int]):
         self.live_in = live_in
         self.live_out = live_out
-        self.func = func
-        # per-block memo of live_after_each, carried across rebinds
-        # (the fixpoint lists are shared, so the memo stays valid)
-        self.after_memo = {} if after_memo is None else after_memo
+        # per-block memo of live_after_each
+        self.after_memo: Dict[int, List[int]] = {}
 
-    def live_after_each(self, block_index: int) -> List[int]:
+    def live_after_each(self, flat: FlatFunction, block_index: int) -> List[int]:
         """Mask of registers live after each instruction of the block."""
         memo = self.after_memo.get(block_index)
         if memo is not None:
             return memo
-        block = self.func.blocks[block_index]
-        returns_value = self.func.returns_value
+        block = flat.blocks[block_index]
+        returns_value = flat.returns_value
         live = self.live_out[block_index]
         result = [0] * len(block)
         for i in range(len(block) - 1, -1, -1):
@@ -217,19 +221,6 @@ class FlatLiveness:
             if returns_value and KIND[iid] == K_RET:
                 live |= RV_BIT
         self.after_memo[block_index] = result
-        return result
-
-    def live_before_each(self, block_index: int) -> List[int]:
-        block = self.func.blocks[block_index]
-        returns_value = self.func.returns_value
-        live = self.live_out[block_index]
-        result = [0] * len(block)
-        for i in range(len(block) - 1, -1, -1):
-            iid = block[i]
-            live = (live & ~DEF_MASK[iid]) | USE_MASK[iid]
-            if returns_value and KIND[iid] == K_RET:
-                live |= RV_BIT
-            result[i] = live
         return result
 
 
@@ -261,7 +252,7 @@ def compute_flat_liveness(
                 live_out[i] = out
                 live_in[i] = new_in
                 changed = True
-    return FlatLiveness(live_in, live_out, flat)
+    return FlatLiveness(live_in, live_out)
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +406,7 @@ def _frame_effects(flat: FlatFunction, cfg: FlatCFG) -> List[_BlockFrame]:
     effects: List[Optional[_BlockFrame]] = [None] * n
     # Reverse postorder reaches each block after its DFS parent, so
     # every block of the order has an in-state by the time it is read.
-    order = cfg.reverse_postorder(0)
+    order = cfg.rpo
     changed = True
     while changed:
         changed = False
@@ -457,36 +448,25 @@ def compute_flat_frame_refs(
 class FlatSlotLiveness:
     """Per-block live-in/out sets of scalar frame-slot offsets."""
 
-    __slots__ = (
-        "live_in",
-        "live_out",
-        "func",
-        "tracked",
-        "frame_refs",
-        "after_memo",
-    )
+    __slots__ = ("live_in", "live_out", "tracked", "frame_refs", "after_memo")
 
-    def __init__(
-        self, live_in, live_out, func, tracked, frame_refs, after_memo=None
-    ):
+    def __init__(self, live_in, live_out, tracked, frame_refs):
         self.live_in = live_in
         self.live_out = live_out
-        self.func = func
         self.tracked = tracked
         self.frame_refs = frame_refs
-        self.after_memo: Dict[int, List[Set[int]]] = (
-            {} if after_memo is None else after_memo
-        )
+        self.after_memo: Dict[int, List[Set[int]]] = {}
 
     def live_after_each(self, block_index: int) -> List[Set[int]]:
+        """Slots live after each instruction of the block (the frame
+        refs hold one entry per instruction, so no function is needed)."""
         memo = self.after_memo.get(block_index)
         if memo is not None:
             return memo
-        block = self.func.blocks[block_index]
         refs = self.frame_refs.refs[block_index]
         live = set(self.live_out[block_index])
-        result: List[Set[int]] = [set()] * len(block)
-        for i in range(len(block) - 1, -1, -1):
+        result: List[Set[int]] = [set()] * len(refs)
+        for i in range(len(refs) - 1, -1, -1):
             ref = refs[i]
             result[i] = set(live)
             if not ref.wild_write:
@@ -525,7 +505,7 @@ def compute_flat_slot_liveness(
                 live_out[bi] = out
                 live_in[bi] = new_in
                 changed = True
-    return FlatSlotLiveness(live_in, live_out, flat, tracked, frame_refs)
+    return FlatSlotLiveness(live_in, live_out, tracked, frame_refs)
 
 
 # ----------------------------------------------------------------------
@@ -536,19 +516,11 @@ def compute_flat_slot_liveness(
 class FlatDominatorTree:
     """Immediate-dominator tree over reachable block indices."""
 
-    __slots__ = ("idom", "entry", "_depth")
+    __slots__ = ("idom", "entry")
 
     def __init__(self, idom: Dict[int, Optional[int]], entry: int = 0):
         self.idom = idom
         self.entry = entry
-        self._depth: Dict[int, int] = {}
-        for block in idom:
-            depth = 0
-            current: Optional[int] = block
-            while current is not None and current != entry:
-                current = idom[current]
-                depth += 1
-            self._depth[block] = depth
 
     def dominates(self, a: int, b: int) -> bool:
         current: Optional[int] = b
@@ -564,7 +536,11 @@ class FlatDominatorTree:
         return a != b and self.dominates(a, b)
 
     def depth(self, block: int) -> int:
-        return self._depth[block]
+        depth = 0
+        while block != self.entry:
+            block = self.idom[block]  # type: ignore[assignment]
+            depth += 1
+        return depth
 
 
 def compute_flat_dominators(
@@ -573,7 +549,7 @@ def compute_flat_dominators(
     if cfg is None:
         cfg = build_flat_cfg(flat)
     entry = 0
-    rpo = cfg.reverse_postorder(entry)
+    rpo = cfg.rpo
     position = {block: i for i, block in enumerate(rpo)}
     idom: Dict[int, Optional[int]] = {entry: None}
 
@@ -609,7 +585,8 @@ def compute_flat_dominators(
 
 
 class FlatLoop:
-    """A natural loop over block indices."""
+    """A natural loop over block indices (shared through the shape
+    table, so never mutated once found)."""
 
     __slots__ = ("header", "body", "latches", "depth")
 
@@ -634,13 +611,13 @@ def find_flat_loops(
     flat: FlatFunction,
     cfg: Optional[FlatCFG] = None,
     dom: Optional[FlatDominatorTree] = None,
-) -> List[FlatLoop]:
+) -> Tuple[FlatLoop, ...]:
     if cfg is None:
         cfg = build_flat_cfg(flat)
     if dom is None:
         dom = compute_flat_dominators(flat, cfg)
 
-    reachable = cfg.reachable(0)
+    reachable = cfg.reachable
     loops_by_header: Dict[int, FlatLoop] = {}
     # Positional order, not set order: the discovery order decides how
     # same-depth loops tie-break after the sort below, and phases act on
@@ -676,7 +653,82 @@ def find_flat_loops(
             and loop.body <= other.body
         )
     loops.sort(key=lambda loop: -loop.depth)
-    return loops
+    return tuple(loops)
+
+
+# ----------------------------------------------------------------------
+# Shape table: control-flow analyses shared by every function whose
+# labels and terminators match
+# ----------------------------------------------------------------------
+
+
+class _Shape(NamedTuple):
+    """A ``_SHAPES`` value: shared by every function of one shape, so
+    never mutated."""
+
+    cfg: FlatCFG
+    dominators: FlatDominatorTree
+    loops: Tuple[FlatLoop, ...]
+
+
+#: Entries in ``_SHAPES`` before it is cleared: four times the shapes
+#: of the largest measured space (dijkstra.enqueue_min, 479), at
+#: 2.9-5.6 KB an entry.
+_SHAPE_MAX = 1 << 11
+
+#: shape key (see ``_shape_key``) -> _Shape
+_SHAPES: Dict[Tuple, _Shape] = {}
+
+
+def _shape_key(flat: FlatFunction) -> Tuple:
+    """All that :func:`build_flat_cfg` reads: the labels, and each
+    block's terminator kind and target label as two consecutive ints
+    (-1, -1 for a block that falls through)."""
+    ends: List[int] = []
+    for block in flat.blocks:
+        last = block[-1] if block else -1
+        if last >= 0 and FLAGS[last] & F_TRANSFER:
+            ends += (KIND[last], TARGET_LID[last])
+        else:
+            ends += (-1, -1)
+    return (tuple(flat.labels), tuple(ends))
+
+
+def _compute_shape(flat: FlatFunction) -> _Shape:
+    cfg = build_flat_cfg(flat)
+    dominators = compute_flat_dominators(flat, cfg)
+    return _Shape(cfg, dominators, find_flat_loops(flat, cfg, dominators))
+
+
+def _shared_shape(flat: FlatFunction) -> _Shape:
+    key = _shape_key(flat)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        if len(_SHAPES) >= _SHAPE_MAX:
+            _SHAPES.clear()
+        shape = _SHAPES[key] = _compute_shape(flat)
+    elif _object_cache._PARANOID:
+        _check_shape(flat, shape)
+    return shape
+
+
+def _check_shape(flat: FlatFunction, shape: _Shape) -> None:
+    """Paranoid mode: a cached shape against a fresh computation."""
+    fresh = _shape_facts(_compute_shape(flat))
+    for what, cached in _shape_facts(shape).items():
+        _paranoid_check(flat, what, cached, fresh[what])
+
+
+def _shape_facts(shape: _Shape) -> Dict[str, object]:
+    cfg = shape.cfg
+    return {
+        "cfg": (cfg.succs, cfg.preds, cfg.rpo, cfg.reachable),
+        "dominators": shape.dominators.idom,
+        "loops": [
+            (loop.header, frozenset(loop.body), frozenset(loop.latches), loop.depth)
+            for loop in shape.loops
+        ],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -685,24 +737,21 @@ def find_flat_loops(
 
 
 class FlatAnalyses:
-    """Lazily-filled flat analyses for one function content."""
+    """Lazily-filled flat analyses for one function content; ``shape``
+    points at the function's entry in the shape table."""
 
     __slots__ = (
-        "cfg",
+        "shape",
         "liveness",
         "slot_liveness",
-        "dominators",
-        "loops",
         "single_defs",
         "reg_use_counts",
     )
 
     def __init__(self) -> None:
-        self.cfg: Optional[FlatCFG] = None
+        self.shape: Optional[_Shape] = None
         self.liveness: Optional[FlatLiveness] = None
         self.slot_liveness: Optional[FlatSlotLiveness] = None
-        self.dominators: Optional[FlatDominatorTree] = None
-        self.loops: Optional[List[FlatLoop]] = None
         self.single_defs: Optional[Dict[int, int]] = None
         self.reg_use_counts: Optional[Dict[int, int]] = None
 
@@ -717,8 +766,8 @@ def _cache_of(flat: FlatFunction) -> FlatAnalyses:
 def _paranoid_check(flat: FlatFunction, what: str, cached, fresh) -> None:
     if cached != fresh:
         raise RuntimeError(
-            f"{flat.name}: stale cached flat {what} "
-            "(a phase mutated without invalidate_analyses())"
+            f"{flat.name}: stale cached flat {what} (a phase mutated without "
+            "invalidate_analyses(), or a shared analysis was mutated)"
         )
 
 
@@ -730,21 +779,27 @@ def _paranoid_memo_check(what: str, key, cached, fresh) -> None:
         )
 
 
-def _loop_shape(loops: List[FlatLoop]) -> List[Tuple[int, frozenset, frozenset, int]]:
-    return [
-        (loop.header, frozenset(loop.body), frozenset(loop.latches), loop.depth)
-        for loop in loops
-    ]
+def _shape_of(flat: FlatFunction) -> _Shape:
+    cache = _cache_of(flat)
+    shape = cache.shape
+    _note(shape is not None)
+    if shape is None:
+        shape = cache.shape = _shared_shape(flat)
+    elif _object_cache._PARANOID:
+        _check_shape(flat, shape)
+    return shape
 
 
 def flat_cfg_of(flat: FlatFunction) -> FlatCFG:
-    cache = _cache_of(flat)
-    _note(cache.cfg is not None)
-    if cache.cfg is None:
-        cache.cfg = build_flat_cfg(flat)
-    elif _object_cache._PARANOID:
-        _paranoid_check(flat, "cfg", cache.cfg.succs, build_flat_cfg(flat).succs)
-    return cache.cfg
+    return _shape_of(flat).cfg
+
+
+def flat_dominators_of(flat: FlatFunction) -> FlatDominatorTree:
+    return _shape_of(flat).dominators
+
+
+def flat_loops_of(flat: FlatFunction) -> Tuple[FlatLoop, ...]:
+    return _shape_of(flat).loops
 
 
 def flat_liveness_of(flat: FlatFunction) -> FlatLiveness:
@@ -752,21 +807,13 @@ def flat_liveness_of(flat: FlatFunction) -> FlatLiveness:
     _note(cache.liveness is not None)
     if cache.liveness is None:
         cache.liveness = compute_flat_liveness(flat, flat_cfg_of(flat))
-        return cache.liveness
-    if _object_cache._PARANOID:
+    elif _object_cache._PARANOID:
         fresh = compute_flat_liveness(flat)
         _paranoid_check(
             flat,
             "liveness",
             (cache.liveness.live_in, cache.liveness.live_out),
             (fresh.live_in, fresh.live_out),
-        )
-    if cache.liveness.func is not flat:
-        cache.liveness = FlatLiveness(
-            cache.liveness.live_in,
-            cache.liveness.live_out,
-            flat,
-            cache.liveness.after_memo,
         )
     return cache.liveness
 
@@ -776,8 +823,7 @@ def flat_slot_liveness_of(flat: FlatFunction) -> FlatSlotLiveness:
     _note(cache.slot_liveness is not None)
     if cache.slot_liveness is None:
         cache.slot_liveness = compute_flat_slot_liveness(flat, flat_cfg_of(flat))
-        return cache.slot_liveness
-    if _object_cache._PARANOID:
+    elif _object_cache._PARANOID:
         fresh = compute_flat_slot_liveness(flat)
         _paranoid_check(
             flat,
@@ -785,47 +831,7 @@ def flat_slot_liveness_of(flat: FlatFunction) -> FlatSlotLiveness:
             (cache.slot_liveness.live_in, cache.slot_liveness.live_out),
             (fresh.live_in, fresh.live_out),
         )
-    if cache.slot_liveness.func is not flat:
-        old = cache.slot_liveness
-        cache.slot_liveness = FlatSlotLiveness(
-            old.live_in,
-            old.live_out,
-            flat,
-            old.tracked,
-            old.frame_refs,
-            old.after_memo,
-        )
     return cache.slot_liveness
-
-
-def flat_dominators_of(flat: FlatFunction) -> FlatDominatorTree:
-    cache = _cache_of(flat)
-    _note(cache.dominators is not None)
-    if cache.dominators is None:
-        cache.dominators = compute_flat_dominators(flat, flat_cfg_of(flat))
-    elif _object_cache._PARANOID:
-        _paranoid_check(
-            flat,
-            "dominators",
-            cache.dominators.idom,
-            compute_flat_dominators(flat).idom,
-        )
-    return cache.dominators
-
-
-def flat_loops_of(flat: FlatFunction) -> List[FlatLoop]:
-    cache = _cache_of(flat)
-    _note(cache.loops is not None)
-    if cache.loops is None:
-        cache.loops = find_flat_loops(flat, flat_cfg_of(flat), flat_dominators_of(flat))
-    elif _object_cache._PARANOID:
-        _paranoid_check(
-            flat,
-            "loops",
-            _loop_shape(cache.loops),
-            _loop_shape(find_flat_loops(flat)),
-        )
-    return cache.loops
 
 
 def flat_single_defs_of(flat: FlatFunction) -> Dict[int, int]:
@@ -876,7 +882,9 @@ def _single_defs(flat: FlatFunction, liveness: FlatLiveness) -> Dict[int, int]:
 
 
 def reset_flat_analysis_caches() -> None:
-    """Drop the per-block memos (tests / cold profiles)."""
+    """Drop the shape table and the per-block memos, so a test starts
+    cold (or stops reading an entry it corrupted on purpose)."""
+    _SHAPES.clear()
     _BLOCK_USE_DEF.clear()
     _BLOCK_FRAMES.clear()
     _INTERNED.clear()

@@ -12,41 +12,44 @@ from repro.machine.target import FP, RV
 
 
 class Liveness:
-    """Per-block live-in/live-out register sets."""
+    """Per-block live-in/live-out register sets.
 
-    __slots__ = ("live_in", "live_out", "func")
+    Holds no reference to its function (the function's analysis cache
+    holds the liveness, so a back-pointer would be a reference cycle):
+    the per-instruction views take the function they describe.
+    """
+
+    __slots__ = ("live_in", "live_out")
 
     def __init__(
         self,
         live_in: Dict[str, FrozenSet[Reg]],
         live_out: Dict[str, FrozenSet[Reg]],
-        func: Function,
     ):
         self.live_in = live_in
         self.live_out = live_out
-        self.func = func
 
-    def live_before_each(self, label: str) -> List[Set[Reg]]:
+    def live_before_each(self, func: Function, label: str) -> List[Set[Reg]]:
         """For each instruction of block *label*, registers live before it.
 
         The returned list is parallel to ``block.insts``; entry ``i`` is
         the live set immediately before instruction ``i``.
         """
-        block = self.func.block(label)
+        block = func.block(label)
         live = set(self.live_out[label])
         result: List[Set[Reg]] = [set()] * len(block.insts)
         for i in range(len(block.insts) - 1, -1, -1):
             inst = block.insts[i]
             live -= inst.defs()
             live |= inst.uses()
-            if isinstance(inst, Return) and self.func.returns_value:
+            if isinstance(inst, Return) and func.returns_value:
                 live.add(RV)
             result[i] = set(live)
         return result
 
-    def live_after_each(self, label: str) -> List[Set[Reg]]:
+    def live_after_each(self, func: Function, label: str) -> List[Set[Reg]]:
         """For each instruction of block *label*, registers live after it."""
-        block = self.func.block(label)
+        block = func.block(label)
         live = set(self.live_out[label])
         result: List[Set[Reg]] = [set()] * len(block.insts)
         for i in range(len(block.insts) - 1, -1, -1):
@@ -54,7 +57,7 @@ class Liveness:
             result[i] = set(live)
             live -= inst.defs()
             live |= inst.uses()
-            if isinstance(inst, Return) and self.func.returns_value:
+            if isinstance(inst, Return) and func.returns_value:
                 live.add(RV)
         return result
 
@@ -103,7 +106,6 @@ def compute_liveness(func: Function, cfg: Optional[CFG] = None) -> Liveness:
     return Liveness(
         {label: frozenset(value) for label, value in live_in.items()},
         {label: frozenset(value) for label, value in live_out.items()},
-        func,
     )
 
 
@@ -120,21 +122,21 @@ class SlotLiveness:
     and flags genuinely unknown frame-derived addresses as wild.
     """
 
-    __slots__ = ("live_in", "live_out", "func", "tracked", "frame_refs")
+    __slots__ = ("live_in", "live_out", "tracked", "frame_refs")
 
-    def __init__(self, live_in, live_out, func, tracked, frame_refs):
+    def __init__(self, live_in, live_out, tracked, frame_refs):
         self.live_in = live_in
         self.live_out = live_out
-        self.func = func
         self.tracked = tracked
         self.frame_refs = frame_refs
 
     def live_after_each(self, label: str) -> List[Set[int]]:
-        block = self.func.block(label)
+        """Slots live after each instruction of block *label* (the frame
+        refs hold one entry per instruction)."""
         refs = self.frame_refs.refs[label]
         live = set(self.live_out[label])
-        result: List[Set[int]] = [set()] * len(block.insts)
-        for i in range(len(block.insts) - 1, -1, -1):
+        result: List[Set[int]] = [set()] * len(refs)
+        for i in range(len(refs) - 1, -1, -1):
             ref = refs[i]
             result[i] = set(live)
             if not ref.wild_write:
@@ -185,4 +187,4 @@ def compute_slot_liveness(func: Function, cfg: Optional[CFG] = None) -> SlotLive
                 live_out[label] = out
                 live_in[label] = new_in
                 changed = True
-    return SlotLiveness(live_in, live_out, func, tracked, frame_refs)
+    return SlotLiveness(live_in, live_out, tracked, frame_refs)

@@ -72,7 +72,7 @@ def _try_color(flat: FlatFunction) -> Tuple[Dict[int, int], List[int]]:
 
     liveness = flat_liveness_of(flat)
     for bi, block in enumerate(flat.blocks):
-        live_after = liveness.live_after_each(bi)
+        live_after = liveness.live_after_each(flat, bi)
         for i, iid in enumerate(block):
             def_mask = DEF_MASK[iid]
             if not def_mask:

@@ -79,8 +79,7 @@ class BranchChaining(Phase):
 
         if changed:
             flat.invalidate_analyses()
-            cfg = flat_cfg_of(flat)
-            reachable = cfg.reachable(0)
+            reachable = flat_cfg_of(flat).reachable
             flat.blocks = [
                 block for i, block in enumerate(flat.blocks) if i in reachable
             ]
@@ -99,8 +98,7 @@ class RemoveUnreachableCode(Phase):
     name = "remove unreachable code"
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
-        cfg = flat_cfg_of(flat)
-        reachable = cfg.reachable(0)
+        reachable = flat_cfg_of(flat).reachable
         if len(reachable) == len(flat.blocks):
             return False
         flat.blocks = [

@@ -339,7 +339,7 @@ class CommonSubexpressionElimination(Phase):
         first_holder: Dict[Expr, int] = {}
         changed = False
         # Visit in a dominance-compatible order: reverse postorder.
-        for bi in cfg.reverse_postorder(0):
+        for bi in cfg.rpo:
             block = flat.blocks[bi]
             for i in range(len(block)):
                 iid = block[i]

@@ -58,7 +58,7 @@ class DeadAssignmentElimination(Phase):
         frame_refs = slot_liveness.frame_refs
         removed = False
         for bi, block in enumerate(flat.blocks):
-            live_after = liveness.live_after_each(bi)
+            live_after = liveness.live_after_each(flat, bi)
             slots_after = slot_liveness.live_after_each(bi)
             refs = frame_refs.refs[bi]
             cc_read_later = self._cc_read_flags(block)

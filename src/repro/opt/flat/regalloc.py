@@ -126,7 +126,7 @@ class RegisterAllocation(Phase):
                     for other in slots_in:
                         if other != offset:
                             slot_edges[offset].add(other)
-            regs_after = liveness.live_after_each(bi)
+            regs_after = liveness.live_after_each(flat, bi)
             slots_after = slot_liveness.live_after_each(bi)
             refs = frame_refs.refs[bi]
             for i, iid in enumerate(block):

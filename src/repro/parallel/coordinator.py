@@ -125,6 +125,7 @@ class WorkerPool:
         lease_timeout: float = 30.0,
         heartbeat_interval: float = 0.5,
         forward_events: bool = False,
+        profile: bool = False,
         chaos: Optional[Dict] = None,
         emit: Optional[Callable[..., None]] = None,
     ):
@@ -135,8 +136,12 @@ class WorkerPool:
         self._spec = {
             "heartbeat_interval": heartbeat_interval,
             "forward_events": forward_events,
+            "profile": profile,
             "parent": os.getpid(),
         }
+        #: with ``profile``: one cProfile stats dict per lease that ran
+        #: to its end in a worker (a result or an error)
+        self.profiles: List[Dict] = []
         self._chaos = chaos
         self._ctx = multiprocessing.get_context(resolve_start_method(start_method))
         self._pending = deque()
@@ -313,6 +318,8 @@ class WorkerPool:
             if "function" in fields and slot.task is not None:
                 fields["function"] = slot.task.label
             self._emit(name, **fields)
+        elif kind == "profile":
+            self.profiles.append(payload)
         elif kind == "result":
             task, slot.task = slot.task, None
             task.payload = payload
@@ -443,10 +450,15 @@ class ParallelEnumerator:
         self,
         config: Optional[EnumerationConfig] = None,
         parallel: Optional[ParallelConfig] = None,
+        profile: bool = False,
     ):
         self.config = config if config is not None else EnumerationConfig()
         self.parallel = parallel if parallel is not None else ParallelConfig()
         self._check_supported(self.config)
+        #: run each task under cProfile in its worker (``--profile``);
+        #: their stats, one dict per lease, land in ``worker_profiles``
+        self.profile = profile
+        self.worker_profiles: List[Dict] = []
         self._instances = 0
         if self.parallel.run_dir:
             os.makedirs(self.parallel.run_dir, exist_ok=True)
@@ -563,6 +575,7 @@ class ParallelEnumerator:
             lease_timeout=parallel.lease_timeout,
             heartbeat_interval=parallel.heartbeat_interval,
             forward_events=self._tracer is not None or parallel.progress is not None,
+            profile=self.profile,
             chaos=parallel.chaos,
             emit=self._emit,
         )
@@ -591,6 +604,7 @@ class ParallelEnumerator:
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
             pool.close()
+            self.worker_profiles.extend(pool.profiles)
 
     def _install_sigterm(self):
         """SIGTERM parity with ^C: an orchestrator shutdown takes the

@@ -305,13 +305,16 @@ class EnumerationServer:
             self._handle, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        # Not loop.add_signal_handler: closing the loop puts the default
+        # action back, and a second signal landing in the teardown after
+        # that would kill the process instead of being the hard stop.
+        # This handler outlives the loop; serve_main then ignores both.
+        def on_signal(*_) -> None:
+            if not loop.is_closed():
+                loop.call_soon_threadsafe(self.request_drain)
+
         for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.request_drain)
-            except (NotImplementedError, RuntimeError):
-                signal.signal(
-                    signum, lambda *_: loop.call_soon_threadsafe(self.request_drain)
-                )
+            signal.signal(signum, on_signal)
         from repro.parallel.coordinator import resolve_start_method
 
         # Fork-started workers copy this process as it is, with nothing
@@ -852,4 +855,9 @@ def serve_main(config: ServiceConfig) -> int:
     """Blocking entry point for ``repro serve``."""
     server = EnumerationServer(config)
     asyncio.run(server.serve())
+    # Stopped: a later signal has nothing left to stop.  Interpreter
+    # shutdown resets Python-level handlers to the default action, which
+    # would kill the process, so ignore the signals from here on.
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_IGN)
     return 0

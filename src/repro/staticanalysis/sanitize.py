@@ -338,7 +338,7 @@ def _structural(
     # Structure is sound (every branch target exists); reachability
     # checks need the CFG.
     cfg = flat_cfg_of(flat)
-    reachable = cfg.reachable(0)
+    reachable = cfg.reachable
     exits = [
         index
         for index in reachable

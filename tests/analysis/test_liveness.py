@@ -24,7 +24,7 @@ class TestRegisterLiveness:
     def test_straightline_chain(self):
         func = straightline()
         liveness = compute_liveness(func)
-        before = liveness.live_before_each("L0")
+        before = liveness.live_before_each(func, "L0")
         assert Reg(1) not in before[0]
         assert Reg(1) in before[1]
         assert Reg(2) in before[2]
@@ -35,7 +35,7 @@ class TestRegisterLiveness:
         func.returns_value = False
         liveness = compute_liveness(func)
         # the copy into RV is now dead at its own position
-        after = liveness.live_after_each("L0")
+        after = liveness.live_after_each(func, "L0")
         assert RV not in after[2]
 
     def test_loop_carried_liveness(self):

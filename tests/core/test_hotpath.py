@@ -179,13 +179,17 @@ class TestAnalysisCache:
             enumerate_space(func, EnumerationConfig(max_nodes=bound))
             for func, bound in inputs
         ]
-        # every getter gets a fresh, empty cache: nothing is reused
+        # every getter gets a fresh, empty cache and a freshly computed
+        # shape: nothing is reused
         monkeypatch.setattr(
             analysis_cache, "_cache_of", lambda f: analysis_cache.AnalysisCache()
         )
         fresh = lambda f: flat_analysis.FlatAnalyses()  # noqa: E731
         monkeypatch.setattr(flat_analysis, "_cache_of", fresh)
         monkeypatch.setattr(selection, "_cache_of", fresh)
+        monkeypatch.setattr(
+            flat_analysis, "_shared_shape", flat_analysis._compute_shape
+        )
         uncached = [
             enumerate_space(func, EnumerationConfig(max_nodes=bound))
             for func, bound in inputs
@@ -312,16 +316,103 @@ class TestAnalysisCache:
         # header and body, so a stale value of either must be caught
         flat = to_flat(compile_benchmark("bitcount").functions["bit_count"])
         (loop,) = flat_analysis.flat_loops_of(flat)
-        if field == "latches":
-            loop.latches = set()
-        else:
-            loop.depth += 1
         previous = set_paranoid(True)
         try:
+            if field == "latches":
+                loop.latches = set()
+            else:
+                loop.depth += 1
             with pytest.raises(RuntimeError, match="stale cached flat loops"):
                 flat_analysis.flat_loops_of(flat)
         finally:
             set_paranoid(previous)
+            # the corrupted loop is the shape table's: later lookups of
+            # this shape, in any test, would read it
+            flat_analysis.reset_flat_analysis_caches()
+
+
+class TestShapeTable:
+    """The CFG, dominators and loops shared by every function whose
+    labels and terminators match (``flat_analysis._SHAPES``)."""
+
+    def test_cfg_is_built_once_per_shape(self, monkeypatch):
+        func = compile_benchmark("bitcount").functions["main"]
+        implicit_cleanup(func)
+        builds = []
+        real = flat_analysis.build_flat_cfg
+
+        def counted(flat):
+            builds.append(flat_analysis._shape_key(flat))
+            return real(flat)
+
+        monkeypatch.setattr(flat_analysis, "build_flat_cfg", counted)
+        flat_analysis.reset_flat_analysis_caches()
+        try:
+            result = enumerate_space(func, EnumerationConfig())
+            shapes = len(flat_analysis._SHAPES)
+        finally:
+            flat_analysis.reset_flat_analysis_caches()
+        assert result.completed and len(result.dag) > 1000
+        # far fewer shapes than instances, each built exactly once
+        assert 1 < shapes < len(result.dag) // 10
+        assert len(builds) == len(set(builds)) == shapes
+
+    def test_paranoid_mode_recomputes_shape_hits(self, monkeypatch):
+        # A shared entry outlives every function that filled it: a wrong
+        # one would be reused by every later function of its shape, and
+        # one that reads its shape once would never have it checked,
+        # unless paranoid mode recomputes every table hit.
+        func = compile_benchmark("bitcount").functions["bit_count"]
+        implicit_cleanup(func)
+        flat_analysis.reset_flat_analysis_caches()
+        try:
+            flat_analysis.flat_cfg_of(to_flat(func))
+            key = flat_analysis._shape_key(to_flat(func))
+            entry = flat_analysis._SHAPES[key]
+            wrong = entry._replace(
+                cfg=flat_analysis.FlatCFG([[] for _ in entry.cfg.succs])
+            )
+            assert wrong.cfg.succs != entry.cfg.succs
+            monkeypatch.setitem(flat_analysis._SHAPES, key, wrong)
+            # a fresh function's first lookup is a table hit
+            assert flat_analysis.flat_cfg_of(to_flat(func)) is wrong.cfg
+            previous = set_paranoid(True)
+            try:
+                with pytest.raises(RuntimeError, match="stale cached flat cfg"):
+                    flat_analysis.flat_cfg_of(to_flat(func))
+            finally:
+                set_paranoid(previous)
+        finally:
+            flat_analysis.reset_flat_analysis_caches()
+
+    def test_shape_table_stays_within_its_bound(self, monkeypatch):
+        func = compile_benchmark("bitcount").functions["bit_count"]
+        implicit_cleanup(func)
+        config = EnumerationConfig(max_nodes=150)
+        flat_analysis.reset_flat_analysis_caches()
+        reference = dag_digest(enumerate_space(func, config).dag)
+        bound = 16
+        # unbounded, the run fills the table past the bound
+        assert len(flat_analysis._SHAPES) > bound
+
+        monkeypatch.setattr(flat_analysis, "_SHAPE_MAX", bound)
+        flat_analysis.reset_flat_analysis_caches()
+        peak = 0
+        real = flat_analysis._shared_shape
+
+        def watched(flat):
+            nonlocal peak
+            shape = real(flat)
+            peak = max(peak, len(flat_analysis._SHAPES))
+            return shape
+
+        monkeypatch.setattr(flat_analysis, "_shared_shape", watched)
+        try:
+            bounded = dag_digest(enumerate_space(func, config).dag)
+        finally:
+            flat_analysis.reset_flat_analysis_caches()
+        assert bounded == reference
+        assert peak == bound
 
 
 # ----------------------------------------------------------------------
