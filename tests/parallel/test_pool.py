@@ -3,6 +3,7 @@ orphaned workers."""
 
 from __future__ import annotations
 
+import cProfile
 import os
 import signal
 import subprocess
@@ -117,6 +118,32 @@ pool = WorkerPool(1, start_method="spawn", heartbeat_interval=0.1)
 print(pool._slots[0].process.pid, flush=True)
 os._exit(0)  # the coordinator dies while its worker still starts up
 """
+
+
+def _profiler_running(*, on_start) -> bool:
+    """Pool task: whether a profiler is running in the worker."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    in_use = monitoring is not None and monitoring.get_tool(monitoring.PROFILER_ID)
+    return sys.getprofile() is not None or bool(in_use)
+
+
+def test_workers_drop_a_profiler_forked_from_the_coordinator():
+    """``repro enumerate --profile`` profiles the coordinator while it
+    starts its workers.  A fork-started worker's copy of that profiler
+    could never report, and from Python 3.12 it holds the profiler tool
+    id, so the worker's own cProfile would fail to start."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        pool = WorkerPool(1)
+    finally:
+        profiler.disable()
+    try:
+        (done,) = run_all(pool, [pool.submit(_profiler_running, (), "probe")])
+    finally:
+        pool.close()
+    assert done.error is None
+    assert done.payload is False
 
 
 def _exited(pid: int) -> bool:
