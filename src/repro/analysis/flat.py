@@ -20,8 +20,11 @@ The CFG (with its reachable set and reverse postorder), the dominator
 tree and the natural loops depend only on the labels and on each
 block's terminator, and a space holds few distinct control flows
 (Table 3's CF column), so they live in one bounded process-wide
-*shape table* keyed by exactly that; a function's analyses point at
-its shape's entry.  Entries are never mutated.  Two per-block results
+*shape table* keyed by exactly that; a function points at its shape's
+entry (``FlatFunction._shape``), and an edit that leaves the labels and
+terminators alone keeps the pointer
+(``invalidate_analyses(keep_shape=True)``).  Entries are never
+mutated.  Two per-block results
 are likewise cached globally by interned block content, because the
 same few hundred distinct blocks recur across the whole enumeration
 space: register use/def masks (a pure function of the block's
@@ -737,23 +740,28 @@ def _shape_facts(shape: _Shape) -> Dict[str, object]:
 
 
 class FlatAnalyses:
-    """Lazily-filled flat analyses for one function content; ``shape``
-    points at the function's entry in the shape table."""
+    """Lazily-filled flat analyses for one function content.
+
+    ``assigned`` holds ``(target, function)``: the content after the
+    compulsory register assignment (``repro.opt.flat.assign``), never
+    mutated.  The shape-table pointer lives on the function itself
+    (``FlatFunction._shape``), so edits that keep the control flow
+    keep it."""
 
     __slots__ = (
-        "shape",
         "liveness",
         "slot_liveness",
         "single_defs",
         "reg_use_counts",
+        "assigned",
     )
 
     def __init__(self) -> None:
-        self.shape: Optional[_Shape] = None
         self.liveness: Optional[FlatLiveness] = None
         self.slot_liveness: Optional[FlatSlotLiveness] = None
         self.single_defs: Optional[Dict[int, int]] = None
         self.reg_use_counts: Optional[Dict[int, int]] = None
+        self.assigned: Optional[Tuple[object, FlatFunction]] = None
 
 
 def _cache_of(flat: FlatFunction) -> FlatAnalyses:
@@ -780,11 +788,10 @@ def _paranoid_memo_check(what: str, key, cached, fresh) -> None:
 
 
 def _shape_of(flat: FlatFunction) -> _Shape:
-    cache = _cache_of(flat)
-    shape = cache.shape
+    shape = flat._shape
     _note(shape is not None)
     if shape is None:
-        shape = cache.shape = _shared_shape(flat)
+        shape = flat._shape = _shared_shape(flat)
     elif _object_cache._PARANOID:
         _check_shape(flat, shape)
     return shape

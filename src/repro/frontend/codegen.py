@@ -69,32 +69,6 @@ def _is_struct_value(typ: str) -> bool:
     return typ.startswith("struct ") and not typ.endswith("*")
 
 
-def _exposed_locals(node: ast.FuncDef) -> frozenset:
-    """Names whose address is taken (``&x``) anywhere in *node*.
-
-    Address-exposed scalars must stay memory-resident: the frame
-    reference analysis assumes loaded values are never frame addresses,
-    so a scalar whose address escapes into a pointer would otherwise be
-    promoted to a register while stores through the pointer still hit
-    its stack slot.  Pinning the slot (``is_array=True``) takes it out
-    of ``scalar_slots()`` and keeps register allocation sound.
-    """
-    names = set()
-
-    def walk(obj) -> None:
-        if isinstance(obj, ast.AddrOf) and isinstance(obj.operand, ast.Var):
-            names.add(obj.operand.name)
-        if isinstance(obj, (ast.Expr, ast.Stmt, ast.SwitchCase)):
-            for field in obj.__dataclass_fields__:
-                walk(getattr(obj, field))
-        elif isinstance(obj, (list, tuple)):
-            for item in obj:
-                walk(item)
-
-    walk(node.body)
-    return frozenset(names)
-
-
 class _Symbol:
     """A resolved name: local slot, global, or array parameter."""
 
@@ -115,7 +89,14 @@ class _FunctionCodegen:
         self.generator = generator
         self.node = node
         self.ret_typ = node.ret_type + "*" * getattr(node, "ret_ptr", 0)
-        self.exposed = _exposed_locals(node)
+        # Address-exposed scalars must stay memory-resident: the frame
+        # reference analysis assumes loaded values are never frame
+        # addresses, so a scalar whose address escapes into a pointer
+        # would otherwise be promoted to a register while stores through
+        # the pointer still hit its stack slot.  Pinning the slot
+        # (``is_array=True``) takes it out of ``scalar_slots()`` and
+        # keeps register allocation sound.
+        self.exposed = generator.sema.alias.exposed_in(node.name)
         self.func = Function(node.name, returns_value=node.ret_type != "void")
         self.symbols: Dict[str, _Symbol] = {}
         self.current: BasicBlock = self.func.add_block()
@@ -956,7 +937,9 @@ class CodeGenerator:
             return 4 * len(self.struct_fields(typ, 0))
         return 4
 
-    def generate(self, unit: ast.TranslationUnit, sema=None) -> Program:
+    def generate(self, unit: ast.TranslationUnit, sema) -> Program:
+        """The program of *unit*, which *sema* (its clean
+        :class:`~repro.frontend.sema.SemaResult`) has checked."""
         self.sema = sema
         for struct in getattr(unit, "structs", ()):
             if struct.name in self.structs:
@@ -1001,27 +984,51 @@ class CodeGenerator:
         return self.program
 
 
-def compile_source(source: str, check: bool = True) -> Program:
+#: Programs in ``_COMPILED`` before it is cleared: far more distinct
+#: sources than one client or one study compiles.
+_COMPILED_MAX = 64
+
+#: source text -> the Program compiled from it.  Entries are never
+#: handed out, so never mutated: callers get copies.
+_COMPILED: Dict[str, Program] = {}
+
+
+def compile_source(source: str) -> Program:
     """Compile mini-C *source* into a Program of naive RTL functions.
 
     Semantic analysis (type checking, definite assignment, alias
     analysis) gates code generation: any error-severity diagnostic
     raises :class:`CompileError` with the full diagnostic list attached
-    as ``error.diagnostics``.  Pass ``check=False`` to skip the gate
-    (codegen keeps its own minimal checks for internal callers).
-    """
-    unit = parse(source)
-    sema = None
-    if check:
-        from repro.frontend.sema import analyze
+    as ``error.diagnostics``.
 
-        sema = analyze(unit)
-        errors = sema.errors
-        if errors:
-            first = errors[0]
-            error = CompileError(
-                f"{first.code}: {first.message}", first.line, first.column
-            )
-            error.diagnostics = sema.diagnostics
-            raise error
-    return CodeGenerator().generate(unit, sema=sema)
+    Each source is compiled once per process: the program is kept in a
+    bounded table keyed by the exact source text (a source that raises
+    is not kept), and every call returns a fresh :class:`Program` of
+    :meth:`Function.clone` copies and a copy of the globals dict, so a
+    caller may mutate its program.  The :class:`GlobalVar` objects are
+    shared and must not be mutated.
+    """
+    program = _COMPILED.get(source)
+    if program is None:
+        program = _compile(source)
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.clear()
+        _COMPILED[source] = program
+    copy = Program()
+    copy.globals = dict(program.globals)
+    copy.functions = {name: func.clone() for name, func in program.functions.items()}
+    return copy
+
+
+def _compile(source: str) -> Program:
+    unit = parse(source)
+    from repro.frontend.sema import analyze
+
+    sema = analyze(unit)
+    errors = sema.errors
+    if errors:
+        first = errors[0]
+        error = CompileError(f"{first.code}: {first.message}", first.line, first.column)
+        error.diagnostics = sema.diagnostics
+        raise error
+    return CodeGenerator().generate(unit, sema)

@@ -315,6 +315,7 @@ class FlatFunction:
         "unrolled",
         "mem_facts",
         "_analyses",
+        "_shape",
         "_scalar_slots",
         "_content_key",
     )
@@ -338,6 +339,10 @@ class FlatFunction:
         # with clones and rebound (never mutated) on invalidation,
         # exactly like Function._analyses.
         self._analyses = None
+        # The function's entry in the shape table of repro.analysis.flat
+        # (CFG, dominators, loops); kept by edits that leave every
+        # label and block terminator alone.
+        self._shape = None
         # Memoized scalar_slot_offsets; reset where frame slots are
         # added (spill slots in opt.flat.assign).
         self._scalar_slots: Optional[frozenset] = None
@@ -346,9 +351,14 @@ class FlatFunction:
         # code must call invalidate_analyses before anyone reads it).
         self._content_key: Optional[Tuple] = None
 
-    def invalidate_analyses(self) -> None:
+    def invalidate_analyses(self, keep_shape: bool = False) -> None:
+        """Drop the cached analyses after an edit.  *keep_shape* keeps
+        the shape pointer: only for an edit that left the labels and
+        each block's terminator kind and target as they were."""
         self._analyses = None
         self._content_key = None
+        if not keep_shape:
+            self._shape = None
 
     def clone(self) -> "FlatFunction":
         # bypass __init__: every slot is assigned below anyway, and
@@ -369,6 +379,7 @@ class FlatFunction:
         other.unrolled = self.unrolled  # never mutated in place on flat
         other.mem_facts = self.mem_facts  # plain data, never mutated
         other._analyses = self._analyses
+        other._shape = self._shape
         other._scalar_slots = self._scalar_slots
         other._content_key = self._content_key
         return other

@@ -10,7 +10,9 @@ and every caller applies phases through :func:`attempt_phase_on_flat`,
 which implements VPO's implicit behaviour around a phase:
 
 - compulsory register assignment runs before the first phase in a
-  sequence that requires it (c and k);
+  sequence that requires it (c and k); an instance's assigned form is
+  computed once per target and cloned for each such attempt
+  (:func:`~repro.opt.flat.assign.assigned_form`);
 - the implicit merge-basic-blocks / eliminate-empty-blocks cleanup runs
   after any active phase (these only canonicalize control flow and are
   not part of the candidate phase set);
@@ -35,7 +37,7 @@ from typing import Optional
 from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
-from repro.opt.flat.assign import flat_assign_registers
+from repro.opt.flat.assign import assigned_form
 from repro.opt.flat.cleanup import flat_implicit_cleanup
 
 
@@ -76,10 +78,10 @@ def attempt_phase_on_flat(
         target = DEFAULT_TARGET
     if not phase.applicable(flat):
         return None
-    candidate = flat.clone()
-    if phase.requires_assignment and not candidate.reg_assigned:
-        flat_assign_registers(candidate, target)
-        candidate.reg_assigned = True
+    if phase.requires_assignment and not flat.reg_assigned:
+        candidate = assigned_form(flat, target).clone()
+    else:
+        candidate = flat.clone()
     if not phase.run(candidate, target):
         return None
     _cleanup_fixpoint(candidate, phase, target)

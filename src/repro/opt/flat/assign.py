@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.analysis import cache as _object_cache
 from repro.analysis.defuse import rewrite_uses
-from repro.analysis.flat import flat_liveness_of
+from repro.analysis.flat import _cache_of, _paranoid_check, flat_liveness_of
 from repro.ir.flat import (
     DEF_MASK,
     INST_OBJS,
@@ -44,6 +45,35 @@ CONTRACT = {
     "establishes": ("registers-assigned", "no-pseudo-registers"),
     "breaks": (),
 }
+
+
+def assigned_form(flat: FlatFunction, target: Target) -> FlatFunction:
+    """*flat* after the compulsory register assignment for *target*.
+
+    Computed once per content and target and held on the content's
+    analyses, so c and k attempted on one instance share it (and the
+    analyses read on it).  Never mutated: callers clone it.
+    """
+    cache = _cache_of(flat)
+    held = cache.assigned
+    if held is None or held[0] is not target:
+        form = flat.clone()
+        flat_assign_registers(form, target)
+        held = cache.assigned = (target, form)
+    elif _object_cache._PARANOID:
+        fresh = flat.clone()
+        flat_assign_registers(fresh, target)
+        _paranoid_check(
+            flat,
+            "register assignment",
+            _assignment_facts(held[1]),
+            _assignment_facts(fresh),
+        )
+    return held[1]
+
+
+def _assignment_facts(flat: FlatFunction) -> Tuple:
+    return (flat.content_key(), flat.frame_size, flat.next_pseudo, list(flat.frame))
 
 
 def flat_assign_registers(flat: FlatFunction, target: Target) -> None:
@@ -165,7 +195,7 @@ def _rewrite(flat: FlatFunction, coloring: Dict[int, int]) -> None:
             )
             for iid in block
         ]
-    flat.invalidate_analyses()
+    flat.invalidate_analyses(keep_shape=True)
 
 
 def _spill_slot_name(flat: FlatFunction) -> str:
@@ -205,4 +235,4 @@ def _spill(flat: FlatFunction, pseudo_rid: int) -> None:
             else:
                 new_block.append(intern_inst(inst))
         flat.blocks[bi] = new_block
-    flat.invalidate_analyses()
+    flat.invalidate_analyses(keep_shape=True)

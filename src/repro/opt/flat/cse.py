@@ -224,7 +224,7 @@ class CommonSubexpressionElimination(Phase):
                 flat.blocks[bi] = list(result)
                 changed = True
         if changed:
-            flat.invalidate_analyses()
+            flat.invalidate_analyses(keep_shape=True)
         return changed
 
     @staticmethod
@@ -371,7 +371,7 @@ class CommonSubexpressionElimination(Phase):
                     block[i] = _copy_iid(dst, holder)
                     changed = True
         if changed:
-            flat.invalidate_analyses()
+            flat.invalidate_analyses(keep_shape=True)
         return changed
 
     # ------------------------------------------------------------------
@@ -433,5 +433,5 @@ class CommonSubexpressionElimination(Phase):
                     block[i] = legal
                     changed = True
         if changed:
-            flat.invalidate_analyses()
+            flat.invalidate_analyses(keep_shape=True)
         return changed

@@ -106,7 +106,7 @@ class DeadAssignmentElimination(Phase):
                         continue
                 kept.append(iid)
             flat.blocks[bi] = kept
-            flat.invalidate_analyses()
+            flat.invalidate_analyses(keep_shape=True)
         return removed
 
     @staticmethod

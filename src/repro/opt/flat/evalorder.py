@@ -159,6 +159,6 @@ class EvaluationOrderDetermination(Phase):
                 _SCHEDULES[key] = order
             if order != tuple(range(len(block))):
                 flat.blocks[bi] = [block[i] for i in order]
-                flat.invalidate_analyses()
+                flat.invalidate_analyses(keep_shape=True)
                 changed = True
         return changed

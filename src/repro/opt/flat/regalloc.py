@@ -105,7 +105,7 @@ class RegisterAllocation(Phase):
         if not coloring:
             return False
         self._rewrite(flat, frame_refs, coloring)
-        flat.invalidate_analyses()
+        flat.invalidate_analyses(keep_shape=True)
         return True
 
     @staticmethod

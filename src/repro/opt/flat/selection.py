@@ -161,7 +161,7 @@ class InstructionSelection(Phase):
                 flat.blocks[bi] = list(result)
                 folded_any = True
         if folded_any:
-            flat.invalidate_analyses()
+            flat.invalidate_analyses(keep_shape=True)
 
         counts = self._count_register_uses(flat)
         decisions = _target_cache(_DECISIONS, target)
@@ -227,7 +227,7 @@ class InstructionSelection(Phase):
         i, j, combined = action
         block[j] = combined
         del block[i]
-        flat.invalidate_analyses()
+        flat.invalidate_analyses(keep_shape=True)
         return True
 
     def _find_combine_action(

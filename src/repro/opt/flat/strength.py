@@ -147,5 +147,5 @@ class StrengthReduction(Phase):
                 flat.blocks[bi] = list(result)
                 changed = True
         if changed:
-            flat.invalidate_analyses()
+            flat.invalidate_analyses(keep_shape=True)
         return changed
