@@ -56,11 +56,13 @@ SLOW = {
     "function": "byte_reverse",
     "config": dict(GUARDED, max_nodes=1200),
 }
-#: the drain victim: same function, different budget = different work key
+#: the drain victim: same function, different budget = different work key.
+#: Big enough (about 2.5 s of guarded enumeration) that the SIGTERM sent
+#: 0.6 s into the request lands mid-enumeration, not after it finished.
 DRAIN = {
     "benchmark": "sha",
     "function": "byte_reverse",
-    "config": dict(GUARDED, max_nodes=1100),
+    "config": dict(GUARDED, max_nodes=2500),
 }
 FAST = [("sha", "rol"), ("jpeg", "descale")]
 
@@ -120,7 +122,9 @@ def fire(client, outcomes, index, **kwargs):
 def main():
     print("== serial references")
     slow_ref = serial_fingerprint("sha", "byte_reverse", max_nodes=1200)
-    drain_ref = serial_fingerprint("sha", "byte_reverse", max_nodes=1100)
+    drain_ref = serial_fingerprint(
+        "sha", "byte_reverse", max_nodes=DRAIN["config"]["max_nodes"]
+    )
     fast_refs = {
         (bench, name): serial_fingerprint(bench, name, max_nodes=2000)
         for bench, name in FAST
