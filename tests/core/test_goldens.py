@@ -18,6 +18,7 @@ against a second live code path; these goldens are the anchor instead.
   under each enumeration mode that drives phases differently: exact,
   ``remap=False``,
   ``share_prefixes=False``, semantic collapse, ``sanitize="fast"``,
+  ``sanitize="full"`` (findings and translation-validation verdicts),
   and ``validate`` (alone, and with ``sanitize="fast"``) under seeded
   fault injection (quarantine log and the journaled ``phase_stats``
   included);
@@ -87,6 +88,7 @@ MODES: Dict[str, Dict[str, object]] = {
     "replay": {"share_prefixes": False},
     "semantic": {"collapse": "semantic"},
     "sanitize-fast": {"sanitize": "fast"},
+    "sanitize-full": {"sanitize": "full"},
     "validate-faults": {"validate": True},
     "guarded-faults": {"validate": True, "sanitize": "fast"},
 }
