@@ -28,6 +28,26 @@ from repro.opt import PHASE_IDS
 from repro.robustness.guard import GuardedPhaseRunner
 
 
+def update_probabilities(
+    probability: Dict[str, float],
+    phase_ids: Sequence[str],
+    active: str,
+    interactions: InteractionAnalysis,
+) -> None:
+    """Figure 8's update after phase *active* was active: for every
+    other phase i, ``p[i] += (1 - p[i]) * e[i][active] - p[i] *
+    d[i][active]``, in place."""
+    enabling = interactions.enabling
+    disabling = interactions.disabling
+    for pid in phase_ids:
+        if pid == active:
+            continue
+        enable = enabling.get(pid, {}).get(active, 0.0)
+        disable = disabling.get(pid, {}).get(active, 0.0)
+        p = probability[pid]
+        probability[pid] = p + (1.0 - p) * enable - p * disable
+
+
 class ProbabilisticCompiler:
     """Dynamically select the next phase by activity probability."""
 
@@ -66,8 +86,6 @@ class ProbabilisticCompiler:
     def compile(self, func: Function) -> CompilationReport:
         """Optimize *func* in place with Figure 8's algorithm."""
         start = time.perf_counter()
-        enabling = self.interactions.enabling
-        disabling = self.interactions.disabling
         phase_ids: Sequence[str] = self.interactions.phase_ids or PHASE_IDS
 
         probability: Dict[str, float] = {
@@ -91,13 +109,7 @@ class ProbabilisticCompiler:
             if candidate is not None:
                 flat = candidate
                 active_sequence.append(best)
-                for pid in phase_ids:
-                    if pid == best:
-                        continue
-                    enable = enabling.get(pid, {}).get(best, 0.0)
-                    disable = disabling.get(pid, {}).get(best, 0.0)
-                    p = probability[pid]
-                    probability[pid] = p + (1.0 - p) * enable - p * disable
+                update_probabilities(probability, phase_ids, best, self.interactions)
             probability[best] = 0.0
         from_flat(flat, into=func)
         elapsed = time.perf_counter() - start

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.interactions import InteractionAnalysis
+from repro.core.probabilistic import update_probabilities
 from repro.ir.flat import from_flat
 from repro.ir.function import Function
 from repro.machine.target import Target
@@ -65,8 +66,6 @@ class TableDrivenPolicy(SearchStrategy):
         return self.rng.choices(candidates, weights=weights, k=1)[0]
 
     def _rollout(self, stochastic: bool) -> Tuple[Tuple[str, ...], Function]:
-        enabling = self.interactions.enabling
-        disabling = self.interactions.disabling
         phase_ids: Sequence[str] = self.interactions.phase_ids or PHASE_IDS
         probability = {
             pid: self.interactions.start.get(pid, 0.0) for pid in phase_ids
@@ -82,15 +81,7 @@ class TableDrivenPolicy(SearchStrategy):
             candidate = attempt_phase_on_flat(flat, phase_by_id(best), self.target)
             if candidate is not None:
                 flat = candidate
-                # Figure 8's update rule:
-                #   p[i] += (1 - p[i]) * e[i][j] - p[i] * d[i][j]
-                for pid in phase_ids:
-                    if pid == best:
-                        continue
-                    enable = enabling.get(pid, {}).get(best, 0.0)
-                    disable = disabling.get(pid, {}).get(best, 0.0)
-                    p = probability[pid]
-                    probability[pid] = p + (1.0 - p) * enable - p * disable
+                update_probabilities(probability, phase_ids, best, self.interactions)
             probability[best] = 0.0
         return tuple(applied), from_flat(flat)
 

@@ -9,7 +9,9 @@ below the exhaustive optimum of the fully enumerated space.
 import pytest
 
 from repro.core.enumeration import EnumerationConfig, enumerate_space
+from repro.core.fingerprint import fingerprint_function
 from repro.core.interactions import analyze_interactions
+from repro.core.probabilistic import ProbabilisticCompiler
 from repro.frontend import compile_source
 from repro.opt import implicit_cleanup
 from repro.search import (
@@ -151,6 +153,20 @@ class TestStrategySpecifics:
         greedy2 = policy2._rollout(stochastic=False)[0]
         # the greedy trajectory is seed-independent by construction
         assert greedy1 == greedy2
+
+    def test_policy_first_rollout_ends_where_the_probabilistic_compiler_does(
+        self, clamp_interactions
+    ):
+        # Both run Figure 8's update rule: with the compiler's step
+        # budget, the greedy rollout ends on the compiler's instance.
+        policy = TableDrivenPolicy(
+            clamp_function(), clamp_interactions, rollouts=1, max_steps=500
+        )
+        _sequence, rolled = policy._rollout(stochastic=False)
+        compiled = clamp_function()
+        report = ProbabilisticCompiler(clamp_interactions).compile(compiled)
+        assert report.active > 0
+        assert fingerprint_function(rolled) == fingerprint_function(compiled)
 
     def test_bandit_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="bad bandit policy"):
