@@ -1,20 +1,27 @@
 """Dataflow analyses over the flat IR (bitmask registers, int blocks).
 
-The analyses the phases decide on, over
-:class:`~repro.ir.flat.FlatFunction`: liveness as int bitmasks over
-interned register ids; CFGs, dominators and natural loops over
-positional block indices.  Liveness and the frame facts compute the
-same fixpoints as their object-IR counterparts in :mod:`repro.analysis`,
-so the phases decide on the same facts the object-IR verifiers see,
-without touching instruction objects.
+The analyses over :class:`~repro.ir.flat.FlatFunction`: liveness as
+int bitmasks over interned register ids; CFGs, dominators and natural
+loops over positional block indices.  The frame facts compute the
+same fixpoint as :mod:`repro.analysis.framerefs` and
+:func:`~repro.analysis.liveness.compute_slot_liveness`, the object-IR
+reference they are tested against.
 
-Caching follows the exact discipline of :mod:`repro.analysis.cache`:
-analyses live on ``FlatFunction._analyses``, clones share the cache
+These are the only CFG, liveness and frame analyses in the program:
+the phases decide on them, and the verifiers (the sanitizer, the
+translation validator, the semantic collapser) read them too.
+Analyses live on ``FlatFunction._analyses``, clones share the cache
 object, every mutation commit point rebinds it via
 ``invalidate_analyses()``, and no analysis holds a reference to its
 function (callers pass it), so a discarded candidate is freed by
-reference counting; paranoid mode (``set_paranoid``) checks every
-cache hit against a fresh computation here as well.
+reference counting.
+
+``REPRO_PARANOID_ANALYSIS=1`` (or :func:`set_paranoid(True)`)
+recomputes on every hit — of a function's cache, the shape table, the
+per-block memos and the memos other modules register (the sanitizer's
+fact tables, the compulsory assignment) — and raises if the cached
+value disagrees with a fresh one, catching any code that mutates
+without invalidating.
 
 The CFG (with its reachable set and reverse postorder), the dominator
 tree and the natural loops depend only on the labels and on each
@@ -36,9 +43,9 @@ when full; paranoid mode recomputes every hit in them too.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.analysis import cache as _object_cache
 from repro.analysis.framerefs import (
     _NO_REFS,
     _OTHER,
@@ -69,6 +76,17 @@ from repro.observability import tracer as _obs
 #: rid of the return-value register (hardware r0 is seeded at rid 0).
 RV_RID = 0
 RV_BIT = 1 << RV_RID
+
+_PARANOID = bool(os.environ.get("REPRO_PARANOID_ANALYSIS"))
+
+
+def set_paranoid(enabled: bool) -> bool:
+    """Recompute-and-compare on every cache hit (differential mode);
+    returns the previous setting."""
+    global _PARANOID
+    previous = _PARANOID
+    _PARANOID = enabled
+    return previous
 
 
 def _note(hit: bool) -> None:
@@ -174,7 +192,7 @@ def _block_use_def(block: List[int], returns_value: bool) -> Tuple[int, int]:
         if len(_BLOCK_USE_DEF) >= _BLOCK_MEMO_MAX:
             _BLOCK_USE_DEF.clear()
         cached = _BLOCK_USE_DEF[key] = _eval_block_use_def(block, returns_value)
-    elif _object_cache._PARANOID:
+    elif _PARANOID:
         _paranoid_memo_check(
             "block use/def", key, cached, _eval_block_use_def(block, returns_value)
         )
@@ -317,7 +335,7 @@ def _block_frame(tracked: frozenset, block: List[int], state: frozenset) -> _Blo
             _BLOCK_FRAMES.clear()
             _INTERNED.clear()
         cached = _BLOCK_FRAMES[key] = _eval_block_frame(tracked, block, state)
-    elif _object_cache._PARANOID:
+    elif _PARANOID:
         _paranoid_memo_check(
             "frame effects", key, cached, _eval_block_frame(tracked, block, state)
         )
@@ -710,7 +728,7 @@ def _shared_shape(flat: FlatFunction) -> _Shape:
         if len(_SHAPES) >= _SHAPE_MAX:
             _SHAPES.clear()
         shape = _SHAPES[key] = _compute_shape(flat)
-    elif _object_cache._PARANOID:
+    elif _PARANOID:
         _check_shape(flat, shape)
     return shape
 
@@ -792,7 +810,7 @@ def _shape_of(flat: FlatFunction) -> _Shape:
     _note(shape is not None)
     if shape is None:
         shape = flat._shape = _shared_shape(flat)
-    elif _object_cache._PARANOID:
+    elif _PARANOID:
         _check_shape(flat, shape)
     return shape
 
@@ -814,7 +832,7 @@ def flat_liveness_of(flat: FlatFunction) -> FlatLiveness:
     _note(cache.liveness is not None)
     if cache.liveness is None:
         cache.liveness = compute_flat_liveness(flat, flat_cfg_of(flat))
-    elif _object_cache._PARANOID:
+    elif _PARANOID:
         fresh = compute_flat_liveness(flat)
         _paranoid_check(
             flat,
@@ -830,7 +848,7 @@ def flat_slot_liveness_of(flat: FlatFunction) -> FlatSlotLiveness:
     _note(cache.slot_liveness is not None)
     if cache.slot_liveness is None:
         cache.slot_liveness = compute_flat_slot_liveness(flat, flat_cfg_of(flat))
-    elif _object_cache._PARANOID:
+    elif _PARANOID:
         fresh = compute_flat_slot_liveness(flat)
         _paranoid_check(
             flat,
@@ -854,7 +872,7 @@ def flat_single_defs_of(flat: FlatFunction) -> Dict[int, int]:
     _note(cache.single_defs is not None)
     if cache.single_defs is None:
         cache.single_defs = _single_defs(flat, flat_liveness_of(flat))
-    elif _object_cache._PARANOID:
+    elif _PARANOID:
         _paranoid_check(
             flat,
             "single defs",

@@ -684,16 +684,16 @@ def _infer_ir_metadata(func) -> None:
     # Arity: a dump carries no parameter list, so the definedness seed
     # would treat every argument register as undefined.  Argument
     # registers live into the entry block *are* the arguments.
-    from repro.analysis.cache import liveness_of
+    from repro.analysis.flat import flat_liveness_of
+    from repro.ir.flat import regs_of_mask, to_flat
     from repro.machine.target import ARG_REGS
 
-    live_in = liveness_of(func).live_in.get(func.entry.label, frozenset())
+    live_in = set(regs_of_mask(flat_liveness_of(to_flat(func)).live_in[0]))
     arity = max(
         (index + 1 for index, reg in enumerate(ARG_REGS) if reg in live_in),
         default=0,
     )
     func.params = [f"p{index}" for index in range(arity)]
-    func.invalidate_analyses()
 
 
 def _lint_run_dir(run_dir: str, mode: str):

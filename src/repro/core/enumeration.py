@@ -537,7 +537,9 @@ class SpaceEnumerator:
             self.texts[root_key] = root_fp.text
         if self.collapser is not None:
             self.collapser.register(
-                self.collapser.digest_of(root_func), root.node_id, root_func
+                self.collapser.digest_of(self.root_flat),
+                root.node_id,
+                self.root_flat,
             )
         # Paths from the root, used to replay sequences when prefix
         # sharing is disabled.
@@ -807,12 +809,8 @@ class SpaceEnumerator:
                 added_edges.append((node, phase.id, existing))
                 continue
             digest = None
-            candidate_obj = None
             if self.collapser is not None:
-                candidate_obj = from_flat(candidate)
-                digest, rep = self.collapser.merge_target(
-                    self.dag, node, candidate_obj
-                )
+                digest, rep = self.collapser.merge_target(self.dag, node, candidate)
                 if rep is not None:
                     self.dag.add_alias(key, rep.node_id)
                     added_aliases.append(key)
@@ -829,7 +827,7 @@ class SpaceEnumerator:
             )
             child.function = candidate
             if self.collapser is not None and self.collapser.register(
-                digest, child.node_id, candidate_obj
+                digest, child.node_id, candidate
             ):
                 added_digests.append((digest, child.node_id))
             if config.exact:

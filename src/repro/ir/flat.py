@@ -335,9 +335,11 @@ class FlatFunction:
         self.alloc_applied = False
         self.unrolled: set = set()
         self.mem_facts = None  # source-level facts; see Function.mem_facts
-        # Lazily-populated flat analyses (repro.analysis.flat); shared
-        # with clones and rebound (never mutated) on invalidation,
-        # exactly like Function._analyses.
+        # Lazily-populated flat analyses (repro.analysis.flat): clones
+        # share the cache object (content-equal functions have equal
+        # analyses), and every mutation commit point rebinds it via
+        # invalidate_analyses() rather than clearing it, so a sibling's
+        # view is never clobbered.
         self._analyses = None
         # The function's entry in the shape table of repro.analysis.flat
         # (CFG, dominators, loops); kept by edits that leave every
@@ -478,7 +480,6 @@ def from_flat(flat: FlatFunction, into: Optional[Function] = None) -> Function:
     func.alloc_applied = flat.alloc_applied
     func.unrolled = set(flat.unrolled)
     func.mem_facts = flat.mem_facts
-    func.invalidate_analyses()
     return func
 
 

@@ -102,20 +102,6 @@ class Function:
         # Headers of loops already unrolled (loop unrolling applies to
         # each loop at most once, as VPO's does).
         self.unrolled: set = set()
-        # Lazily-populated dataflow analyses (repro.analysis.cache).
-        # Clones share the cache object: content-equal functions have
-        # equal analyses, and every mutation commit point replaces the
-        # reference via invalidate_analyses(), so a sibling's view is
-        # never clobbered.
-        self._analyses = None
-
-    def invalidate_analyses(self) -> None:
-        """Drop cached analyses after a mutation.
-
-        Rebinds instead of clearing: the cache object may be shared
-        with clones whose contents it still describes.
-        """
-        self._analyses = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -204,7 +190,6 @@ class Function:
         other.alloc_applied = self.alloc_applied
         other.unrolled = set(self.unrolled)
         other.mem_facts = dict(self.mem_facts) if self.mem_facts else self.mem_facts
-        other._analyses = self._analyses
         return other
 
     def __repr__(self):

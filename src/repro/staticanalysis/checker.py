@@ -15,11 +15,11 @@ order:
    quarantines under the existing ``semantics`` kind, the same bucket
    the VM difftester uses.
 
-The fast checks and the contract read the flat IR: memoized
-per-instruction and per-block facts plus the candidate's cached flat
-CFG and liveness, so a clean fast-mode edge builds no object view.
-Full mode's dataflow checks and the translation validator read object
-views (``from_flat``).
+Every check reads the flat IR: memoized per-instruction and per-block
+facts plus the cached flat CFG and liveness of both sides, so a clean
+fast-mode edge, and a full-mode edge the validator proves, builds no
+object view.  Only VM co-execution (an edge the prover cannot match)
+converts, with ``from_flat``.
 
 The checker is purely observational on healthy code: it never mutates
 either function, so enumerated DAGs are bit-identical with it on or
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.ir.flat import FlatFunction, from_flat
+from repro.ir.flat import FlatFunction
 from repro.ir.function import Program
 from repro.ir.validate import IRValidationError, problems_of
 from repro.machine.target import DEFAULT_TARGET, Target
@@ -115,12 +115,10 @@ class EdgeChecker:
             findings = sanitize_mod.fast_findings(after, self.target, program)
         self.counters["edges"] += 1
         self.last_verdict = None
-        after_func = None
         if self.mode == sanitize_mod.FULL and not sanitize_mod.structural_failure(
             findings
         ):
-            after_func = from_flat(after)
-            findings.extend(sanitize_mod.full_findings(after_func, program))
+            findings.extend(sanitize_mod.full_findings(after, program))
         if findings:
             self.counters["findings"] += len(findings)
             return "sanitizer", _summary(findings)
@@ -129,7 +127,7 @@ class EdgeChecker:
             self.counters["contract_violations"] += len(violations)
             return "contract", _summary(violations)
         if self.transval is not None:
-            verdict = self.transval.classify(from_flat(before), after_func)
+            verdict = self.transval.classify(before, after)
             self.counters[verdict.status] += 1
             self.last_verdict = verdict.status
             if verdict.status == REFUTED:

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.framerefs import _mem_exprs
-from repro.ir.cfg import CFG, build_cfg
-from repro.ir.function import Function, Program
+from repro.analysis.flat import FlatCFG, flat_cfg_of
+from repro.ir.flat import INST_OBJS, LABEL_STRS, MEM_REFS, FlatFunction
+from repro.ir.function import Program
 from repro.ir.instructions import Assign, Instruction
 from repro.ir.operands import BinOp, Const, Expr, Reg, Sym, UnOp
 from repro.machine.target import FP
@@ -115,92 +115,105 @@ def _transfer(inst: Instruction, state: Dict[Reg, object]) -> None:
         state[reg] = UNKNOWN
 
 
-def memory_findings(
-    func: Function,
-    cfg: Optional[CFG] = None,
-    program: Optional[Program] = None,
-) -> List["Finding"]:
-    """Run the abstract-address dataflow and report MEM001-MEM004."""
-    from repro.staticanalysis.sanitize import Finding
+def address_walk(flat: FlatFunction, cfg: FlatCFG, transfer, join, default):
+    """Every memory reference of *flat*'s reachable blocks with the
+    abstract state it is evaluated in.
 
-    if cfg is None:
-        cfg = build_cfg(func)
-    globals_words: Dict[str, int] = {}
-    if program is not None:
-        globals_words = {v.name: v.words for v in program.globals.values()}
-
-    entry = func.entry.label
-    in_states: Dict[str, Optional[Dict[Reg, object]]] = {
-        block.label: None for block in func.blocks
-    }
-    in_states[entry] = {}
-    order = cfg.reverse_postorder(entry)
+    The forward dataflow the address checks share (this module's
+    MEM001-MEM004 and the sanitizer's FRAME003): a state maps registers
+    to abstract values, the entry block starts empty, *transfer*
+    updates a state in place for one instruction object, and states
+    meet register by register with *join*, *default* standing for a
+    register a state does not hold.  Yields ``(label, index, mem,
+    is_write, state)`` in reverse postorder, *state* being the state
+    before instruction *index* (read it before the next item).
+    """
+    blocks = flat.blocks
+    insts = INST_OBJS
+    succs = cfg.succs
+    in_states: List[Optional[Dict[Reg, object]]] = [None] * len(blocks)
+    in_states[0] = {}
+    # Reverse postorder reaches each block after its DFS parent, so
+    # every block of the order has an in-state by the time it is read.
     changed = True
     while changed:
         changed = False
-        for label in order:
-            state = in_states[label]
-            if state is None:
-                continue
-            current = dict(state)
-            for inst in func.block(label).insts:
-                _transfer(inst, current)
-            for succ in cfg.succs.get(label, ()):
+        for bi in cfg.rpo:
+            current = dict(in_states[bi])
+            for iid in blocks[bi]:
+                transfer(insts[iid], current)
+            for succ in succs[bi]:
                 existing = in_states[succ]
                 if existing is None:
                     in_states[succ] = dict(current)
                     changed = True
                     continue
                 merged = {
-                    reg: _join(
-                        existing.get(reg, UNKNOWN), current.get(reg, UNKNOWN)
-                    )
+                    reg: join(existing.get(reg, default), current.get(reg, default))
                     for reg in set(existing) | set(current)
                 }
                 if merged != existing:
                     in_states[succ] = merged
                     changed = True
+    for bi in cfg.rpo:
+        current = dict(in_states[bi])
+        label = LABEL_STRS[flat.labels[bi]]
+        for index, iid in enumerate(blocks[bi]):
+            for mem, is_write in MEM_REFS[iid]:
+                yield label, index, mem, is_write, current
+            transfer(insts[iid], current)
+
+
+def memory_findings(
+    flat: FlatFunction,
+    program: Optional[Program] = None,
+    cfg: Optional[FlatCFG] = None,
+) -> List["Finding"]:
+    """Run the abstract-address dataflow and report MEM001-MEM004."""
+    from repro.staticanalysis.sanitize import Finding
+
+    if cfg is None:
+        cfg = flat_cfg_of(flat)
+    globals_words: Dict[str, int] = {}
+    if program is not None:
+        globals_words = {v.name: v.words for v in program.globals.values()}
 
     findings: List[Finding] = []
-    for label in order:
-        state = in_states[label]
-        current = dict(state) if state is not None else {}
-        for index, inst in enumerate(func.block(label).insts):
-            for mem, is_write in _mem_exprs(inst):
-                value = _eval(mem.addr, current)
-                where = f"{label}#{index}"
-                access = "store" if is_write else "load"
-                if value[0] == "const":
-                    findings.append(
-                        Finding(
-                            "MEM002" if is_write else "MEM001",
-                            func.name,
-                            where,
-                            f"wild {access} at constant address {value[1]}",
-                        )
+    for label, index, mem, is_write, state in address_walk(
+        flat, cfg, _transfer, _join, UNKNOWN
+    ):
+        value = _eval(mem.addr, state)
+        where = f"{label}#{index}"
+        access = "store" if is_write else "load"
+        if value[0] == "const":
+            findings.append(
+                Finding(
+                    "MEM002" if is_write else "MEM001",
+                    flat.name,
+                    where,
+                    f"wild {access} at constant address {value[1]}",
+                )
+            )
+        elif value[0] in ("fp", "glob") and value[-1] % 4 != 0:
+            findings.append(
+                Finding(
+                    "MEM003",
+                    flat.name,
+                    where,
+                    f"misaligned {access} at offset {value[-1]} from {value[0]}",
+                )
+            )
+        elif value[0] == "glob" and value[1] in globals_words:
+            extent = 4 * globals_words[value[1]]
+            offset = value[2]
+            if offset < 0 or offset + 4 > extent:
+                findings.append(
+                    Finding(
+                        "MEM004",
+                        flat.name,
+                        where,
+                        f"global {access} at {value[1]}+{offset} is "
+                        f"outside the object of {extent} bytes",
                     )
-                elif value[0] in ("fp", "glob") and value[-1] % 4 != 0:
-                    findings.append(
-                        Finding(
-                            "MEM003",
-                            func.name,
-                            where,
-                            f"misaligned {access} at offset {value[-1]} "
-                            f"from {value[0]}",
-                        )
-                    )
-                elif value[0] == "glob" and value[1] in globals_words:
-                    extent = 4 * globals_words[value[1]]
-                    offset = value[2]
-                    if offset < 0 or offset + 4 > extent:
-                        findings.append(
-                            Finding(
-                                "MEM004",
-                                func.name,
-                                where,
-                                f"global {access} at {value[1]}+{offset} is "
-                                f"outside the object of {extent} bytes",
-                            )
-                        )
-            _transfer(inst, current)
+                )
     return findings

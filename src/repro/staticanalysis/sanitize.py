@@ -49,35 +49,30 @@ instruction's legality and register facts are memoized per target by
 interned instruction id, a block's merged facts by block content id,
 and the function-level checks read the function's cached flat CFG and
 liveness — so the guard checks a clean edge without building object
-views.  The object-IR entry points convert with ``to_flat``; full
-mode's checks read the object view.
+views.  Full mode's dataflow checks run on the flat IR too, over the
+same cached CFG.  The object-IR entry points convert once with
+``to_flat``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.analysis import cache as _object_cache
 from repro.analysis import flat as _flat_analysis
-from repro.analysis.cache import cfg_of
-from repro.analysis.flat import flat_cfg_of, flat_liveness_of
+from repro.analysis.flat import RV_BIT, FlatCFG, flat_cfg_of, flat_liveness_of
 from repro.analysis.framerefs import (
     _OTHER,
     _eval_abstract,
     _meet,
-    _mem_exprs,
     _transfer as _frame_transfer,
 )
-from repro.analysis.reaching import (
-    declared_arity,
-    entry_defined,
-    uninitialized_uses,
-)
-from repro.ir.cfg import CFG, build_cfg
+from repro.analysis.reaching import declared_arity, entry_defined
 from repro.ir.flat import (
     DEF_MASK,
     FLAGS,
+    F_SETS_CC,
     F_TRANSFER,
+    F_USES_CC,
     INST_OBJS,
     KIND,
     K_CALL,
@@ -93,9 +88,9 @@ from repro.ir.flat import (
     to_flat,
 )
 from repro.ir.function import Function, Program
-from repro.ir.instructions import Return
 from repro.ir.operands import Reg
 from repro.machine.target import ARG_REGS, DEFAULT_TARGET, NUM_HW_REGS, RV, Target
+from repro.staticanalysis.memcheck import address_walk, memory_findings
 
 #: sanitizer modes, in increasing strength/cost order
 FAST = "fast"
@@ -200,7 +195,7 @@ def _inst_facts(
         if len(table) >= _flat_analysis._BLOCK_MEMO_MAX:
             table.clear()
         facts = table[iid] = _eval_inst_facts(target, iid)
-    elif _object_cache._PARANOID:
+    elif _flat_analysis._PARANOID:
         _paranoid_check("instruction facts", iid, facts, _eval_inst_facts(target, iid))
     return facts
 
@@ -252,7 +247,7 @@ def _block_facts(flat: FlatFunction, target: Optional[Target]) -> List[_BlockFac
             if len(table) >= _flat_analysis._BLOCK_MEMO_MAX:
                 table.clear()
             facts = table[bid] = _eval_block_facts(target, inst_table, block)
-        elif _object_cache._PARANOID:
+        elif _flat_analysis._PARANOID:
             _paranoid_check(
                 "block facts", bid, facts, _eval_block_facts(target, None, block)
             )
@@ -622,123 +617,149 @@ def structural_findings(
 
 
 # ----------------------------------------------------------------------
-# Full mode: dataflow checks over the object view
+# Full mode: dataflow checks over the flat IR
 # ----------------------------------------------------------------------
 
 
-def definedness_findings(func: Function, cfg: Optional[CFG] = None) -> List[Finding]:
-    """DFA001/DFA002/CC002 via the must-defined dataflow."""
-    findings: List[Finding] = []
-    for label, index, inst, regs in uninitialized_uses(func, cfg):
-        where = f"{label}#{index}"
-        if regs is None:
-            findings.append(
-                Finding(
-                    "DFA002",
-                    func.name,
-                    where,
-                    f"conditional branch may execute with the condition "
-                    f"code unset: {inst}",
-                )
-            )
-        elif isinstance(inst, Return) and regs == frozenset({RV}):
-            findings.append(
-                Finding(
-                    "CC002",
-                    func.name,
-                    where,
-                    f"return-value register {RV} may be uninitialized "
-                    "at this return",
-                )
-            )
-        else:
-            regs_text = ", ".join(str(reg) for reg in sorted(regs, key=_reg_key))
-            findings.append(
-                Finding(
-                    "DFA001",
-                    func.name,
-                    where,
-                    f"registers may be used before definition: "
-                    f"{regs_text} in {inst}",
-                )
-            )
-    return findings
+def _definedness_findings(flat: FlatFunction, cfg: FlatCFG) -> List[Finding]:
+    """DFA001/DFA002/CC002 via the must-defined dataflow.
 
-
-def frame_bounds_findings(func: Function, cfg: Optional[CFG] = None) -> List[Finding]:
-    """FRAME003: frame references that resolve to a known fp offset
-    outside ``[0, frame_size)``.
-
-    Reuses the abstract fp-offset dataflow from
-    :mod:`repro.analysis.framerefs` but, unlike ``compute_frame_refs``
-    (which only classifies accesses to tracked scalar slots), inspects
-    **every** integer-resolved offset.
+    A register is definitely defined at a point when some definition
+    reaches it along every path from the entry; a use outside that set
+    may read garbage (the VM papers over it by reading 0).  Sets
+    intersect at joins, the entry block starts from the registers the
+    calling convention defines for the declared arity
+    (:func:`~repro.analysis.reaching.entry_defined`), and unreachable
+    blocks are never reported.  The same walk tracks whether a compare
+    surely reached each point, for conditional branches.  A call
+    defines the caller-saved registers and keeps the condition code
+    (each VM frame has its own).  A ``Return`` in a value-returning
+    function uses the return-value register.
     """
-    if cfg is None:
-        cfg = build_cfg(func)
-    entry = func.entry.label
-    in_states: Dict[str, Optional[Dict[Reg, object]]] = {
-        block.label: None for block in func.blocks
-    }
-    in_states[entry] = {}
-    order = cfg.reverse_postorder(entry)
+    blocks = flat.blocks
+    returns_value = flat.returns_value
+    preds = cfg.preds
+    entry = (_ENTRY_MASKS[min(declared_arity(flat), len(ARG_REGS))], False)
+    # (defined mask, cc surely set) at each block's entry and exit;
+    # None is TOP: not reached by the iteration yet
+    state_in: List[Optional[Tuple[int, bool]]] = [None] * len(blocks)
+    state_out: List[Optional[Tuple[int, bool]]] = [None] * len(blocks)
     changed = True
     while changed:
         changed = False
-        for label in order:
-            state = in_states[label]
-            if state is None:
-                continue
-            current = dict(state)
-            for inst in func.block(label).insts:
-                _frame_transfer(inst, current)
-            for succ in cfg.succs.get(label, ()):
-                existing = in_states[succ]
-                if existing is None:
-                    in_states[succ] = dict(current)
-                    changed = True
-                    continue
-                merged = {
-                    reg: _meet(existing.get(reg, _OTHER), current.get(reg, _OTHER))
-                    for reg in set(existing) | set(current)
-                }
-                if merged != existing:
-                    in_states[succ] = merged
-                    changed = True
+        for bi in cfg.rpo:
+            state = entry
+            if bi != 0:
+                state = None
+                for pred in preds[bi]:
+                    out = state_out[pred]
+                    if out is not None:
+                        state = (
+                            out
+                            if state is None
+                            else (state[0] & out[0], state[1] and out[1])
+                        )
+            state_in[bi] = state
+            defined, cc = state
+            for iid in blocks[bi]:
+                defined |= DEF_MASK[iid]
+                cc = cc or bool(FLAGS[iid] & F_SETS_CC)
+            if state_out[bi] != (defined, cc):
+                state_out[bi] = (defined, cc)
+                changed = True
     findings: List[Finding] = []
-    for label in order:
-        state = in_states[label]
-        current = dict(state) if state is not None else {}
-        for index, inst in enumerate(func.block(label).insts):
-            for mem, is_write in _mem_exprs(inst):
-                value = _eval_abstract(mem.addr, current)
-                if isinstance(value, int) and not (
-                    0 <= value and value + 4 <= func.frame_size
-                ):
-                    access = "write" if is_write else "read"
+    for bi, block in enumerate(blocks):
+        state = state_in[bi]
+        if state is None:
+            continue  # unreachable: never executes
+        defined, cc = state
+        label = LABEL_STRS[flat.labels[bi]]
+        for index, iid in enumerate(block):
+            uses = USE_MASK[iid]
+            is_return = KIND[iid] == K_RET
+            if is_return and returns_value:
+                uses |= RV_BIT
+            missing = uses & ~defined
+            where = f"{label}#{index}"
+            if missing:
+                if is_return and missing == RV_BIT:
                     findings.append(
                         Finding(
-                            "FRAME003",
-                            func.name,
-                            f"{label}#{index}",
-                            f"frame {access} at fp+{value} is outside the "
-                            f"frame of {func.frame_size} bytes",
+                            "CC002",
+                            flat.name,
+                            where,
+                            f"return-value register {RV} may be uninitialized "
+                            "at this return",
                         )
                     )
-            _frame_transfer(inst, current)
+                else:
+                    regs = ", ".join(
+                        str(reg) for reg in sorted(regs_of_mask(missing), key=_reg_key)
+                    )
+                    findings.append(
+                        Finding(
+                            "DFA001",
+                            flat.name,
+                            where,
+                            f"registers may be used before definition: "
+                            f"{regs} in {INST_OBJS[iid]}",
+                        )
+                    )
+            if FLAGS[iid] & F_USES_CC and not cc:
+                findings.append(
+                    Finding(
+                        "DFA002",
+                        flat.name,
+                        where,
+                        f"conditional branch may execute with the condition "
+                        f"code unset: {INST_OBJS[iid]}",
+                    )
+                )
+            defined |= DEF_MASK[iid]
+            cc = cc or bool(FLAGS[iid] & F_SETS_CC)
     return findings
 
 
-def full_findings(func: Function, program: Optional[Program] = None) -> List[Finding]:
-    """The checks full mode adds, over a structurally sound object
-    function: definedness (DFA001/DFA002/CC002), frame-reference bounds
-    (FRAME003) and memory accesses (MEM001-MEM004)."""
-    from repro.staticanalysis.memcheck import memory_findings
+def _frame_bounds_findings(flat: FlatFunction, cfg: FlatCFG) -> List[Finding]:
+    """FRAME003: frame references that resolve to a known fp offset
+    outside ``[0, frame_size)``.
 
-    cfg = cfg_of(func)
-    findings = definedness_findings(func, cfg)
-    findings.extend(frame_bounds_findings(func, cfg))
-    findings.extend(memory_findings(func, cfg, program))
+    Runs the abstract fp-offset dataflow of
+    :mod:`repro.analysis.framerefs` but, unlike the frame refs (which
+    only classify accesses to tracked scalar slots), inspects **every**
+    integer-resolved offset.
+    """
+    findings: List[Finding] = []
+    frame_size = flat.frame_size
+    for label, index, mem, is_write, state in address_walk(
+        flat, cfg, _frame_transfer, _meet, _OTHER
+    ):
+        value = _eval_abstract(mem.addr, state)
+        if isinstance(value, int) and not (0 <= value and value + 4 <= frame_size):
+            access = "write" if is_write else "read"
+            findings.append(
+                Finding(
+                    "FRAME003",
+                    flat.name,
+                    f"{label}#{index}",
+                    f"frame {access} at fp+{value} is outside the "
+                    f"frame of {frame_size} bytes",
+                )
+            )
+    return findings
+
+
+def full_findings(
+    flat: FlatFunction, program: Optional[Program] = None
+) -> List[Finding]:
+    """The checks full mode adds, over a structurally sound flat
+    function: definedness (DFA001/DFA002/CC002), frame-reference bounds
+    (FRAME003) and memory accesses (MEM001-MEM004).  They read the
+    function's cached flat CFG."""
+    cfg = flat_cfg_of(flat)
+    findings = _definedness_findings(flat, cfg)
+    findings.extend(_frame_bounds_findings(flat, cfg))
+    findings.extend(memory_findings(flat, program, cfg))
     return findings
 
 
@@ -757,9 +778,10 @@ def sanitize_function(
     """
     if mode not in MODES:
         raise ValueError(f"unknown sanitizer mode {mode!r} (expected fast|full)")
-    findings = fast_findings(to_flat(func), target or DEFAULT_TARGET, program)
+    flat = to_flat(func)
+    findings = fast_findings(flat, target or DEFAULT_TARGET, program)
     if mode == FULL and not structural_failure(findings):
-        findings.extend(full_findings(func, program))
+        findings.extend(full_findings(flat, program))
     return findings
 
 

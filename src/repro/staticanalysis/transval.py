@@ -32,9 +32,18 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.analysis.cache import cfg_of, liveness_of
+from repro.analysis.flat import flat_cfg_of, flat_liveness_of
 from repro.analysis.reaching import declared_arity
-from repro.ir.function import Function, Program
+from repro.ir.flat import (
+    FLAGS,
+    F_TRANSFER,
+    INST_OBJS,
+    RELOP,
+    FlatFunction,
+    from_flat,
+    regs_of_mask,
+)
+from repro.ir.function import Program
 from repro.ir.instructions import (
     Assign,
     Call,
@@ -273,7 +282,7 @@ class _SymState:
         return regs, tuple(self.mem), tuple(self.calls), branch, returned
 
 
-def _frame_shape(func: Function) -> Tuple:
+def _frame_shape(func: FlatFunction) -> Tuple:
     return (
         func.frame_size,
         tuple(
@@ -285,7 +294,22 @@ def _frame_shape(func: Function) -> Tuple:
     )
 
 
-def prove_equivalent(before: Function, after: Function, oracle=None) -> bool:
+def _block_observables(flat: FlatFunction, index: int, live_out: int, oracle=None):
+    """Symbolically execute block *index* of *flat*; its observables
+    with the registers of mask *live_out* live out."""
+    state = _SymState(flat.returns_value, oracle)
+    block = flat.blocks[index]
+    for iid in block:
+        state.execute(INST_OBJS[iid])
+    transfer = block and FLAGS[block[-1]] & F_TRANSFER
+    return state.observables(
+        regs_of_mask(live_out), INST_OBJS[block[-1]] if transfer else None
+    )
+
+
+def prove_equivalent(
+    before: FlatFunction, after: FlatFunction, oracle=None
+) -> bool:
     """Symbolic block-level simulation proof; False means *unknown*.
 
     *oracle* (an :class:`~repro.staticanalysis.alias.AliasOracle`)
@@ -298,57 +322,49 @@ def prove_equivalent(before: Function, after: Function, oracle=None) -> bool:
         return False
 
 
-def _prove(before: Function, after: Function, oracle=None) -> bool:
+def _prove(
+    before: FlatFunction, after: FlatFunction, oracle=None, normalize=None
+) -> bool:
+    """The simulation from the entry pair: matched blocks need equal
+    successor counts, equal branch senses and equal observables, each
+    passed through *normalize* when given (the semantic collapser's
+    dead-store normalization)."""
     if before.returns_value != after.returns_value:
         return False
     if len(before.params) != len(after.params):
         return False
     if _frame_shape(before) != _frame_shape(after):
         return False
-    cfg_a = cfg_of(before)
-    cfg_b = cfg_of(after)
-    live_a = liveness_of(before)
-    live_b = liveness_of(after)
-    entry_pair = (before.entry.label, after.entry.label)
-    mapping: Dict[str, str] = {entry_pair[0]: entry_pair[1]}
-    queue = [entry_pair]
+    succs_a = flat_cfg_of(before).succs
+    succs_b = flat_cfg_of(after).succs
+    live_a = flat_liveness_of(before).live_out
+    live_b = flat_liveness_of(after).live_out
+    mapping: Dict[int, int] = {0: 0}
+    queue = [(0, 0)]
     visited = set()
     while queue:
-        label_a, label_b = queue.pop()
-        if (label_a, label_b) in visited:
+        a, b = queue.pop()
+        if (a, b) in visited:
             continue
-        visited.add((label_a, label_b))
-        block_a = before.block(label_a)
-        block_b = after.block(label_b)
-        term_a = block_a.terminator()
-        term_b = block_b.terminator()
-        succs_a = cfg_a.succs.get(label_a, [])
-        succs_b = cfg_b.succs.get(label_b, [])
-        if len(succs_a) != len(succs_b):
+        visited.add((a, b))
+        if len(succs_a[a]) != len(succs_b[b]):
             return False
-        if len(succs_a) == 2:
-            # Two-way blocks must agree on the branch sense so that
-            # [target, fallthrough] positions correspond.
-            if not isinstance(term_a, CondBranch) or not isinstance(
-                term_b, CondBranch
-            ):
-                return False
-            if term_a.relop != term_b.relop:
-                return False
-        state_a = _SymState(before.returns_value, oracle)
-        state_b = _SymState(after.returns_value, oracle)
-        for inst in block_a.insts:
-            state_a.execute(inst)
-        for inst in block_b.insts:
-            state_b.execute(inst)
-        live_out = live_a.live_out.get(label_a, frozenset()) | live_b.live_out.get(
-            label_b, frozenset()
-        )
-        if state_a.observables(live_out, term_a) != state_b.observables(
-            live_out, term_b
+        # Two-way blocks (conditional branches) must agree on the
+        # branch sense so that [target, fallthrough] positions correspond.
+        if (
+            len(succs_a[a]) == 2
+            and RELOP[before.blocks[a][-1]] != RELOP[after.blocks[b][-1]]
         ):
             return False
-        for succ_a, succ_b in zip(succs_a, succs_b):
+        live_out = live_a[a] | live_b[b]
+        observed_a = _block_observables(before, a, live_out, oracle)
+        observed_b = _block_observables(after, b, live_out, oracle)
+        if normalize is not None:
+            observed_a = normalize(observed_a)
+            observed_b = normalize(observed_b)
+        if observed_a != observed_b:
+            return False
+        for succ_a, succ_b in zip(succs_a[a], succs_b[b]):
             mapped = mapping.get(succ_a)
             if mapped is None:
                 mapping[succ_a] = succ_b
@@ -358,13 +374,8 @@ def _prove(before: Function, after: Function, oracle=None) -> bool:
     return True
 
 
-def _function_key(func: Function) -> Tuple:
-    return (
-        func.name,
-        func.frame_size,
-        func.returns_value,
-        tuple((block.label, tuple(block.insts)) for block in func.blocks),
-    )
+def _function_key(func: FlatFunction) -> Tuple:
+    return (func.name, func.frame_size, func.returns_value, func.content_key())
 
 
 class TranslationValidator:
@@ -393,14 +404,16 @@ class TranslationValidator:
 
     # ------------------------------------------------------------------
 
-    def _oracle_for(self, func: Function):
+    def _oracle_for(self, func: FlatFunction):
         if not self.alias_oracle:
             return None
         from repro.staticanalysis.alias import oracle_for
 
         return oracle_for(func, self.program)
 
-    def classify(self, before: Function, after: Function) -> EdgeVerdict:
+    def classify(self, before: FlatFunction, after: FlatFunction) -> EdgeVerdict:
+        """The verdict on the edge *before* -> *after*.  A proof reads
+        the flat analyses only; co-execution builds object views."""
         try:
             proved = _prove(before, after, self._oracle_for(before))
         except _NotProvable:
@@ -415,7 +428,7 @@ class TranslationValidator:
 
     # ------------------------------------------------------------------
 
-    def _vectors(self, func: Function) -> Tuple[Tuple[int, ...], ...]:
+    def _vectors(self, func: FlatFunction) -> Tuple[Tuple[int, ...], ...]:
         arity = declared_arity(func)
         if arity == 0:
             return ((),)
@@ -426,14 +439,14 @@ class TranslationValidator:
             tuple(primes[i % len(primes)] for i in range(arity)),
         )
 
-    def _spliced(self, func: Function) -> Program:
+    def _spliced(self, func: FlatFunction) -> Program:
         spliced = Program()
         spliced.globals = self.program.globals
         spliced.functions = dict(self.program.functions)
-        spliced.functions[self.entry] = func
+        spliced.functions[self.entry] = from_flat(func)
         return spliced
 
-    def _run_reference(self, before: Function):
+    def _run_reference(self, before: FlatFunction):
         key = _function_key(before)
         cached = self._ref_cache.get(key)
         if cached is not None:
@@ -453,7 +466,7 @@ class TranslationValidator:
         self._ref_cache[key] = reference
         return reference
 
-    def _co_execute(self, before: Function, after: Function) -> EdgeVerdict:
+    def _co_execute(self, before: FlatFunction, after: FlatFunction) -> EdgeVerdict:
         if self.program is None or self.entry is None:
             return EdgeVerdict(UNVERIFIED, "no program context for co-execution")
         if before.name != self.entry:
@@ -482,7 +495,9 @@ class TranslationValidator:
             TESTED, f"co-executed on {len(reference)} input vectors"
         )
 
-    def _driver_execute(self, before: Function, after: Function) -> EdgeVerdict:
+    def _driver_execute(
+        self, before: FlatFunction, after: FlatFunction
+    ) -> EdgeVerdict:
         """Last resort: drive the function through the whole program.
 
         Some functions cannot run in isolation (they divide by or

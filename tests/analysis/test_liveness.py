@@ -1,11 +1,12 @@
-"""Unit tests for register and slot liveness."""
+"""Unit tests for register liveness (flat) and slot liveness."""
 
-from repro.analysis.liveness import compute_liveness, compute_slot_liveness
-from repro.ir.function import BasicBlock, Function
+from repro.analysis.flat import compute_flat_liveness
+from repro.analysis.liveness import compute_slot_liveness
+from repro.ir.flat import mask_of, to_flat
+from repro.ir.function import Function
 from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg
 from repro.machine.target import FP, RV
-from tests.conftest import compile_fn
 
 
 def straightline():
@@ -20,23 +21,30 @@ def straightline():
     return func
 
 
+def live(mask, reg) -> bool:
+    return bool(mask & mask_of((reg,)))
+
+
 class TestRegisterLiveness:
     def test_straightline_chain(self):
-        func = straightline()
-        liveness = compute_liveness(func)
-        before = liveness.live_before_each(func, "L0")
-        assert Reg(1) not in before[0]
-        assert Reg(1) in before[1]
-        assert Reg(2) in before[2]
-        assert RV in before[3]
+        flat = to_flat(straightline())
+        liveness = compute_flat_liveness(flat)
+        # live before instruction i: the block's live-in, then live
+        # after instruction i - 1
+        before = [liveness.live_in[0]] + liveness.live_after_each(flat, 0)[:-1]
+        assert not live(before[0], Reg(1))
+        assert live(before[1], Reg(1))
+        assert live(before[2], Reg(2))
+        assert live(before[3], RV)
 
     def test_return_value_live_only_when_function_returns(self):
         func = straightline()
         func.returns_value = False
-        liveness = compute_liveness(func)
+        flat = to_flat(func)
+        liveness = compute_flat_liveness(flat)
         # the copy into RV is now dead at its own position
-        after = liveness.live_after_each(func, "L0")
-        assert RV not in after[2]
+        after = liveness.live_after_each(flat, 0)
+        assert not live(after[2], RV)
 
     def test_loop_carried_liveness(self):
         func = Function("f", returns_value=True)
@@ -46,9 +54,9 @@ class TestRegisterLiveness:
         head.insts = [Compare(Reg(1), Const(10)), CondBranch("ge", "exit")]
         body.insts = [Assign(Reg(1), BinOp("add", Reg(1), Const(1))), Jump("head")]
         exit_.insts = [Assign(RV, Reg(1)), Return()]
-        liveness = compute_liveness(func)
-        assert Reg(1) in liveness.live_in["head"]
-        assert Reg(1) in liveness.live_out["body"]
+        liveness = compute_flat_liveness(to_flat(func))
+        assert live(liveness.live_in[0], Reg(1))  # head
+        assert live(liveness.live_out[1], Reg(1))  # body
 
     def test_branch_keeps_both_paths_alive(self):
         func = Function("f", returns_value=True)
@@ -63,8 +71,9 @@ class TestRegisterLiveness:
         ]
         then.insts = [Assign(RV, Reg(5)), Return()]
         other.insts = [Assign(RV, Reg(6)), Return()]
-        liveness = compute_liveness(func)
-        assert {Reg(5), Reg(6)} <= set(liveness.live_out["entry"])
+        liveness = compute_flat_liveness(to_flat(func))
+        out = liveness.live_out[0]
+        assert live(out, Reg(5)) and live(out, Reg(6))
 
 
 class TestSlotLiveness:

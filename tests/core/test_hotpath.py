@@ -16,7 +16,6 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import cache as analysis_cache
 from repro.analysis import flat as flat_analysis
 from repro.analysis import set_paranoid
 from repro.core.checkpoint import dag_digest
@@ -184,9 +183,6 @@ class TestAnalysisCache:
         ]
         # every getter gets a fresh, empty cache and a freshly computed
         # shape: nothing is reused
-        monkeypatch.setattr(
-            analysis_cache, "_cache_of", lambda f: analysis_cache.AnalysisCache()
-        )
         fresh = lambda f: flat_analysis.FlatAnalyses()  # noqa: E731
         monkeypatch.setattr(flat_analysis, "_cache_of", fresh)
         monkeypatch.setattr(selection, "_cache_of", fresh)

@@ -125,6 +125,8 @@ class TestProverIntegration:
         moved = block.insts[13:15]
         del block.insts[13:15]
         block.insts[8:8] = moved
+        before = to_flat(before)
+        after = to_flat(after)
         assert not prove_equivalent(before, after)
         oracle = oracle_for(before, program)
         assert prove_equivalent(before, after, oracle=oracle)

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core import checkpoint as ckpt
 from repro.frontend import compile_source
+from repro.ir.flat import from_flat, to_flat
 from repro.ir.function import Program
 from repro.opt import apply_phase, implicit_cleanup, phase_by_id
 from repro.staticanalysis.canon import (
@@ -31,10 +32,11 @@ _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _fn(source, name="f"):
+    """The program and its function *name*, as a flat instance."""
     program = compile_source(source)
     func = program.function(name)
     implicit_cleanup(func)
-    return program, func
+    return program, to_flat(func)
 
 
 class TestSemanticKey:
@@ -71,8 +73,8 @@ class TestSemanticKey:
         _, func = _fn("int f(int x, int y) { if (x > y) return x; return y; }")
         key = semantic_key(func)
         assert key == semantic_key(func.clone())
-        restored = ckpt.function_from_dict(ckpt.function_to_dict(func))
-        assert key == semantic_key(restored)
+        restored = ckpt.function_from_dict(ckpt.function_to_dict(from_flat(func)))
+        assert key == semantic_key(to_flat(restored))
 
 
 class TestProof:
@@ -104,13 +106,13 @@ class TestProof:
     def test_proof_is_never_refuted_by_the_vm(self, source, seq_a, seq_b):
         """prove_semantic_equivalent => the VM agrees on every vector."""
         program, base = _fn(source)
-        a = base.clone()
-        b = base.clone()
+        a = from_flat(base)
+        b = from_flat(base)
         for phase_id in seq_a:
             apply_phase(a, phase_by_id(phase_id))
         for phase_id in seq_b:
             apply_phase(b, phase_by_id(phase_id))
-        if not prove_semantic_equivalent(a, b):
+        if not prove_semantic_equivalent(to_flat(a), to_flat(b)):
             return
         for vector in [(0, 0), (1, -2), (7, 3)]:
             values = []

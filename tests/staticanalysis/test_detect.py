@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.batch import BatchCompiler
 from repro.frontend import compile_source
+from repro.ir.flat import to_flat
 from repro.ir.function import LocalSlot
 from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Reg
@@ -94,7 +95,6 @@ class TestStructuralMutations:
         found = codes(sanitize_function(maxi, program=program, mode=FAST))
         assert "CFG008" in found
         # Without program context the same defect reads as CFG004.
-        maxi.invalidate_analyses()
         assert "CFG004" in codes(sanitize_function(maxi, mode=FAST))
 
     def test_duplicate_block_labels(self, gcd):
@@ -176,7 +176,6 @@ class TestDataflowMutations:
         assert dropped is not None
         block, index = dropped
         del block.insts[index]
-        gcd.invalidate_analyses()
         found = codes(sanitize_function(gcd, mode=FULL))
         assert "DFA001" in found or "CC001" in found
 
@@ -194,7 +193,6 @@ class TestDataflowMutations:
             if removed:
                 break
         assert removed
-        gcd.invalidate_analyses()
         assert "DFA002" in codes(sanitize_function(gcd, mode=FULL))
 
     def test_return_value_maybe_uninitialized(self):
@@ -210,7 +208,6 @@ class TestDataflowMutations:
                 for inst in block.insts
                 if not (isinstance(inst, Assign) and inst.dst == rv)
             ]
-        func.invalidate_analyses()
         assert "CC002" in codes(sanitize_function(func, mode=FULL))
 
     def test_call_arity_mismatch(self):
@@ -224,7 +221,6 @@ class TestDataflowMutations:
             for index, inst in enumerate(block.insts):
                 if isinstance(inst, Call):
                     block.insts[index] = Call(inst.name, 1)
-        two.invalidate_analyses()
         found = codes(sanitize_function(two, program=program, mode=FAST))
         assert "CC004" in found
 
@@ -234,7 +230,6 @@ class TestDataflowMutations:
 
         maxi = program.functions["maxi"]
         maxi.blocks[0].insts.insert(0, Call("__missing__", 0))
-        maxi.invalidate_analyses()
         found = codes(sanitize_function(maxi, program=program, mode=FAST))
         assert "CC003" in found
 
@@ -285,7 +280,7 @@ class TestGuardIntegration:
     def test_sanitizer_quarantines_corrupted_phase(self, gcd):
         """A phase whose output drops a def must be quarantined with
         kind 'sanitizer', and the parent left untouched."""
-        from repro.ir.flat import DEF_RID, KIND, K_ASSIGN, REG_OBJS, to_flat
+        from repro.ir.flat import DEF_RID, KIND, K_ASSIGN, REG_OBJS
         from repro.opt import Phase
 
         class _Corrupting(Phase):
@@ -320,8 +315,6 @@ class TestGuardIntegration:
         assert flat.blocks == before_blocks
 
     def test_clean_phase_passes_through(self, gcd):
-        from repro.ir.flat import to_flat
-
         checker = EdgeChecker(mode=FULL)
         runner = GuardedPhaseRunner(validate=True, sanitizer=checker)
         applied = 0
@@ -358,9 +351,8 @@ class TestTranslationValidator:
                     block.insts[index] = CondBranch(
                         _INVERT[inst.relop], inst.target
                     )
-        corrupted.invalidate_analyses()
         validator = TranslationValidator(program, "maxi")
-        verdict = validator.classify(maxi, corrupted)
+        verdict = validator.classify(to_flat(maxi), to_flat(corrupted))
         assert verdict.status == "refuted"
 
     def test_identity_edge_is_proved(self):
@@ -369,7 +361,7 @@ class TestTranslationValidator:
         program = compile_source(MAXI_SRC)
         maxi = program.functions["maxi"]
         verdict = TranslationValidator(program, "maxi").classify(
-            maxi, maxi.clone()
+            to_flat(maxi), to_flat(maxi.clone())
         )
         assert verdict.status == "proved"
 
@@ -383,5 +375,7 @@ class TestTranslationValidator:
         implicit_cleanup(gcd)
         before = gcd.clone()
         assert apply_phase(gcd, phase_by_id("s"))
-        verdict = TranslationValidator(program, "gcd").classify(before, gcd)
+        verdict = TranslationValidator(program, "gcd").classify(
+            to_flat(before), to_flat(gcd)
+        )
         assert verdict.status in ("proved", "tested")

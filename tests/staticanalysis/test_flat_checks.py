@@ -1,13 +1,17 @@
 """Guarded edges are checked on the flat IR.
 
-The fast sanitizer passes and the phase contracts read the flat parent
-and candidate: memoized per-instruction and per-block facts plus the
-candidate's cached flat CFG and liveness.  These tests pin that a clean
-edge builds no object view, that ``--validate`` with ``--sanitize``
-runs the battery once per edge, and that the fact tables follow the
-flat analyses' memo discipline (paranoid recomputation, a bound, a
-reset).
+The sanitizer passes (fast and full), the phase contracts and the
+translation validator's prover read the flat parent and candidate:
+memoized per-instruction and per-block facts plus the cached flat CFG
+and liveness.  These tests pin that a clean fast-mode edge and a proved
+full-mode edge build no object view, that ``--validate`` with
+``--sanitize`` runs the battery once per edge, that full mode and
+semantic collapse survive paranoid mode, and that the fact tables
+follow the flat analyses' memo discipline (paranoid recomputation, a
+bound, a reset).
 """
+
+from typing import Dict
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.robustness import guard as guard_mod
 from repro.staticanalysis import FAST, sanitize_function
 from repro.staticanalysis import checker as checker_mod
 from repro.staticanalysis import sanitize as sanitize_mod
+from repro.staticanalysis import transval as transval_mod
 
 GUARDED_CONFIGS = (
     {"sanitize": "fast"},
@@ -40,12 +45,74 @@ def test_clean_edges_build_no_object_views(monkeypatch, config):
     func = program.functions["rol"]
     reference = enumerate_space(func, EnumerationConfig())
     monkeypatch.setattr(guard_mod, "from_flat", _refuse)
-    monkeypatch.setattr(checker_mod, "from_flat", _refuse)
+    monkeypatch.setattr(transval_mod, "from_flat", _refuse)
     result = enumerate_space(func, EnumerationConfig(program=program, **config))
     assert result.completed
     assert len(result.quarantine) == 0
     assert result.sanitize_stats["edges"] > 0
     assert dag_digest(result.dag) == dag_digest(reference.dag)
+
+
+def test_proved_full_mode_edges_build_no_object_views(monkeypatch):
+    # Only VM co-execution converts: an edge the prover matches reads
+    # flat analyses alone, a tested edge converts for the VM.
+    program = compile_benchmark("sha")
+    calls = []
+    real_from_flat = transval_mod.from_flat
+
+    def counted(flat, into=None):
+        calls.append(1)
+        return real_from_flat(flat, into)
+
+    views: Dict[str, int] = {}
+    real_check_edge = checker_mod.EdgeChecker.check_edge
+
+    def check_edge(self, *args, **kwargs):
+        before = len(calls)
+        result = real_check_edge(self, *args, **kwargs)
+        views.setdefault(self.last_verdict, 0)
+        views[self.last_verdict] += len(calls) - before
+        return result
+
+    monkeypatch.setattr(transval_mod, "from_flat", counted)
+    monkeypatch.setattr(guard_mod, "from_flat", _refuse)
+    monkeypatch.setattr(checker_mod.EdgeChecker, "check_edge", check_edge)
+    result = enumerate_space(
+        program.functions["word_sum"],
+        EnumerationConfig(program=program, sanitize="full", max_nodes=120),
+    )
+    stats = result.sanitize_stats
+    assert stats["proved"] > 0 and stats["tested"] > 0
+    assert views["proved"] == 0
+    assert views["tested"] > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    ({"sanitize": "full"}, {"collapse": "semantic"}),
+    ids=["sanitize-full", "semantic"],
+)
+def test_full_mode_and_collapse_find_no_stale_analyses(config):
+    # The verifiers read the shared flat caches: paranoid mode checks
+    # every hit they make against a fresh computation.  The checker
+    # quarantines an edge whose check raised, and the collapser counts
+    # an instance it could not summarize as uncanonical, so a stale
+    # hit would show in the quarantine or the collapse counts.
+    program = compile_benchmark("sha")
+    config = EnumerationConfig(program=program, max_nodes=300, **config)
+    func = program.functions["word_sum"]
+    reference = enumerate_space(func, config)
+    flat_analysis.reset_flat_analysis_caches()
+    previous = set_paranoid(True)
+    try:
+        result = enumerate_space(func, config)
+    finally:
+        set_paranoid(previous)
+    assert result.abort_reason == "max_nodes"
+    assert len(result.quarantine) == 0
+    assert dag_digest(result.dag) == dag_digest(reference.dag)
+    assert result.sanitize_stats == reference.sanitize_stats
+    assert result.collapse_stats == reference.collapse_stats
 
 
 def test_validate_and_sanitize_share_one_battery_per_edge(monkeypatch):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.frontend import compile_source
+from repro.ir.flat import to_flat
 from repro.ir.function import Function, GlobalVar, Program
 from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg, Sym
@@ -35,11 +36,11 @@ class TestWildAccesses:
     def test_mem001_load_from_constant_address(self):
         r = _pseudo(20)
         func = _func_with([Assign(r, Mem(Const(0)))])
-        assert "MEM001" in _codes(memory_findings(func))
+        assert "MEM001" in _codes(memory_findings(to_flat(func)))
 
     def test_mem002_store_to_constant_address(self):
         func = _func_with([Assign(Mem(Const(64)), Const(7))])
-        assert "MEM002" in _codes(memory_findings(func))
+        assert "MEM002" in _codes(memory_findings(to_flat(func)))
 
     def test_constant_address_via_arithmetic(self):
         r = _pseudo(20)
@@ -47,7 +48,7 @@ class TestWildAccesses:
             Assign(r, BinOp("add", Const(40), Const(24))),
             Assign(Mem(r), Const(1)),
         ]
-        assert "MEM002" in _codes(memory_findings(_func_with(insts)))
+        assert "MEM002" in _codes(memory_findings(to_flat(_func_with(insts))))
 
 
 class TestAlignment:
@@ -57,7 +58,7 @@ class TestAlignment:
             Assign(r, BinOp("add", FP, Const(2))),
             Assign(Mem(r), Const(1)),
         ]
-        assert "MEM003" in _codes(memory_findings(_func_with(insts)))
+        assert "MEM003" in _codes(memory_findings(to_flat(_func_with(insts))))
 
     def test_aligned_frame_access_is_clean(self):
         r = _pseudo(20)
@@ -65,7 +66,7 @@ class TestAlignment:
             Assign(r, BinOp("add", FP, Const(4))),
             Assign(Mem(r), Const(1)),
         ]
-        assert memory_findings(_func_with(insts)) == []
+        assert memory_findings(to_flat(_func_with(insts))) == []
 
 
 class TestGlobalBounds:
@@ -86,23 +87,23 @@ class TestGlobalBounds:
     def test_mem004_past_the_end(self):
         program = self._program(words=2)
         func = _func_with(self._global_access(8))
-        findings = memory_findings(func, program=program)
+        findings = memory_findings(to_flat(func), program=program)
         assert "MEM004" in _codes(findings)
 
     def test_mem004_negative_offset(self):
         program = self._program(words=2)
         func = _func_with(self._global_access(-4))
-        assert "MEM004" in _codes(memory_findings(func, program=program))
+        assert "MEM004" in _codes(memory_findings(to_flat(func), program=program))
 
     def test_in_bounds_global_is_clean(self):
         program = self._program(words=2)
         func = _func_with(self._global_access(4))
-        assert memory_findings(func, program=program) == []
+        assert memory_findings(to_flat(func), program=program) == []
 
     def test_unknown_global_not_flagged(self):
         # No program context: extent unknown, no claim.
         func = _func_with(self._global_access(8))
-        assert memory_findings(func) == []
+        assert memory_findings(to_flat(func)) == []
 
 
 class TestMustSemantics:
@@ -126,7 +127,7 @@ class TestMustSemantics:
         join.insts.append(Assign(Mem(r), Const(1)))
         join.insts.append(Assign(Reg(RV.index, pseudo=False), Const(0)))
         join.insts.append(Return())
-        assert memory_findings(func) == []
+        assert memory_findings(to_flat(func)) == []
 
     def test_loop_reaches_fixpoint(self):
         source = """
@@ -144,7 +145,7 @@ class TestMustSemantics:
         """
         program = compile_source(source)
         for func in program.functions.values():
-            assert memory_findings(func, program=program) == []
+            assert memory_findings(to_flat(func), program=program) == []
 
 
 class TestIntegration:
@@ -159,7 +160,7 @@ class TestIntegration:
     def test_seed_benchmarks_are_clean(self, name):
         program = compile_benchmark(name)
         for func in program.functions.values():
-            assert memory_findings(func, program=program) == []
+            assert memory_findings(to_flat(func), program=program) == []
 
     def test_catalog_matches_sanitize_docstring(self):
         from repro.staticanalysis import sanitize

@@ -13,6 +13,7 @@ Two invariants the static-analysis layer stakes its soundness on:
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.frontend import compile_source
+from repro.ir.flat import to_flat
 from repro.ir.function import Program
 from repro.ir.instructions import Assign
 from repro.ir.operands import Const
@@ -91,7 +92,7 @@ def test_proved_edges_agree_with_vm(source, sequence, x, y):
         before = func.clone()
         if not apply_phase(func, phase_by_id(phase_id)):
             continue
-        verdict = validator.classify(before, func)
+        verdict = validator.classify(to_flat(before), to_flat(func))
         assert verdict.status in VERDICTS
         assert verdict.status != REFUTED, (phase_id, verdict)
         if verdict.status == PROVED:
@@ -118,13 +119,14 @@ def test_never_proved_on_vm_refuted_edge(source, pick, delta):
     block, index = sites[pick % len(sites)]
     inst = block.insts[index]
     block.insts[index] = Assign(inst.dst, Const(inst.src.value + delta))
-    after.invalidate_analyses()
 
     vectors = ((0, 0), (1, 1), (2, 3), (-5, 7))
     refuted_by_vm = any(
         _value(program, func, vector) != _value(program, after, vector)
         for vector in vectors
     )
-    verdict = TranslationValidator(program, "f").classify(func, after)
+    verdict = TranslationValidator(program, "f").classify(
+        to_flat(func), to_flat(after)
+    )
     if refuted_by_vm:
         assert verdict.status != PROVED, verdict
