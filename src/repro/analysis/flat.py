@@ -66,16 +66,21 @@ from repro.ir.flat import (
     K_JUMP,
     K_RET,
     MEM_REFS,
+    REG_OBJS,
     TARGET_LID,
     USE_MASK,
     FlatFunction,
     block_id,
+    iter_rids,
+    reg_id,
 )
+from repro.machine.target import FP
 from repro.observability import tracer as _obs
 
 #: rid of the return-value register (hardware r0 is seeded at rid 0).
 RV_RID = 0
 RV_BIT = 1 << RV_RID
+_FP_BIT = 1 << reg_id(FP)
 
 _PARANOID = bool(os.environ.get("REPRO_PARANOID_ANALYSIS"))
 
@@ -104,9 +109,14 @@ class FlatCFG:
     """Successor/predecessor block-index lists (positional order), plus
     the blocks reachable from the entry (block 0) and their reverse
     postorder.  Shared through the shape table, so never mutated:
-    ``reachable`` is a frozenset and ``rpo`` a tuple."""
+    ``reachable`` is a frozenset and ``rpo`` a tuple.
 
-    __slots__ = ("succs", "preds", "rpo", "reachable")
+    ``acyclic`` holds when every block is reachable and every edge goes
+    forward in reverse postorder: then the dataflow solvers below make
+    one pass (forward problems in RPO, backward ones in postorder)
+    instead of iterating until a round changes nothing."""
+
+    __slots__ = ("succs", "preds", "rpo", "reachable", "acyclic")
 
     def __init__(self, succs: List[List[int]]):
         self.succs = succs
@@ -116,6 +126,12 @@ class FlatCFG:
                 self.preds[target].append(i)
         self.rpo: Tuple[int, ...] = _reverse_postorder(succs)
         self.reachable: frozenset = frozenset(self.rpo)
+        position = {block: i for i, block in enumerate(self.rpo)}
+        self.acyclic: bool = len(self.rpo) == len(succs) and all(
+            position[succ] > i
+            for i, block in enumerate(self.rpo)
+            for succ in succs[block]
+        )
 
 
 def _reverse_postorder(all_succs: List[List[int]]) -> Tuple[int, ...]:
@@ -264,7 +280,7 @@ def compute_flat_liveness(
     changed = True
     while changed:
         changed = False
-        for i in range(n - 1, -1, -1):
+        for i in _backward_order(cfg):
             out = 0
             for succ in succs[i]:
                 out |= live_in[succ]
@@ -272,8 +288,17 @@ def compute_flat_liveness(
             if out != live_out[i] or new_in != live_in[i]:
                 live_out[i] = out
                 live_in[i] = new_in
-                changed = True
+                changed = not cfg.acyclic
     return FlatLiveness(live_in, live_out)
+
+
+def _backward_order(cfg: FlatCFG):
+    """Block order of a backward solver's round: postorder on an acyclic
+    shape, where each block's successors come first and one round is
+    the fixpoint; positional order, last block first, otherwise."""
+    if cfg.acyclic:
+        return reversed(cfg.rpo)
+    return range(len(cfg.succs) - 1, -1, -1)
 
 
 # ----------------------------------------------------------------------
@@ -347,19 +372,34 @@ def _eval_block_frame(
 ) -> _BlockFrame:
     """framerefs' transfer and classification over one block (abstract
     state transfer reuses the object-IR helpers on the interned
-    instruction objects)."""
-    insts = INST_OBJS
+    instruction objects).
+
+    ``frame_mask`` holds fp and the registers whose value is an fp
+    offset or ``"wild"``.  An instruction that reads none of them
+    evaluates every address and source to ``"other"``: it touches no
+    slot, and each register it defines becomes ``"other"``."""
     mem_refs = MEM_REFS
     current = dict(state)
+    frame_mask = _FP_BIT
+    for reg, _value in state:
+        frame_mask |= 1 << reg_id(reg)
     refs: List[InstSlotRefs] = []
     wild = False
     use: Set[int] = set()
     defs: Set[int] = set()
     for iid in block:
+        if not USE_MASK[iid] & frame_mask:
+            refs.append(_NO_REFS)
+            killed = DEF_MASK[iid] & frame_mask
+            if killed:
+                for rid in iter_rids(killed):
+                    current.pop(REG_OBJS[rid], None)
+                frame_mask = frame_mask & ~killed | _FP_BIT
+            continue
         touched = mem_refs[iid]
         if not touched:
             refs.append(_NO_REFS)
-            _transfer(insts[iid], current)
+            frame_mask = _transfer_masked(iid, current, frame_mask)
             continue
         reads: Set[int] = set()
         writes: Set[int] = set()
@@ -390,7 +430,7 @@ def _eval_block_frame(
                 )
             )
         )
-        _transfer(insts[iid], current)
+        frame_mask = _transfer_masked(iid, current, frame_mask)
     out = frozenset(item for item in current.items() if item[1] != _OTHER)
     return _BlockFrame(
         _intern(out),
@@ -399,6 +439,17 @@ def _eval_block_frame(
         _intern(frozenset(use)),
         _intern(frozenset(defs)),
     )
+
+
+def _transfer_masked(iid: int, current: Dict, frame_mask: int) -> int:
+    """framerefs' transfer of one instruction; the frame mask after it."""
+    _transfer(INST_OBJS[iid], current)
+    for rid in iter_rids(DEF_MASK[iid]):
+        if current[REG_OBJS[rid]] == _OTHER:
+            frame_mask &= ~(1 << rid)
+        else:
+            frame_mask |= 1 << rid
+    return frame_mask | _FP_BIT
 
 
 def _merge_states(a: frozenset, b: frozenset) -> frozenset:
@@ -426,7 +477,9 @@ def _frame_effects(flat: FlatFunction, cfg: FlatCFG) -> List[_BlockFrame]:
     in_states[0] = _EMPTY_STATE
     effects: List[Optional[_BlockFrame]] = [None] * n
     # Reverse postorder reaches each block after its DFS parent, so
-    # every block of the order has an in-state by the time it is read.
+    # every block of the order has an in-state by the time it is read;
+    # on an acyclic shape it reaches each block after all of its
+    # predecessors, so the first round is the fixpoint.
     order = cfg.rpo
     changed = True
     while changed:
@@ -439,10 +492,10 @@ def _frame_effects(flat: FlatFunction, cfg: FlatCFG) -> List[_BlockFrame]:
                 merged = out if existing is None else _merge_states(existing, out)
                 if merged != existing:
                     in_states[succ] = merged
-                    changed = True
-    # The last round changed no in-state, so it evaluated every
-    # reachable block under its fixpoint state; unreachable blocks get
-    # the empty state, as in framerefs.
+                    changed = not cfg.acyclic
+    # The last round changed no in-state (or was the only one), so it
+    # evaluated every reachable block under its fixpoint state;
+    # unreachable blocks get the empty state, as in framerefs.
     for bi in range(n):
         if effects[bi] is None:
             effects[bi] = _block_frame(tracked, blocks[bi], _EMPTY_STATE)
@@ -516,7 +569,7 @@ def compute_flat_slot_liveness(
     changed = True
     while changed:
         changed = False
-        for bi in range(n - 1, -1, -1):
+        for bi in _backward_order(cfg):
             out: Set[int] = set()
             for succ in succs[bi]:
                 out |= live_in[succ]
@@ -525,7 +578,7 @@ def compute_flat_slot_liveness(
             if out != live_out[bi] or new_in != live_in[bi]:
                 live_out[bi] = out
                 live_in[bi] = new_in
-                changed = True
+                changed = not cfg.acyclic
     return FlatSlotLiveness(live_in, live_out, tracked, frame_refs)
 
 
@@ -743,7 +796,7 @@ def _check_shape(flat: FlatFunction, shape: _Shape) -> None:
 def _shape_facts(shape: _Shape) -> Dict[str, object]:
     cfg = shape.cfg
     return {
-        "cfg": (cfg.succs, cfg.preds, cfg.rpo, cfg.reachable),
+        "cfg": (cfg.succs, cfg.preds, cfg.rpo, cfg.reachable, cfg.acyclic),
         "dominators": shape.dominators.idom,
         "loops": [
             (loop.header, frozenset(loop.body), frozenset(loop.latches), loop.depth)

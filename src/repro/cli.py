@@ -143,7 +143,8 @@ def _format_collapse_stats(stats) -> str:
         f"{stats.get('split_unproven', 0)} unproven, "
         f"{stats.get('split_cycle', 0)} cycle-split, "
         f"{stats.get('split_size', 0)} size-split, "
-        f"{stats.get('refuted', 0)} refuted"
+        f"{stats.get('refuted', 0)} refuted, "
+        f"{stats.get('uncanonical', 0)} uncanonical"
     )
 
 

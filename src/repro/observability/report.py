@@ -433,6 +433,7 @@ def render_report(summary: Dict[str, object]) -> str:
             f"{collapse['split_cycle']} cycle-split, "
             f"{collapse['split_size']} size-split, "
             f"{collapse['refuted']} refuted, "
+            f"{collapse['uncanonical']} uncanonical, "
             f"{collapse['classes']} semantic class(es)"
         )
     quarantine: Dict[str, int] = totals["quarantine"]

@@ -14,6 +14,7 @@ fallback.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Tuple
 
 from repro.analysis import flat as _flat_analysis
@@ -122,33 +123,8 @@ def _try_color(flat: FlatFunction) -> Tuple[Dict[int, int], List[int]]:
                     for other in iter_rids(others & PSEUDO_CLEAR):
                         forbidden[other] |= bit
 
-    # Chaitin-Briggs simplify/select with optimistic spilling, ordered
-    # by the pseudo's own numeric index.
     colors = list(ALLOCATABLE)
-    k = len(colors)
-    index_of = {p: REG_OBJS[p].index for p in pseudos}
-    # bin().count("1"), not int.bit_count(): that needs Python 3.10
-    degree = {
-        p: bin(interference[p]).count("1") + bin(forbidden[p]).count("1")
-        for p in pseudos
-    }
-    stack: List[int] = []
-    remaining = set(pseudos)
-    removed: set = set()
-    while remaining:
-        candidates = sorted(
-            (p for p in remaining if degree[p] < k), key=lambda p: index_of[p]
-        )
-        if candidates:
-            chosen = candidates[0]
-        else:
-            chosen = max(remaining, key=lambda p: (degree[p], index_of[p]))
-        stack.append(chosen)
-        remaining.discard(chosen)
-        removed.add(chosen)
-        for neighbor in iter_rids(interference[chosen]):
-            if neighbor not in removed:
-                degree[neighbor] -= 1
+    stack = _simplify(pseudos, interference, forbidden, len(colors))
 
     # Prefer lightly used colors so unrelated values get distinct
     # registers — keeping live ranges separable for the later phases,
@@ -181,6 +157,45 @@ def _try_color(flat: FlatFunction) -> Tuple[Dict[int, int], List[int]]:
         else:
             spilled.append(pseudo)
     return coloring, spilled
+
+
+def _simplify(
+    pseudos: List[int],
+    interference: Dict[int, int],
+    forbidden: Dict[int, int],
+    k: int,
+) -> List[int]:
+    """Chaitin-Briggs simplify with optimistic spilling: the pseudos in
+    the order select pops them last-first.
+
+    Each step removes the lowest-index pseudo of degree below *k*, or,
+    when none is left, the one of highest (degree, index).  Degrees only
+    fall, so a pseudo enters the heap of low-degree pseudos once, when
+    its degree first drops below *k*.
+    """
+    index_of = {p: REG_OBJS[p].index for p in pseudos}
+    # bin().count("1"), not int.bit_count(): that needs Python 3.10
+    degree = {
+        p: bin(interference[p]).count("1") + bin(forbidden[p]).count("1")
+        for p in pseudos
+    }
+    low = [(index_of[p], p) for p in pseudos if degree[p] < k]
+    heapq.heapify(low)
+    stack: List[int] = []
+    remaining = set(pseudos)
+    while remaining:
+        if low:
+            chosen = heapq.heappop(low)[1]
+        else:
+            chosen = max(remaining, key=lambda p: (degree[p], index_of[p]))
+        stack.append(chosen)
+        remaining.discard(chosen)
+        for neighbor in iter_rids(interference[chosen]):
+            if neighbor in remaining:
+                degree[neighbor] -= 1
+                if degree[neighbor] == k - 1:
+                    heapq.heappush(low, (index_of[neighbor], neighbor))
+    return stack
 
 
 def _rewrite(flat: FlatFunction, coloring: Dict[int, int]) -> None:

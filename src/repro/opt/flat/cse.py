@@ -112,19 +112,39 @@ def _lvn_cache(target: Target) -> Dict[int, object]:
 
 
 class _ValueTable:
-    """Running value state for local value numbering (rid-keyed)."""
+    """Running value state for local value numbering (rid-keyed).
 
-    __slots__ = ("const_of", "copy_of", "holder_of", "holder_mask")
+    Three register masks skip walks that cannot match: ``subst_mask``
+    holds the registers with a constant or copy entry (exact),
+    ``origin_mask`` the registers some copy entry names as its origin,
+    and ``named_mask`` the registers a tabled expression names as its
+    holder or operand (both may keep bits of entries since dropped)."""
+
+    __slots__ = (
+        "const_of",
+        "copy_of",
+        "holder_of",
+        "holder_mask",
+        "subst_mask",
+        "origin_mask",
+        "named_mask",
+    )
 
     def __init__(self):
         self.const_of: Dict[int, Expr] = {}
         self.copy_of: Dict[int, int] = {}
         self.holder_of: Dict[Expr, int] = {}
         self.holder_mask: Dict[Expr, int] = {}
+        self.subst_mask = 0
+        self.origin_mask = 0
+        self.named_mask = 0
 
     def substitution(self, iid: int) -> Tuple:
+        used = USE_MASK[iid] & self.subst_mask
+        if not used:
+            return ()
         pairs: List = []
-        for rid in iter_rids(USE_MASK[iid]):
+        for rid in iter_rids(used):
             constant = self.const_of.get(rid)
             if constant is not None:
                 pairs.append((rid, constant))
@@ -135,20 +155,28 @@ class _ValueTable:
         return tuple(pairs)
 
     def invalidate(self, rid: int) -> None:
-        self.const_of.pop(rid, None)
-        self.copy_of.pop(rid, None)
-        copy_of = self.copy_of
-        for key in [k for k, origin in copy_of.items() if origin == rid]:
-            del copy_of[key]
-        holder_of = self.holder_of
-        holder_mask = self.holder_mask
-        for expr in [
-            e
-            for e, holder in holder_of.items()
-            if holder == rid or holder_mask[e] >> rid & 1
-        ]:
-            del holder_of[expr]
-            del holder_mask[expr]
+        bit = 1 << rid
+        if self.subst_mask & bit:
+            self.const_of.pop(rid, None)
+            self.copy_of.pop(rid, None)
+            self.subst_mask &= ~bit
+        if self.origin_mask & bit:
+            copy_of = self.copy_of
+            for key in [k for k, origin in copy_of.items() if origin == rid]:
+                del copy_of[key]
+                self.subst_mask &= ~(1 << key)
+            self.origin_mask &= ~bit
+        if self.named_mask & bit:
+            holder_of = self.holder_of
+            holder_mask = self.holder_mask
+            for expr in [
+                e
+                for e, holder in holder_of.items()
+                if holder == rid or holder_mask[e] & bit
+            ]:
+                del holder_of[expr]
+                del holder_mask[expr]
+            self.named_mask &= ~bit
 
     def invalidate_memory(self, slot: Optional[int]) -> None:
         """A store (to *slot*, when literal) or call happened."""
@@ -176,15 +204,20 @@ class _ValueTable:
         cat, payload = src_info(iid)
         if cat == SRC_CONST:
             self.const_of[dst] = payload
+            self.subst_mask |= 1 << dst
         elif cat == SRC_COPY:
             if payload != dst:
-                self.copy_of[dst] = self.copy_of.get(payload, payload)
+                origin = self.copy_of.get(payload, payload)
+                self.copy_of[dst] = origin
+                self.subst_mask |= 1 << dst
+                self.origin_mask |= 1 << origin
         elif not USE_MASK[iid] >> dst & 1:
             # A self-referencing RTL (r1 = r1 + 4) computes a value the
             # expression text no longer denotes; never table it.
             if payload not in self.holder_of:
                 self.holder_of[payload] = dst
                 self.holder_mask[payload] = USE_MASK[iid]
+                self.named_mask |= 1 << dst | USE_MASK[iid]
 
 
 class CommonSubexpressionElimination(Phase):

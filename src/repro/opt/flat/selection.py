@@ -24,6 +24,7 @@ single combinable use runs on masks and cached textual counts.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import weakref
@@ -46,7 +47,8 @@ from repro.ir.flat import (
     block_id,
     intern_inst,
 )
-from repro.analysis.flat import RV_RID, _cache_of
+from repro.analysis import flat as _flat_analysis
+from repro.analysis.flat import RV_RID, _cache_of, _paranoid_check
 from repro.machine.target import Target
 from repro.opt.base import Phase
 from repro.opt.flat.support import (
@@ -123,6 +125,39 @@ def _combined(def_iid: int, use_iid: int) -> int:
     return result
 
 
+def _tally(counts: Dict[int, int], iids, sign: int, returns_value: bool) -> None:
+    """Add (*sign* 1) or subtract (-1) the register uses of *iids*,
+    dropping registers whose count reaches zero."""
+    for iid in iids:
+        uses = use_counts(iid)
+        if returns_value and KIND[iid] == K_RET:
+            uses += ((RV_RID, 1),)
+        for rid, count in uses:
+            total = counts.get(rid, 0) + sign * count
+            if total:
+                counts[rid] = total
+            else:
+                del counts[rid]
+
+
+def _count_uses(flat: FlatFunction) -> Dict[int, int]:
+    counts: Dict[int, int] = {}
+    _tally(counts, chain.from_iterable(flat.blocks), 1, flat.returns_value)
+    return counts
+
+
+def _update_counts(
+    counts: Dict[int, int], flat: FlatFunction, removed, added
+) -> None:
+    """Update *counts* for the instructions a fold or combine just
+    *removed* from and *added* to *flat*, instead of recounting the
+    whole function (paranoid mode recounts it and compares)."""
+    _tally(counts, removed, -1, flat.returns_value)
+    _tally(counts, added, 1, flat.returns_value)
+    if _flat_analysis._PARANOID:
+        _paranoid_check(flat, "register use counts", counts, _count_uses(flat))
+
+
 def _count_in(iid: int, rid: int) -> int:
     for counted_rid, count in use_counts(iid):
         if counted_rid == rid:
@@ -137,12 +172,15 @@ class InstructionSelection(Phase):
     contract_establishes = ("selection-done",)
 
     def run(self, flat: FlatFunction, target: Target) -> bool:
+        # The content's use counts, copied once and then kept current
+        # through every fold and combine (see _update_counts).
+        counts = dict(self._count_register_uses(flat))
         changed = False
-        while self._pass(flat, target):
+        while self._pass(flat, target, counts):
             changed = True
         return changed
 
-    def _pass(self, flat: FlatFunction, target: Target) -> bool:
+    def _pass(self, flat: FlatFunction, target: Target, counts) -> bool:
         # Standalone folding first (cheap, enables combinations), and
         # removal of no-op self-moves left behind by collapsed copies.
         legal = legal_cache(target)
@@ -159,11 +197,11 @@ class InstructionSelection(Phase):
                 fold_cache[bid] = result
             if result is not False:
                 flat.blocks[bi] = list(result)
+                _update_counts(counts, flat, block, result)
                 folded_any = True
         if folded_any:
             flat.invalidate_analyses(keep_shape=True)
 
-        counts = self._count_register_uses(flat)
         decisions = _target_cache(_DECISIONS, target)
         for block in flat.blocks:
             if self._combine_in_block(
@@ -194,15 +232,9 @@ class InstructionSelection(Phase):
         cache = _cache_of(flat)
         counts = cache.reg_use_counts
         if counts is None:
-            counts = {}
-            returns_value = flat.returns_value
-            for block in flat.blocks:
-                for iid in block:
-                    for rid, count in use_counts(iid):
-                        counts[rid] = counts.get(rid, 0) + count
-                    if returns_value and KIND[iid] == K_RET:
-                        counts[RV_RID] = counts.get(RV_RID, 0) + 1
-            cache.reg_use_counts = counts
+            counts = cache.reg_use_counts = _count_uses(flat)
+        elif _flat_analysis._PARANOID:
+            _paranoid_check(flat, "register use counts", counts, _count_uses(flat))
         return counts
 
     def _combine_in_block(
@@ -225,9 +257,11 @@ class InstructionSelection(Phase):
         if action is None:
             return False
         i, j, combined = action
+        replaced = (block[i], block[j])
         block[j] = combined
         del block[i]
         flat.invalidate_analyses(keep_shape=True)
+        _update_counts(counts, flat, replaced, (combined,))
         return True
 
     def _find_combine_action(

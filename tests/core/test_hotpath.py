@@ -519,6 +519,61 @@ class TestAssignedForm:
             set_paranoid(previous)
 
 
+class TestSelectionCounts:
+    """Instruction selection copies the content's cached register use
+    counts once and updates them on each fold and combine; paranoid
+    mode recounts on every cache hit and after every update."""
+
+    @staticmethod
+    def _descale():
+        func = compile_benchmark("jpeg").functions["descale"]
+        implicit_cleanup(func)
+        return to_flat(func)
+
+    def test_selection_combines_on_descale(self):
+        flat = self._descale()
+        before = selection.InstructionSelection._count_register_uses(flat)
+        candidate = attempt_phase_on_flat(flat, phase_by_id("s"))
+        assert candidate is not None
+        assert candidate.num_instructions() < flat.num_instructions()
+        # the input's counts are read, never updated in place
+        assert selection._count_uses(flat) == before
+
+    def test_paranoid_mode_recounts_cached_counts(self):
+        flat = self._descale()
+        counts = selection.InstructionSelection._count_register_uses(flat)
+        rid = next(iter(counts))
+        counts[rid] += 1
+        previous = set_paranoid(True)
+        try:
+            with pytest.raises(
+                RuntimeError, match="stale cached flat register use counts"
+            ):
+                attempt_phase_on_flat(flat, phase_by_id("s"))
+        finally:
+            set_paranoid(previous)
+
+    def test_paranoid_mode_recounts_after_each_update(self, monkeypatch):
+        real_tally = selection._tally
+
+        def additions_only(counts, iids, sign, returns_value):
+            if sign > 0:
+                real_tally(counts, iids, sign, returns_value)
+
+        monkeypatch.setattr(selection, "_tally", additions_only)
+        flat = self._descale()
+        # unchecked, the drifted counts go unnoticed
+        assert attempt_phase_on_flat(flat, phase_by_id("s")) is not None
+        previous = set_paranoid(True)
+        try:
+            with pytest.raises(
+                RuntimeError, match="stale cached flat register use counts"
+            ):
+                attempt_phase_on_flat(self._descale(), phase_by_id("s"))
+        finally:
+            set_paranoid(previous)
+
+
 # ----------------------------------------------------------------------
 # Single-clone attempt == clone + apply_phase on the object IR
 # ----------------------------------------------------------------------

@@ -262,6 +262,41 @@ def test_dropped_event_kinds_of_older_journals_warn(tmp_path, capsys):
     assert "warning: 2 event(s) of unknown kind(s)" in capsys.readouterr().out
 
 
+def test_uncanonical_instances_show_in_enumerate_and_report(
+    tmp_path, capsys, monkeypatch
+):
+    # A canonicalizer that raises on every instance turns semantic
+    # collapse off; both summary lines must say so, not just "0 refuted".
+    from repro.core.enumeration import EnumerationConfig, enumerate_space
+    from repro.frontend import compile_source
+    from repro.programs import PROGRAMS
+    from repro.staticanalysis import canon
+
+    func = compile_source(PROGRAMS["sha"].source).functions["rol"]
+    nodes = len(enumerate_space(func, EnumerationConfig(max_nodes=300)).dag.nodes)
+
+    def broken(flat):
+        raise RuntimeError("canonicalizer bug")
+
+    monkeypatch.setattr(canon, "canonical_summary", broken)
+    run_dir = str(tmp_path / "uncanonical")
+    assert main(ROL + ["--collapse", "semantic", "--run-dir", run_dir]) == 0
+    enumerate_line = [
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("collapse (semantic):")
+    ]
+    assert enumerate_line == [
+        "collapse (semantic): 0 merged (0 proved, 0 tested) of 0 candidates — "
+        "0 unproven, 0 cycle-split, 0 size-split, 0 refuted, "
+        f"{nodes} uncanonical"
+    ]
+    assert summarize_run(run_dir)["collapse"]["uncanonical"] == nodes
+    assert main(["report", run_dir]) == 0
+    out = capsys.readouterr().out
+    assert f"0 refuted, {nodes} uncanonical, 0 semantic class(es)" in out
+
+
 def test_collapse_stats_render_in_report(tmp_path, capsys):
     run_dir = str(tmp_path / "collapse")
     assert (

@@ -1,12 +1,15 @@
 """Unit tests for the compulsory register assignment."""
 
+import random
+
 import pytest
 
+from repro.ir.flat import REG_OBJS, iter_rids, reg_id
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Assign, Call, Return
 from repro.ir.operands import BinOp, Const, Reg
 from repro.machine.target import ALLOCATABLE, DEFAULT_TARGET, RV
-from repro.opt.flat.assign import flat_assign_registers
+from repro.opt.flat.assign import _simplify, flat_assign_registers
 from repro.vm import Interpreter
 from tests.conftest import GCD_SRC, SUM_ARRAY_SRC, compile_fn, compile_prog, on_object
 
@@ -99,3 +102,65 @@ class TestAssignment:
         program = Program()
         program.add_function(func)
         assert Interpreter(program).run("f").value == sum(range(20))
+
+
+def sorted_simplify(pseudos, interference, forbidden, k):
+    """The simplify step as a re-sort of every low-degree pseudo on each
+    step; returns the stack and how many steps took the spill choice."""
+    index_of = {p: REG_OBJS[p].index for p in pseudos}
+    degree = {
+        p: bin(interference[p]).count("1") + bin(forbidden[p]).count("1")
+        for p in pseudos
+    }
+    stack, spill_steps = [], 0
+    remaining = set(pseudos)
+    removed = set()
+    while remaining:
+        candidates = sorted(
+            (p for p in remaining if degree[p] < k), key=lambda p: index_of[p]
+        )
+        if candidates:
+            chosen = candidates[0]
+        else:
+            chosen = max(remaining, key=lambda p: (degree[p], index_of[p]))
+            spill_steps += 1
+        stack.append(chosen)
+        remaining.discard(chosen)
+        removed.add(chosen)
+        for neighbor in iter_rids(interference[chosen]):
+            if neighbor not in removed:
+                degree[neighbor] -= 1
+    return stack, spill_steps
+
+
+def random_interference(rng):
+    """A random symmetric interference graph over pseudos whose indexes
+    are drawn out of order (so rid order and index order differ), with
+    random hardware constraints."""
+    indexes = rng.sample(range(64), rng.randint(1, 40))
+    pseudos = sorted(reg_id(Reg(index, pseudo=True)) for index in indexes)
+    density = rng.random()
+    interference = {p: 0 for p in pseudos}
+    for i, a in enumerate(pseudos):
+        for b in pseudos[i + 1 :]:
+            if rng.random() < density:
+                interference[a] |= 1 << b
+                interference[b] |= 1 << a
+    forbidden = {p: rng.getrandbits(13) if rng.random() < 0.3 else 0 for p in pseudos}
+    return pseudos, interference, forbidden
+
+
+class TestSimplify:
+    def test_heap_pops_the_sorted_stack(self):
+        rng = random.Random(2006)
+        k = len(ALLOCATABLE)
+        spilling = 0
+        for _ in range(3000):
+            pseudos, interference, forbidden = random_interference(rng)
+            expected, spill_steps = sorted_simplify(
+                pseudos, interference, forbidden, k
+            )
+            assert _simplify(pseudos, interference, forbidden, k) == expected
+            spilling += spill_steps > 0
+        # dense graphs leave no low-degree pseudo at some step
+        assert spilling > 500
