@@ -18,9 +18,7 @@ like any other dead assignment.
 
 from __future__ import annotations
 
-from typing import List
-
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.analysis.flat import flat_liveness_of, flat_slot_liveness_of
 from repro.ir.flat import (
@@ -36,9 +34,9 @@ from repro.ir.flat import (
 from repro.machine.target import Target
 from repro.opt.base import Phase
 
-#: block id -> per-instruction "condition code read later" flags
-#: (purely local to the block)
-_CC_FLAGS: Dict[int, List[bool]] = {}
+#: block id -> (per-instruction "condition code read later" flags,
+#: whether the block has a store); purely local to the block
+_CC_FLAGS: Dict[int, Tuple[List[bool], bool]] = {}
 _CC_FLAGS_MAX = 1 << 18
 
 
@@ -54,14 +52,17 @@ class DeadAssignmentElimination(Phase):
 
     def _sweep(self, flat: FlatFunction) -> bool:
         liveness = flat_liveness_of(flat)
-        slot_liveness = flat_slot_liveness_of(flat)
-        frame_refs = slot_liveness.frame_refs
+        block_facts = [self._block_facts(block) for block in flat.blocks]
+        # only a store reads the frame slots' liveness
+        if any(has_store for _, has_store in block_facts):
+            slot_liveness = flat_slot_liveness_of(flat)
         removed = False
         for bi, block in enumerate(flat.blocks):
             live_after = liveness.live_after_each(flat, bi)
-            slots_after = slot_liveness.live_after_each(bi)
-            refs = frame_refs.refs[bi]
-            cc_read_later = self._cc_read_flags(block)
+            cc_read_later, has_store = block_facts[bi]
+            if has_store:
+                slots_after = slot_liveness.live_after_each(bi)
+                refs = slot_liveness.frame_refs.refs[bi]
             # Detection first, without building a replacement list —
             # on most sweeps most blocks have nothing to remove.
             first_dead = -1
@@ -110,14 +111,16 @@ class DeadAssignmentElimination(Phase):
         return removed
 
     @staticmethod
-    def _cc_read_flags(block: List[int]) -> List[bool]:
-        """For each instruction, is the condition code it sets read later?"""
+    def _block_facts(block: List[int]) -> Tuple[List[bool], bool]:
+        """For each instruction, is the condition code it sets read
+        later?  And does the block store?"""
         bid = block_id(tuple(block))
-        flags = _CC_FLAGS.get(bid)
-        if flags is not None:
-            return flags
+        facts = _CC_FLAGS.get(bid)
+        if facts is not None:
+            return facts
         flags = [False] * len(block)
         needed = False
+        has_store = False
         for i in range(len(block) - 1, -1, -1):
             kind = KIND[block[i]]
             if kind == K_CONDBR:
@@ -125,7 +128,9 @@ class DeadAssignmentElimination(Phase):
             elif kind == K_COMPARE:
                 flags[i] = needed
                 needed = False
+            elif kind == K_STORE:
+                has_store = True
         if len(_CC_FLAGS) >= _CC_FLAGS_MAX:
             _CC_FLAGS.clear()
-        _CC_FLAGS[bid] = flags
-        return flags
+        facts = _CC_FLAGS[bid] = (flags, has_store)
+        return facts

@@ -30,6 +30,25 @@ mutated), appends a
 phase as dormant, so the caller — enumerator or compiler — simply
 continues.  A seeded :class:`~repro.robustness.faults.FaultInjector`
 can be attached to exercise each of these paths deterministically.
+
+Most candidates of an enumeration repeat one already checked (the
+paper's identical instances, §4).  The runner keeps a record, for the
+run it serves, of every verdict that reads the candidate alone: the IR
+validation or sanitizer battery, the VM comparison and whether the
+candidate names a pseudo register.  A repeated candidate takes them
+from the record; the edge checks (phase contract, translation
+validator), the counters, the quarantine records and the fault draws
+still run on every edge.  The record is keyed by the candidate's
+``content_key()`` (the tuple the fingerprint table keys by), and each
+entry also holds every input those checks read that the content does
+not fix: ``reg_assigned``, ``next_pseudo``, ``frame_size``, the
+``frame`` dict (compared by identity, so an equal copy is a miss) and
+the validate flag (an injected fault sets it on one edge).  A lookup
+hits only when all of them match; a miss's verdicts replace the entry.
+Name, params, target, program and checker mode are fixed for a
+runner's lifetime.  Paranoid mode (``REPRO_PARANOID_ANALYSIS``)
+recomputes the verdicts on every hit and contains a disagreement as a
+quarantined edge ("stale cached guard verdict").
 """
 
 from __future__ import annotations
@@ -38,8 +57,9 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.analysis import flat as _flat_analysis
 from repro.analysis.reaching import declared_arity
 from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.ir.function import Function, Program
@@ -89,6 +109,36 @@ def _phase_alarm(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+#: a record entry's VM comparison before the difftester ran
+_UNTESTED = object()
+
+#: the candidate-only verdict of a runner that neither validates nor
+#: sanitizes: no pseudo-register fact, no failure
+_NO_BATTERY = (None, ())
+
+
+class _Verdicts(NamedTuple):
+    """One record entry: the check inputs the candidate's content does
+    not fix, and the verdicts that read the candidate alone."""
+
+    frame: dict  # compared by identity
+    reg_assigned: bool
+    next_pseudo: int
+    frame_size: int
+    validate: bool
+    pseudo_free: Optional[bool]  # None without a sanitizer
+    failure: tuple  # () when clean
+    mismatch: object  # _UNTESTED until the VM comparison ran
+
+
+def _confirm(flat: FlatFunction, cached, fresh) -> None:
+    if cached != fresh:
+        raise RuntimeError(
+            f"stale cached guard verdict for {flat.name} "
+            "(a record entry disagrees with the candidate it describes)"
+        )
 
 
 def default_vectors(func: Function) -> Tuple[Tuple[int, ...], ...]:
@@ -203,6 +253,10 @@ class GuardedPhaseRunner:
         #: applications that went through the guard (Table-3 "Attempt"
         #: still counts them; this is the guard's own telemetry)
         self.guarded_applications = 0
+        #: the record: candidate ``content_key()`` -> :class:`_Verdicts`
+        self.verdicts: Dict[tuple, _Verdicts] = {}
+        # (parent, whether it names no pseudo register) of the last edge
+        self._parent: Optional[Tuple[FlatFunction, bool]] = None
 
     # ------------------------------------------------------------------
 
@@ -232,18 +286,21 @@ class GuardedPhaseRunner:
         started = time.monotonic()
         after: Optional[Function] = None
         try:
-            with _phase_alarm(self.phase_timeout):
-                if injected:
-                    # Sabotage instead of the real application: either
-                    # raises, hangs into the alarm, or corrupts a fresh
-                    # object view of the parent (and the validation
-                    # below must catch it).
+            if injected:
+                # Sabotage instead of the real application: either
+                # raises, hangs into the alarm, or corrupts a fresh
+                # object view of the parent (and the validation below
+                # must catch it).
+                with _phase_alarm(self.phase_timeout):
                     after = from_flat(flat)
                     self.fault_injector.sabotage(
                         after, phase.id, self.phase_timeout
                     )
-                    candidate = None
-                else:
+                candidate = None
+            elif self.phase_timeout is None:
+                candidate = attempt_phase_on_flat(flat, phase, target)
+            else:
+                with _phase_alarm(self.phase_timeout):
                     candidate = attempt_phase_on_flat(flat, phase, target)
         except PhaseTimeout as error:
             self._record(phase, "timeout", str(error), node_key, level)
@@ -299,19 +356,27 @@ class GuardedPhaseRunner:
         # catching it.
         validate = self.validate or injected
         failure: Optional[Tuple[str, str]] = None
-        if self.sanitizer is not None:
-            # one battery serves validation and the sanitizer
-            try:
-                failure = self.sanitizer.check_edge(flat, candidate, phase, validate)
-            except MemoryError:
-                raise
-            except Exception as error:  # checker bug — still contain
+        try:
+            entry = self._entry(candidate, validate, target)
+            if self.sanitizer is not None:
+                # one battery serves validation and the sanitizer
+                failure = self.sanitizer.check_edge(
+                    flat,
+                    candidate,
+                    phase,
+                    validate,
+                    (entry.pseudo_free, entry.failure),
+                    self._parent_pseudo_free(flat),
+                )
+            elif entry.failure:
+                failure = entry.failure
+        except MemoryError:
+            raise
+        except Exception as error:  # checker bug or stale record — still contain
+            if self.sanitizer is not None:
                 failure = ("sanitizer", f"static checker crashed: {error}")
-        elif validate:
-            try:
-                validate_ir(candidate, target)
-            except IRValidationError as error:
-                failure = ("validation", str(error))
+            else:
+                failure = ("validation", f"validator crashed: {error}")
 
         if (
             failure is None
@@ -319,7 +384,7 @@ class GuardedPhaseRunner:
             and candidate.name == self.difftest.entry
         ):
             try:
-                mismatch = self.difftest.check(from_flat(candidate))
+                mismatch = self._mismatch(entry, candidate)
             except MemoryError:
                 raise
             except Exception as error:  # interpreter bug — still contain
@@ -335,6 +400,89 @@ class GuardedPhaseRunner:
         return candidate
 
     # ------------------------------------------------------------------
+
+    def _battery(
+        self, candidate: FlatFunction, validate: bool, target: Target
+    ) -> Tuple[Optional[bool], tuple]:
+        """The candidate-only checks: ``(pseudo_free, failure)``."""
+        if self.sanitizer is not None:
+            return self.sanitizer.candidate_verdict(candidate, validate)
+        if validate:
+            try:
+                validate_ir(candidate, target)
+            except IRValidationError as error:
+                return None, ("validation", str(error))
+        return _NO_BATTERY
+
+    def _lookup(self, flat: FlatFunction, validate: bool) -> Optional[_Verdicts]:
+        """*flat*'s record entry, if it was checked with *flat*'s inputs."""
+        entry = self.verdicts.get(flat.content_key())
+        if (
+            entry is not None
+            and entry.frame is flat.frame
+            and entry.reg_assigned == flat.reg_assigned
+            and entry.next_pseudo == flat.next_pseudo
+            and entry.frame_size == flat.frame_size
+            and entry.validate == validate
+        ):
+            return entry
+        return None
+
+    def _entry(
+        self, candidate: FlatFunction, validate: bool, target: Target
+    ) -> _Verdicts:
+        """*candidate*'s record entry; the battery runs on a miss (and
+        its entry replaces any of equal content), and on a hit too in
+        paranoid mode."""
+        entry = self._lookup(candidate, validate)
+        if entry is None:
+            pseudo_free, failure = self._battery(candidate, validate, target)
+            entry = _Verdicts(
+                candidate.frame,
+                candidate.reg_assigned,
+                candidate.next_pseudo,
+                candidate.frame_size,
+                validate,
+                pseudo_free,
+                failure,
+                _UNTESTED,
+            )
+            self.verdicts[candidate.content_key()] = entry
+        elif _flat_analysis._PARANOID:
+            _confirm(
+                candidate,
+                (entry.pseudo_free, entry.failure),
+                self._battery(candidate, validate, target),
+            )
+        return entry
+
+    def _mismatch(self, entry: _Verdicts, candidate: FlatFunction) -> Optional[str]:
+        """The difftester's verdict on *candidate*, kept in its entry."""
+        mismatch = entry.mismatch
+        if mismatch is _UNTESTED:
+            mismatch = self.difftest.check(from_flat(candidate))
+            self.verdicts[candidate.content_key()] = entry._replace(mismatch=mismatch)
+        elif _flat_analysis._PARANOID:
+            _confirm(candidate, mismatch, self.difftest.check(from_flat(candidate)))
+        return mismatch
+
+    def _parent_pseudo_free(self, parent: FlatFunction) -> bool:
+        """Whether *parent* names no pseudo register, for the contract
+        check: read from its own record entry, or computed once (the
+        root; nodes restored from a checkpoint)."""
+        memo = self._parent
+        paranoid = _flat_analysis._PARANOID
+        if memo is not None and memo[0] is parent and not paranoid:
+            return memo[1]
+        entry = self._lookup(parent, self.validate)
+        if entry is None:
+            pseudo_free = self.sanitizer.pseudo_free(parent)
+        else:
+            pseudo_free = entry.pseudo_free
+            if paranoid:
+                _confirm(parent, pseudo_free, self.sanitizer.pseudo_free(parent))
+        self._parent = (parent, pseudo_free)
+        return pseudo_free
 
     def _record(
         self,

@@ -3,7 +3,9 @@
 One instance rides inside a :class:`GuardedPhaseRunner` for a whole
 enumeration.  After every *active* phase application the guard hands
 it the flat parent and the flat candidate; :meth:`check_edge` runs, in
-order:
+order (steps 0 and 1 read the candidate alone: they are
+:meth:`candidate_verdict`, which the guard runs once per distinct
+candidate and keeps in its record):
 
 0. when the guard validates too (``--validate``), the IR validation
    verdict, taken from the same battery run (quarantine kind
@@ -87,51 +89,84 @@ class EdgeChecker:
 
     # ------------------------------------------------------------------
 
+    def candidate_verdict(
+        self, after: FlatFunction, validate: bool = False
+    ) -> Tuple[bool, tuple]:
+        """The checks that read the candidate alone, which the guard
+        keeps per distinct candidate: ``(pseudo_free, failure)``.
+
+        *pseudo_free* says whether *after* names no pseudo register (the
+        contract check reads it).  *failure* is ``()`` when the battery
+        is clean, ``("validation", detail)`` when *validate* finds a
+        problem, else ``("sanitizer", detail, number of findings)``.
+        With *validate* the battery first runs without program context,
+        as :func:`repro.ir.validate.check_ir` would; the program-context
+        call checks follow on a clean result.
+        """
+        program = self.program
+        pseudo_free = self.pseudo_free(after, self.target)
+        if validate:
+            findings = sanitize_mod.fast_findings(after, self.target)
+            if findings:
+                detail = str(IRValidationError(after.name, problems_of(findings)))
+                return pseudo_free, ("validation", detail)
+            if program is not None:
+                findings = sanitize_mod.call_findings(after, program)
+        else:
+            findings = sanitize_mod.fast_findings(after, self.target, program)
+        if self.mode == sanitize_mod.FULL and not sanitize_mod.structural_failure(
+            findings
+        ):
+            findings.extend(sanitize_mod.full_findings(after, program))
+        if findings:
+            return pseudo_free, ("sanitizer", _summary(findings), len(findings))
+        return pseudo_free, ()
+
+    @staticmethod
+    def pseudo_free(flat: FlatFunction, target: Optional[Target] = None) -> bool:
+        """Whether *flat* names no pseudo register."""
+        return not sanitize_mod.has_pseudo_registers(flat, target)
+
     def check_edge(
         self,
         before: FlatFunction,
         after: FlatFunction,
         phase,
         validate: bool = False,
+        verdict: Optional[Tuple[bool, tuple]] = None,
+        before_pseudo_free: Optional[bool] = None,
     ) -> Optional[Tuple[str, str]]:
         """Verify one applied edge; return ``(quarantine_kind,
         detail)`` on failure, None when the edge is clean.
 
-        With *validate* the battery first runs without program context,
-        as :func:`repro.ir.validate.check_ir` would, and a finding
-        rejects the edge as a ``validation`` failure (not counted as a
-        checked edge); the program-context call checks follow on a
-        clean result.
+        *verdict* is :meth:`candidate_verdict` of *after*, run here when
+        not given; *before_pseudo_free* is whether *before* names no
+        pseudo register, read by the contract check when not given.  A
+        validation failure is not counted as a checked edge.
         """
-        program = self.program
-        if validate:
-            findings = sanitize_mod.fast_findings(after, self.target)
-            if findings:
-                detail = str(IRValidationError(after.name, problems_of(findings)))
-                return "validation", detail
-            if program is not None:
-                findings = sanitize_mod.call_findings(after, program)
-        else:
-            findings = sanitize_mod.fast_findings(after, self.target, program)
+        if verdict is None:
+            verdict = self.candidate_verdict(after, validate)
+        pseudo_free, failure = verdict
+        if failure and failure[0] == "validation":
+            return failure
         self.counters["edges"] += 1
         self.last_verdict = None
-        if self.mode == sanitize_mod.FULL and not sanitize_mod.structural_failure(
-            findings
-        ):
-            findings.extend(sanitize_mod.full_findings(after, program))
-        if findings:
-            self.counters["findings"] += len(findings)
-            return "sanitizer", _summary(findings)
-        violations = contracts_mod.check_contract(phase.id, before, after)
+        if failure:
+            kind, detail, count = failure
+            self.counters["findings"] += count
+            return kind, detail
+        violations = contracts_mod.check_contract(
+            phase.id, before, after, (before_pseudo_free, pseudo_free)
+        )
         if violations:
             self.counters["contract_violations"] += len(violations)
             return "contract", _summary(violations)
         if self.transval is not None:
-            verdict = self.transval.classify(before, after)
-            self.counters[verdict.status] += 1
-            self.last_verdict = verdict.status
-            if verdict.status == REFUTED:
-                return "semantics", f"translation validator: {verdict.detail}"
+            outcome = self.transval.classify(before, after)
+            self.counters[outcome.status] += 1
+            self.last_verdict = outcome.status
+            if outcome.status == REFUTED:
+                return "semantics", f"translation validator: {outcome.detail}"
         return None
 
     # ------------------------------------------------------------------

@@ -148,12 +148,16 @@ def check_contract(
     phase_id: str,
     before: Union[Function, FlatFunction],
     after: Union[Function, FlatFunction],
+    pseudo_free: Tuple[Optional[bool], Optional[bool]] = (None, None),
 ) -> List[Finding]:
     """Check one applied edge ``before --phase--> after``.
 
     *before* is the pre-phase snapshot, *after* the function the phase
     (plus any triggered assignment and implicit cleanup) produced;
-    object functions are converted with ``to_flat``.
+    object functions are converted with ``to_flat``.  *pseudo_free*
+    gives ``no-pseudo-registers`` of *before* and *after* where the
+    caller knows it already (the guard keeps it per candidate); None
+    computes it.
     """
     if not isinstance(before, FlatFunction):
         before = to_flat(before)
@@ -162,6 +166,9 @@ def check_contract(
     contract = contract_for(phase_id)
     findings: List[Finding] = []
     held: Dict[Tuple[bool, str], bool] = {}
+    for when_after, known in zip((False, True), pseudo_free):
+        if known is not None:
+            held[when_after, "no-pseudo-registers"] = known
 
     def holds(when_after: bool, invariant: str) -> bool:
         key = (when_after, invariant)

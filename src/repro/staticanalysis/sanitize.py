@@ -263,9 +263,10 @@ def _paranoid_check(what: str, key: int, cached, fresh) -> None:
         )
 
 
-def has_pseudo_registers(flat: FlatFunction) -> bool:
-    """Whether any instruction of *flat* names a pseudo register."""
-    return any(facts.max_pseudo >= 0 for facts in _block_facts(flat, None))
+def has_pseudo_registers(flat: FlatFunction, target: Optional[Target] = None) -> bool:
+    """Whether any instruction of *flat* names a pseudo register (read
+    from *target*'s fact table, which a battery for *target* fills)."""
+    return any(facts.max_pseudo >= 0 for facts in _block_facts(flat, target))
 
 
 # ----------------------------------------------------------------------

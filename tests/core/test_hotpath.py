@@ -574,6 +574,28 @@ class TestSelectionCounts:
             set_paranoid(previous)
 
 
+class TestDeadAssignmentSlots:
+    """Dead assignment elimination reads frame-slot liveness only where
+    a block stores: a sweep over store-free blocks solves none, and a
+    store-free block builds no slot view."""
+
+    def test_slot_views_are_built_for_blocks_with_a_store(self, monkeypatch):
+        func = compile_benchmark("bitcount").functions["main"]
+        views = []
+        real = flat_analysis.FlatSlotLiveness.live_after_each
+
+        def counted(self, block_index):
+            if block_index not in self.after_memo:
+                views.append(block_index)
+            return real(self, block_index)
+
+        monkeypatch.setattr(flat_analysis.FlatSlotLiveness, "live_after_each", counted)
+        result = enumerate_space(func, EnumerationConfig())
+        assert result.completed
+        # every block's view, stores or not, made 8,014
+        assert len(views) == 5822
+
+
 # ----------------------------------------------------------------------
 # Single-clone attempt == clone + apply_phase on the object IR
 # ----------------------------------------------------------------------

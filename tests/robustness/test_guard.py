@@ -13,15 +13,19 @@ from repro.core.batch import BatchCompiler
 from repro.core.fingerprint import fingerprint_function
 from repro.frontend import compile_source
 from repro.ir.flat import INST_OBJS, KIND, K_ASSIGN, from_flat, intern_inst, to_flat
+from repro.analysis import set_paranoid
 from repro.ir.instructions import Assign, Jump
-from repro.ir.operands import Const
+from repro.ir.operands import Const, Reg
+from repro.opt import implicit_cleanup
 from repro.opt.base import Phase
+from repro.robustness import guard as guard_mod
 from repro.robustness.faults import FaultInjector
 from repro.robustness.guard import (
     DifferentialTester,
     GuardedPhaseRunner,
     default_vectors,
 )
+from repro.staticanalysis.checker import EdgeChecker
 from repro.robustness.quarantine import QuarantineLog, QuarantineRecord
 from tests.conftest import MAXI_SRC, compile_fn, on_object
 
@@ -66,6 +70,42 @@ class _ConstTweakPhase(Phase):
                     )
                     flat.invalidate_analyses()
                     self.fired = True
+                    return True
+        return False
+
+
+class _WildRegisterPhase(Phase):
+    """Writes a hardware register outside the register file at the
+    entry, the same way on every run (MACH003)."""
+
+    id = "b"
+    name = "wild register"
+
+    def run(self, flat, target):
+        wild = intern_inst(Assign(Reg(99), Const(0)))
+        if flat.blocks[0][:1] == [wild]:
+            return False
+        flat.blocks[0].insert(0, wild)
+        flat.invalidate_analyses()
+        return True
+
+
+class _SetConstPhase(Phase):
+    """Sets the first constant assignment to 42, the same way on every
+    run: well-formed IR with other semantics."""
+
+    id = "b"
+    name = "set const"
+
+    def run(self, flat, target):
+        for block in flat.blocks:
+            for i, iid in enumerate(block):
+                inst = INST_OBJS[iid]
+                if KIND[iid] == K_ASSIGN and isinstance(inst.src, Const):
+                    if inst.src.value == 42:
+                        return False
+                    block[i] = intern_inst(Assign(inst.dst, Const(42)))
+                    flat.invalidate_analyses()
                     return True
         return False
 
@@ -360,3 +400,116 @@ class TestCooperativeDeadline:
         guard = GuardedPhaseRunner(phase_timeout=5.0)
         self._apply_in_thread(guard, maxi_flat, phase_by_id("b"))
         assert len(guard.quarantine) == 0
+
+
+def _five():
+    program = compile_source(FIVE_SRC)
+    implicit_cleanup(program.functions["five"])
+    return program, program.functions["five"]
+
+
+class TestVerdictRecord:
+    """The guard checks each distinct candidate once per run; every
+    edge still gets its own quarantine record and counters."""
+
+    @staticmethod
+    def _guard(check, calls, monkeypatch):
+        """A guard running *check* alone, counting its check runs."""
+
+        def counted(real):
+            def run(*args):
+                calls.append(1)
+                return real(*args)
+
+            return run
+
+        if check == "sanitizer":
+            checker = EdgeChecker()
+            monkeypatch.setattr(
+                checker, "candidate_verdict", counted(checker.candidate_verdict)
+            )
+            return GuardedPhaseRunner(validate=False, sanitizer=checker)
+        if check == "validation":
+            validate_ir = counted(guard_mod.validate_ir)
+            monkeypatch.setattr(guard_mod, "validate_ir", validate_ir)
+            return GuardedPhaseRunner(validate=True)
+        program, func = _five()
+        tester = DifferentialTester(program, "five", default_vectors(func))
+        monkeypatch.setattr(tester, "check", counted(tester.check))
+        return GuardedPhaseRunner(validate=False, difftest=tester)
+
+    @pytest.mark.parametrize("check", ["sanitizer", "validation", "semantics"])
+    def test_a_repeated_broken_candidate_is_checked_once(self, check, monkeypatch):
+        calls = []
+        guard = self._guard(check, calls, monkeypatch)
+        if check == "semantics":
+            flat, phase = to_flat(_five()[1]), _SetConstPhase()
+        else:
+            flat, phase = to_flat(compile_fn(MAXI_SRC, "maxi")), _WildRegisterPhase()
+        assert guard.apply(flat, phase) is None
+        assert guard.apply(flat, phase) is None
+        first, second = guard.quarantine.records
+        assert first.kind == check
+        assert (second.kind, second.detail, second.diff) == (
+            first.kind,
+            first.detail,
+            first.diff,
+        )
+        assert len(calls) == len(guard.verdicts) == 1
+        if check == "sanitizer":
+            stats = guard.sanitizer.stats()
+            per_edge = guard.verdicts.popitem()[1].failure[2]
+            assert per_edge > 0
+            assert (stats["edges"], stats["findings"]) == (2, 2 * per_edge)
+
+    @pytest.mark.parametrize("check", ["validation", "semantics"])
+    def test_paranoid_mode_catches_a_planted_verdict(self, check, monkeypatch):
+        guard = self._guard(check, [], monkeypatch)
+        if check == "semantics":
+            flat, phase = to_flat(_five()[1]), _SetConstPhase()
+            clean = {"mismatch": None}
+        else:
+            flat, phase = to_flat(compile_fn(MAXI_SRC, "maxi")), _WildRegisterPhase()
+            clean = {"failure": ()}
+        assert guard.apply(flat, phase) is None
+        # plant "clean" over the broken candidate's verdict
+        ((key, entry),) = guard.verdicts.items()
+        guard.verdicts[key] = entry._replace(**clean)
+        previous = set_paranoid(True)
+        try:
+            assert guard.apply(flat, phase) is None
+        finally:
+            set_paranoid(previous)
+        record = guard.quarantine.records[1]
+        assert record.kind == check
+        assert "stale cached guard verdict for" in record.detail
+        # unchecked, the planted entry is trusted
+        assert guard.apply(flat, phase) is not None
+
+    def test_an_equal_frame_copy_or_another_next_pseudo_is_a_miss(
+        self, maxi_flat, monkeypatch
+    ):
+        calls = []
+        guard = self._guard("validation", calls, monkeypatch)
+        phase = _WildRegisterPhase()
+        copied = maxi_flat.clone()
+        copied.frame = dict(maxi_flat.frame)
+        renumbered = maxi_flat.clone()
+        renumbered.next_pseudo += 1
+        for parent in (maxi_flat, maxi_flat, copied, renumbered):
+            assert guard.apply(parent, phase) is None
+        # one content: each miss's verdicts replace the entry
+        assert len(calls) == 3
+        assert len(guard.verdicts) == 1
+        details = {record.detail for record in guard.quarantine.records}
+        assert len(details) == 1
+
+    def test_no_alarm_without_a_timeout(self, maxi_flat, monkeypatch):
+        def refuse(seconds):
+            raise AssertionError("alarm entered without a timeout")
+
+        monkeypatch.setattr(guard_mod, "_phase_alarm", refuse)
+        from repro.opt import phase_by_id
+
+        guard = GuardedPhaseRunner()
+        assert any(guard.apply(maxi_flat, phase_by_id(pid)) for pid in "bsiu")

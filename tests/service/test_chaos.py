@@ -10,7 +10,7 @@ The resilience contract these tests pin down:
   same run dir resumes it bit-identically.
 
 Workloads are chosen by measured timing: ``sha/byte_reverse`` reaches a
-``max_nodes`` budget of 3000 in ~2s of steady, validated and sanitized
+``max_nodes`` budget of 4500 in ~2s of steady, validated and sanitized
 in-process expansion (a few seconds through the service), which leaves
 a wide window to kill or drain mid-flight, while the budget cutoff
 keeps the final DAG deterministic.
@@ -33,8 +33,8 @@ from tests.service.conftest import wait_for
 
 #: the SLOW budget, and the instances its DAG holds when the budget
 #: stops it (the node being expanded completes)
-SLOW_NODES = 3000
-SLOW_INSTANCES = 3001
+SLOW_NODES = 4500
+SLOW_INSTANCES = 4501
 #: steady multi-second workload; checkpoints land every 0.2s so a kill
 #: or drain at any point loses almost nothing.  Validation plus fast
 #: sanitizing of every edge keeps it slow enough to leave a kill window

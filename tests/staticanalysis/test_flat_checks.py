@@ -5,10 +5,11 @@ translation validator's prover read the flat parent and candidate:
 memoized per-instruction and per-block facts plus the cached flat CFG
 and liveness.  These tests pin that a clean fast-mode edge and a proved
 full-mode edge build no object view, that ``--validate`` with
-``--sanitize`` runs the battery once per edge, that full mode and
-semantic collapse survive paranoid mode, and that the fact tables
+``--sanitize`` runs the battery once per distinct candidate, that full
+mode and semantic collapse survive paranoid mode, that the fact tables
 follow the flat analyses' memo discipline (paranoid recomputation, a
-bound, a reset).
+bound, a reset), and that the guard's record of candidate verdicts
+keeps every edge's outcome.
 """
 
 from typing import Dict
@@ -18,12 +19,14 @@ import pytest
 from repro.analysis import flat as flat_analysis
 from repro.analysis import set_paranoid
 from repro.core.checkpoint import dag_digest
-from repro.core.enumeration import EnumerationConfig, enumerate_space
+from repro.core.enumeration import EnumerationConfig, SpaceEnumerator, enumerate_space
 from repro.ir.flat import to_flat
 from repro.machine.target import DEFAULT_TARGET
 from repro.opt import implicit_cleanup
+from repro.opt import phase_by_id
 from repro.programs import compile_benchmark
 from repro.robustness import guard as guard_mod
+from repro.robustness.faults import FaultInjector
 from repro.staticanalysis import FAST, sanitize_function
 from repro.staticanalysis import checker as checker_mod
 from repro.staticanalysis import sanitize as sanitize_mod
@@ -115,7 +118,9 @@ def test_full_mode_and_collapse_find_no_stale_analyses(config):
     assert result.collapse_stats == reference.collapse_stats
 
 
-def test_validate_and_sanitize_share_one_battery_per_edge(monkeypatch):
+def test_validate_and_sanitize_share_one_battery_per_candidate(monkeypatch):
+    # One battery run decides validation and the sanitizer for each
+    # distinct candidate; a repeated candidate reads the guard's record.
     program = compile_benchmark("sha")
     calls = []
     structural = sanitize_mod._structural
@@ -125,16 +130,16 @@ def test_validate_and_sanitize_share_one_battery_per_edge(monkeypatch):
         return structural(*args)
 
     monkeypatch.setattr(sanitize_mod, "_structural", counted)
-    result = enumerate_space(
+    enumerator = SpaceEnumerator(
         program.functions["word_sum"],
         EnumerationConfig(
             program=program, validate=True, sanitize="fast", max_nodes=120
         ),
     )
+    result = enumerator.run()
     edges = result.sanitize_stats["edges"]
-    assert edges > 0
     assert len(result.quarantine) == 0
-    assert len(calls) == edges
+    assert 0 < len(calls) == len(enumerator.guard.verdicts) < edges
 
 
 @pytest.mark.parametrize("table", ["instruction facts", "block facts"])
@@ -198,3 +203,65 @@ def test_fact_tables_stay_within_their_bound(monkeypatch):
     assert dag_digest(bounded.dag) == dag_digest(reference.dag)
     assert bounded.sanitize_stats == reference.sanitize_stats
     assert peaks == [bound, bound]
+
+
+@pytest.mark.parametrize(
+    "config",
+    (
+        {"sanitize": "fast", "validate": True},
+        {"sanitize": "full"},
+        {"validate": True, "difftest": True},
+    ),
+    ids=["fast+validate", "full", "validate+difftest"],
+)
+def test_the_verdict_record_keeps_every_edge_outcome(monkeypatch, config):
+    # Injected faults quarantine edges of every kind; a guard whose
+    # record never hits must report the same quarantine and counters.
+    program = compile_benchmark("bitcount")
+    func = program.functions["ntbl_bitcount"]
+
+    def enumerate_with_faults():
+        injector = FaultInjector(seed=3, rate=0.05, modes=("raise", "corrupt"))
+        return enumerate_space(
+            func,
+            EnumerationConfig(
+                program=program, fault_injector=injector, max_nodes=150, **config
+            ),
+        )
+
+    recorded = enumerate_with_faults()
+    monkeypatch.setattr(
+        guard_mod.GuardedPhaseRunner, "_lookup", lambda self, flat, validate: None
+    )
+    unrecorded = enumerate_with_faults()
+    assert len(recorded.quarantine) > 0
+    assert recorded.quarantine.to_dicts() == unrecorded.quarantine.to_dicts()
+    assert recorded.sanitize_stats == unrecorded.sanitize_stats
+    assert dag_digest(recorded.dag) == dag_digest(unrecorded.dag)
+
+
+def test_paranoid_mode_recomputes_record_hits():
+    # A record entry outlives the edge that wrote it: a wrong verdict
+    # would decide every later edge to that candidate, unless paranoid
+    # mode recomputes hits.
+    func = compile_benchmark("jpeg").functions["descale"]
+    implicit_cleanup(func)
+    parent = to_flat(func)
+    guard = guard_mod.GuardedPhaseRunner(
+        validate=False, sanitizer=checker_mod.EdgeChecker()
+    )
+    phase = phase_by_id("s")
+    assert guard.apply(parent, phase) is not None
+    ((key, entry),) = guard.verdicts.items()
+    guard.verdicts[key] = entry._replace(failure=("sanitizer", "planted", 1))
+    assert guard.apply(parent, phase) is None
+    assert guard.quarantine.records[-1].detail == "planted"
+    previous = set_paranoid(True)
+    try:
+        assert guard.apply(parent, phase) is None
+    finally:
+        set_paranoid(previous)
+    record = guard.quarantine.records[-1]
+    assert record.kind == "sanitizer"
+    assert "stale cached guard verdict for descale" in record.detail
+    assert guard.sanitizer.stats()["edges"] == 2
